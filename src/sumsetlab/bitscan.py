@@ -18,22 +18,25 @@ so the scan stays exact.
 Grid packing: point (x, y) of the box maps to bit y*stride + x with stride
 2*w-1 (w the box width), so all sums A+B stay in distinct rows; A fits one
 uint64 word and A+B fits two.  Exact rechecks use Python ints at stride 64.
+
+The build is one sequential pass over i; the pairs it records, and so every
+verdict, depend only on the box and the cardinality.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .groups import GroupContext
+from .search import canonical_subsets
+
 Pt = tuple[int, ...]
 
 WIDE = 64  # stride of the Python-int masks used for exact rechecks
-CHUNK = 256  # fixed outer-loop chunk; results merge in chunk order
 
 
 @dataclass
@@ -56,15 +59,7 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
 
     These represent subsets of any translated box modulo translation.
     """
-    d = len(dims)
-    pts = list(itertools.product(*[range(n) for n in dims]))
-    out = []
-    for k in range(1, max_card + 1):
-        for combo in itertools.combinations(pts, k):
-            if all(min(p[i] for p in combo) == 0 for i in range(d)):
-                out.append(combo)
-    out.sort()
-    return out
+    return canonical_subsets(GroupContext(len(dims)), [(0, n - 1) for n in dims], max_card)
 
 
 def _largest_unsafe_s(ab: int, v: int) -> int:
@@ -85,7 +80,7 @@ def _wide_mask(points) -> int:
 
 
 def build_scan(
-    dims: Sequence[int], max_card: int, max_v: int = 4, threads: int = 1
+    dims: Sequence[int], max_card: int, max_v: int = 4
 ) -> ExhaustiveBetaScan:
     """One popcount pass over all canonical unordered pairs, recording the
     pairs the integer certificate cannot clear at any v in [2, max_v]."""
@@ -120,44 +115,32 @@ def build_scan(
     for ab in range(1, abmax + 1):
         smax_any[ab] = max(_largest_unsafe_s(ab, v) for v in range(2, max_v + 1))
 
-    def run_chunk(c0: int):
-        out_i, out_j, out_pop = [], [], []
-        hi_end = min(c0 + CHUNK, n)
-        for i in range(c0, hi_end):
-            a_mask = masks[i]
-            a_size = int(sizes[i])
-            m = n - i
-            lo = np.zeros(m, dtype=np.uint64)
-            hi = np.zeros(m, dtype=np.uint64)
-            for k in range(max_card):
-                sv = shifts[i:, k]
-                valid = sv >= 0
-                svu = np.where(valid, sv, 0).astype(np.uint64)
-                lo |= np.where(valid, a_mask << svu, np.uint64(0))
-                hs = np.where(sv > 0, 64 - sv, 63).astype(np.uint64)
-                hi |= np.where(sv > 0, a_mask >> hs, np.uint64(0))
-            pop = np.bitwise_count(lo).astype(np.int64) + np.bitwise_count(hi).astype(np.int64)
-            ab = a_size * sizes[i:]
-            assert np.all(pop >= a_size + sizes[i:] - 1)
-            surv = pop <= smax_any[ab]
-            if np.any(surv):
-                jj = np.nonzero(surv)[0]
-                out_i.append(np.full(len(jj), i, dtype=np.int64))
-                out_j.append(jj + i)
-                out_pop.append(pop[jj])
-        cat = lambda xs: np.concatenate(xs) if xs else np.zeros(0, dtype=np.int64)
-        return cat(out_i), cat(out_j), cat(out_pop)
+    out_i, out_j, out_pop = [], [], []
+    for i in range(n):
+        a_mask = masks[i]
+        a_size = int(sizes[i])
+        m = n - i
+        lo = np.zeros(m, dtype=np.uint64)
+        hi = np.zeros(m, dtype=np.uint64)
+        for k in range(max_card):
+            sv = shifts[i:, k]
+            valid = sv >= 0
+            svu = np.where(valid, sv, 0).astype(np.uint64)
+            lo |= np.where(valid, a_mask << svu, np.uint64(0))
+            hs = np.where(sv > 0, 64 - sv, 63).astype(np.uint64)
+            hi |= np.where(sv > 0, a_mask >> hs, np.uint64(0))
+        pop = np.bitwise_count(lo).astype(np.int64) + np.bitwise_count(hi).astype(np.int64)
+        ab = a_size * sizes[i:]
+        assert np.all(pop >= a_size + sizes[i:] - 1)
+        surv = pop <= smax_any[ab]
+        if np.any(surv):
+            jj = np.nonzero(surv)[0]
+            out_i.append(np.full(len(jj), i, dtype=np.int64))
+            out_j.append(jj + i)
+            out_pop.append(pop[jj])
 
-    starts = list(range(0, n, CHUNK))
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(run_chunk, starts))
-    else:
-        chunks = [run_chunk(c) for c in starts]
-
-    surv_i = np.concatenate([c[0] for c in chunks])
-    surv_j = np.concatenate([c[1] for c in chunks])
-    surv_pop = np.concatenate([c[2] for c in chunks])
+    none = [np.zeros(0, dtype=np.int64)]
+    surv_i, surv_j, surv_pop = (np.concatenate(xs or none) for xs in (out_i, out_j, out_pop))
     surv_ab = sizes[surv_i] * sizes[surv_j]
 
     surv_masks = []

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 a proved-law verdict came back false, 3 a
 conjecture disproof was found, 64 flag/validation errors, 74 I/O errors.
 Every artifact embeds a run manifest (flags, input digests, tool version,
-wall clock); reports are byte-identical across reruns and thread counts
-apart from the wall-clock field.
+wall clock); reports are byte-identical across reruns apart from the
+wall-clock field.  Scans are sequential: --threads is recorded in the
+manifest and the config echo but does not change the work.
 """
 
 from __future__ import annotations
@@ -165,6 +166,8 @@ def _cmd_quasicube(args: argparse.Namespace, started: float) -> int:
         text = "# spec: " + format_spec(spec) + "\n" + io_formats.format_point_set(U)
         _write(args.out, text)
         return EXIT_OK
+    if not args.set:
+        raise CliError("--set is required for check", EXIT_USAGE)
     text = _read(args.set)
     try:
         U = io_formats.parse_point_set(text)
@@ -195,7 +198,7 @@ def _cmd_compress(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_laws(args: argparse.Namespace, started: float) -> int:
     try:
-        verdicts = laws.run_suite(args.suite, seed=args.seed, threads=args.threads)
+        verdicts = laws.run_suite(args.suite, seed=args.seed)
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
     lines = [json.dumps(v.to_json_dict(), sort_keys=True) for v in verdicts]
@@ -246,7 +249,10 @@ def _cmd_two_point(args: argparse.Namespace, started: float) -> int:
     p = parse_rational(args.p)
     if p <= 1:
         raise CliError("p must be > 1", EXIT_USAGE)
-    delta = float(parse_rational(args.delta)) if "/" in args.delta else float(args.delta)
+    try:
+        delta = float(parse_rational(args.delta)) if "/" in args.delta else float(args.delta)
+    except ValueError:
+        raise CliError(f"bad delta {args.delta!r}, expected a number or num/den", EXIT_USAGE)
     if not 0 <= delta <= 1:
         raise CliError("delta must lie in [0, 1]", EXIT_USAGE)
     ratios = [

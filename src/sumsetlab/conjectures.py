@@ -145,6 +145,12 @@ def enumerate_canonical(d: int, side: int, max_size: int) -> list[tuple[Vec, ...
     return out
 
 
+def _require_p2(cfg: SearchConfig) -> None:
+    # the margins are exact squared ratios, which the estimates give only at p = 2
+    if Fraction(cfg.p) != 2:
+        raise ValueError(f"conjecture scans need p = 2, got p = {frac_str(cfg.p)}")
+
+
 def _emit(out_path: Optional[str], lines: list[str]) -> None:
     if out_path is None:
         return
@@ -168,6 +174,7 @@ def scan_log_span(
 
     An exact witness below |V|^2 disproves the conjecture conclusively (the
     window minimum is an upper bound on the infimum)."""
+    _require_p2(cfg)
     candidates = enumerate_canonical(d, side, max_size)
     config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -284,6 +291,7 @@ def scan_doubling_tripling(
     """For each canonical U compute the six estimates on matched windows;
     exact violations of the proved variant chains are bugs, margins of the
     conjectural equalities and of beta <= alpha^2 are recorded."""
+    _require_p2(cfg)
     candidates = enumerate_canonical(d, side, max_size)
     config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
     if checkpoint_path and os.path.exists(checkpoint_path):

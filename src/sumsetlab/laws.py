@@ -95,24 +95,27 @@ def _normalized_free(V: PointSet) -> tuple[Vec, ...]:
 _SCAN_CACHE: dict[tuple, bitscan.ExhaustiveBetaScan] = {}
 
 
-def _get_scan(dims: tuple[int, ...], max_card: int, threads: int) -> bitscan.ExhaustiveBetaScan:
+def _get_scan(dims: tuple[int, ...], max_card: int) -> bitscan.ExhaustiveBetaScan:
     key = (dims, max_card)
     if key not in _SCAN_CACHE:
-        _SCAN_CACHE[key] = bitscan.build_scan(dims, max_card, threads=threads)
+        _SCAN_CACHE[key] = bitscan.build_scan(dims, max_card)
     return _SCAN_CACHE[key]
 
 
 def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Verdict:
     """Every scanned pair satisfies |A+B+V|^2 >= |V|^2 |A||B| exactly, with
     equality attained at singletons; the scanned minimum of the squared
-    ratio is therefore exactly |V|^2."""
+    ratio is therefore exactly |V|^2.
+
+    `threads` is kept for compatibility and has no effect: the scan is
+    sequential."""
     if cfg.strategy != "exhaustive" or Fraction(cfg.p) != 2:
         raise ValueError("requires an exhaustive p=2 configuration")
     ctx = V.context
     inputs = {"V": _pts(V), "config": cfg.echo()}
     if ctx.is_torsion_free and ctx.free_rank == len(cfg.box) and ctx.free_rank in (1, 2):
         dims = tuple(hi - lo + 1 for lo, hi in cfg.box)
-        scan = _get_scan(dims, cfg.max_cardinality, threads)
+        scan = _get_scan(dims, cfg.max_cardinality)
         res = bitscan.verify_subset_beta(scan, _normalized_free(V))
         return Verdict(
             law="quasicube_beta",
@@ -541,7 +544,7 @@ def quasicube_corpus(count: int = 25, shift_box: int = 3) -> list[PointSet]:
     return out
 
 
-def suite_quasicube(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_quasicube(seed: int = 0) -> list[Verdict]:
     """Exhaustive tripling verification for every subset of 25 seeded
     quasicubes of dimension <= 2, over the box [-2,3]^d at cardinality 4."""
     verdicts_by_key: dict[tuple, Verdict] = {}
@@ -551,11 +554,11 @@ def suite_quasicube(seed: int = 0, threads: int = 1) -> list[Verdict]:
         for V in U.subsets():
             key = (d, _normalized_free(V))
             if key not in verdicts_by_key:
-                verdicts_by_key[key] = check_quasicube_beta(V, cfg, threads=threads)
+                verdicts_by_key[key] = check_quasicube_beta(V, cfg)
     return [verdicts_by_key[k] for k in sorted(verdicts_by_key, key=lambda k: (k[0], len(k[1]), k[1]))]
 
 
-def suite_rearrangement(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_rearrangement(seed: int = 0) -> list[Verdict]:
     """200 seeded random triples: the nonincreasing arrangement attains the
     brute-force minimum of ||f*g*h||_1 over all permutation triples.
 
@@ -588,7 +591,7 @@ def suite_rearrangement(seed: int = 0, threads: int = 1) -> list[Verdict]:
     return out
 
 
-def suite_compression(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_compression(seed: int = 0) -> list[Verdict]:
     """500 seeded random pairs in [0,4]^2, compressed along each axis."""
     rng = random.Random(seed)
     ctx = GroupContext(2)
@@ -602,7 +605,7 @@ def suite_compression(seed: int = 0, threads: int = 1) -> list[Verdict]:
     return out
 
 
-def suite_petridis_plunnecke(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_petridis_plunnecke(seed: int = 0) -> list[Verdict]:
     """200 qualifying instances of each lemma over boxes [0,6], k <= 3."""
     rng = random.Random(seed)
     ctx = GroupContext(1)
@@ -623,7 +626,7 @@ def suite_petridis_plunnecke(seed: int = 0, threads: int = 1) -> list[Verdict]:
     return out
 
 
-def suite_beta_gamma(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_beta_gamma(seed: int = 0) -> list[Verdict]:
     """Equivalence and multiplicativity instances on matched windows."""
     z1 = GroupContext(1)
     z2 = GroupContext(2)
@@ -649,7 +652,7 @@ def suite_beta_gamma(seed: int = 0, threads: int = 1) -> list[Verdict]:
     return out
 
 
-def suite_independence(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_independence(seed: int = 0) -> list[Verdict]:
     ctx = GroupContext(1)
     cfg = SearchConfig(box=((-2, 3),), max_cardinality=4)
     out = []
@@ -660,7 +663,7 @@ def suite_independence(seed: int = 0, threads: int = 1) -> list[Verdict]:
     return out
 
 
-def suite_trivial_freiman(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_trivial_freiman(seed: int = 0) -> list[Verdict]:
     """Trivial lower bounds on the ten smallest 1-dimensional sets, plus 500
     random Freiman instances."""
     ctx = GroupContext(1)
@@ -681,12 +684,12 @@ def suite_trivial_freiman(seed: int = 0, threads: int = 1) -> list[Verdict]:
     return out
 
 
-def suite_two_point(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_two_point(seed: int = 0) -> list[Verdict]:
     deltas = [i / 10 for i in range(11)]
     return [check_two_point(deltas, [2.0, 1.5, 3.0], r_max=8, seed=seed)]
 
 
-def suite_chains(seed: int = 0, threads: int = 1) -> list[Verdict]:
+def suite_chains(seed: int = 0) -> list[Verdict]:
     ctx1, ctx2 = GroupContext(1), GroupContext(2)
     out = []
     cfg1 = SearchConfig(box=((-1, 2),), max_cardinality=4)
@@ -717,7 +720,7 @@ SUITES: dict[str, Callable[..., list[Verdict]]] = {
 }
 
 
-def run_suite(name: str, seed: int = 0, threads: int = 1) -> list[Verdict]:
+def run_suite(name: str, seed: int = 0) -> list[Verdict]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    return SUITES[name](seed=seed, threads=threads)
+    return SUITES[name](seed=seed)

@@ -5,9 +5,9 @@ finite search yields an upper bound together with a witness; reports carry
 the witness and are replayable: the reported value is recomputable from the
 witness alone.  Exhaustive enumeration runs over canonical representatives
 modulo translation (every target ratio is translation invariant), anchoring
-the min-corner of each set at the box origin.  Ties break to the
-lexicographically least canonical pair, so reports are deterministic at any
-parallelism level.
+the min-corner of each set at the box origin.  Every scan is one sequential
+pass over index pairs in i-major order, and ties break to the first
+minimising pair, so reports are deterministic.
 
 Ratio comparisons at rational p = pa/pb are exact: with normalizer
 |A|^(1/p) |B|^(1-1/p), compare s1^pa a2^pb b2^(pa-pb) against
@@ -20,10 +20,9 @@ import itertools
 import math
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .functional import (
     WeightedFunction,
@@ -57,6 +56,7 @@ class SearchConfig:
     variant: str = "unrestricted"
     strategy: str = "exhaustive"
     seed: int = 0
+    # kept for compatibility: validated and echoed, but scans are sequential
     parallelism: int = 1
     node_ceiling: int | None = None
     budget_ms: int | None = None
@@ -113,7 +113,6 @@ class EstimateReport:
     nodes: int
     complete: bool
     config: dict
-    history: tuple[tuple[float, tuple[Vec, ...], tuple[Vec, ...]], ...] = ()
     tool_version: str = TOOL_VERSION
 
     def to_json_dict(self) -> dict:
@@ -136,7 +135,7 @@ class EstimateReport:
 
 
 def compare_ratios(
-    s1: int, a1: int, b1: int, s2: int, a2: int, b2: int, p: Fraction
+    s1: Fraction | float, a1: int, b1: int, s2: Fraction | float, a2: int, b2: int, p: Fraction
 ) -> int:
     """Sign of s1/(a1^(1/p) b1^(1/q)) - s2/(a2^(1/p) b2^(1/q)), exactly."""
     pa, pb = Fraction(p).numerator, Fraction(p).denominator
@@ -145,7 +144,7 @@ def compare_ratios(
     return (lhs > rhs) - (lhs < rhs)
 
 
-def ratio_float(s: int, a: int, b: int, p: Fraction) -> float:
+def ratio_float(s: Fraction | float, a: int, b: int, p: Fraction) -> float:
     invp = 1.0 / float(p)
     return s / (a**invp * b ** (1.0 - invp))
 
@@ -191,27 +190,63 @@ def canonical_subsets(
     return out
 
 
-def _pair_stream(n: int, variant: str) -> Iterable[tuple[int, int]]:
-    if variant == "isomeric":
-        for i in range(n):
+def _pair_stream(sizes: Sequence[int], variant: str) -> Iterator[tuple[int, int]]:
+    """Index pairs in i-major order, with the variant's pairing applied."""
+    n = len(sizes)
+    for i in range(n):
+        if variant == "isomeric":
             yield i, i
-    else:
-        for i in range(n):
+        elif variant == "isometric":
+            for j in range(n):
+                if sizes[i] == sizes[j]:
+                    yield i, j
+        else:
             for j in range(n):
                 yield i, j
 
 
-def _merge_histories(chunks, p: Fraction):
-    """Filter concatenated chunk-local improvement lists to the global
-    improvement sequence; identical to the sequential scan's history."""
+def _first_minimum(
+    sets: Sequence[tuple[Vec, ...]],
+    cfg: SearchConfig,
+    quantity: str,
+    eval_pair: Callable[[int, int], tuple],
+) -> EstimateReport:
+    """Stream the pairs of `sets` up to the node ceiling and report the
+    first strict minimum of the ratio key (numerator, |A|, |B|).
+
+    complete is False exactly when a pair beyond the ceiling was left
+    unevaluated.  A float numerator (numeric-mode gamma) has no exact value."""
+    p = Fraction(cfg.p)
+    ceiling = cfg.effective_node_ceiling
     best = None
-    history = []
-    for chunk in chunks:
-        for key, wa, wb in chunk:
-            if best is None or compare_ratios(*key, *best, p) < 0:
-                best = key
-                history.append((key, wa, wb))
-    return best, history
+    best_ij = (0, 0)
+    nodes = 0
+    complete = True
+    for i, j in _pair_stream([len(s) for s in sets], cfg.variant):
+        if nodes >= ceiling:
+            complete = False
+            break
+        nodes += 1
+        key = eval_pair(i, j)
+        if best is None or compare_ratios(*key, *best, p) < 0:
+            best = key
+            best_ij = (i, j)
+    assert best is not None
+    s, a, b = best
+    i, j = best_ij
+    exact = p == 2 and not isinstance(s, float)
+    return EstimateReport(
+        quantity=quantity,
+        p=p,
+        variant=cfg.variant,
+        value_float=ratio_float(s, a, b, p),
+        value_exact=Fraction(s) * s / (a * b) if exact else None,
+        witness_a=sets[i],
+        witness_b=sets[j],
+        nodes=nodes,
+        complete=complete,
+        config=cfg.echo(),
+    )
 
 
 def _scan_pairs(
@@ -223,10 +258,6 @@ def _scan_pairs(
 ) -> EstimateReport:
     """Shared exhaustive pair scan for alpha (U folded into the candidate
     sets already) and beta (U added to every pair sum)."""
-    p = Fraction(cfg.p)
-    n = len(sets)
-    ceiling = cfg.effective_node_ceiling
-
     upoints = U.points if U is not None else None
 
     if ctx.is_torsion_free and ctx.free_rank == 1:
@@ -260,52 +291,7 @@ def _scan_pairs(
                 s = ab
             return len(s), len(A), len(B)
 
-    pairs = list(_pair_stream(n, cfg.variant))
-    if cfg.variant == "isometric":
-        pairs = [(i, j) for i, j in pairs if len(sets[i]) == len(sets[j])]
-
-    complete = True
-    if len(pairs) > ceiling:
-        pairs = pairs[:ceiling]
-        complete = False
-
-    chunk_size = 4096
-    chunks = [pairs[k : k + chunk_size] for k in range(0, len(pairs), chunk_size)]
-
-    def run_chunk(chunk):
-        local_best = None
-        improvements = []
-        for i, j in chunk:
-            key = eval_pair(i, j)
-            if local_best is None or compare_ratios(*key, *local_best, p) < 0:
-                local_best = key
-                improvements.append((key, sets[i], sets[j]))
-        return improvements
-
-    if cfg.parallelism > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as ex:
-            results = list(ex.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
-
-    best, history = _merge_histories(results, p)
-    assert best is not None
-    s, a, b = best
-    wa, wb = next((wa, wb) for key, wa, wb in reversed(history) if key == best)
-    value_exact = Fraction(s * s, a * b) if p == 2 else None
-    return EstimateReport(
-        quantity=quantity,
-        p=p,
-        variant=cfg.variant,
-        value_float=ratio_float(s, a, b, p),
-        value_exact=value_exact,
-        witness_a=wa,
-        witness_b=wb,
-        nodes=len(pairs),
-        complete=complete,
-        config=cfg.echo(),
-        history=tuple((ratio_float(*k, p), x, y) for k, x, y in history),
-    )
+    return _first_minimum(sets, cfg, quantity, eval_pair)
 
 
 def beta_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
@@ -358,9 +344,10 @@ def _beta_hill_climb(U: PointSet, cfg: SearchConfig) -> EstimateReport:
 
     best_key = None
     best_wit = None
+    top = min(cfg.max_cardinality, len(pts))  # a sample cannot outgrow the box
     for _ in range(cfg.hill_climb_restarts):
-        A = frozenset(rng.sample(pts, rng.randint(1, cfg.max_cardinality)))
-        B = frozenset(rng.sample(pts, rng.randint(1, cfg.max_cardinality)))
+        A = frozenset(rng.sample(pts, rng.randint(1, top)))
+        B = frozenset(rng.sample(pts, rng.randint(1, top)))
         if cfg.variant == "isomeric":
             B = A
         cur = key_of(A, B)
@@ -417,58 +404,19 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     if not f.entries:
         raise ValueError("f must have nonempty support")
     ctx = f.context
-    p = Fraction(cfg.p)
-    pa, pb = p.numerator, p.denominator
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
-    ceiling = cfg.effective_node_ceiling
+    one = Fraction(1) if f.exact else 1.0
 
-    best = None  # (num: Fraction, a, b)
-    best_wit = None
-    nodes = 0
-    complete = True
-    for i, j in _pair_stream(len(sets), cfg.variant):
+    def eval_pair(i: int, j: int) -> tuple:
         A, B = sets[i], sets[j]
-        if cfg.variant == "isometric" and len(A) != len(B):
-            continue
-        if nodes >= ceiling:
-            complete = False
-            break
-        nodes += 1
-        one = Fraction(1) if f.exact else 1.0
         ga = WeightedFunction.of(ctx, [(q, one) for q in A])
         gb = WeightedFunction.of(ctx, [(q, one) for q in B])
         num = l1_norm(max_convolve(max_convolve(f, ga), gb))
         if f.exact:
             num = Fraction(num)
-        key = (num, len(A), len(B))
-        if best is None or _gamma_less(key, best, pa, pb):
-            best = key
-            best_wit = (A, B)
-    assert best is not None and best_wit is not None
-    num, a, b = best
-    invp = 1.0 / float(p)
-    val = float(num) / (a**invp * b ** (1.0 - invp))
-    value_exact = num * num / Fraction(a * b) if p == 2 and f.exact else None
-    return EstimateReport(
-        quantity="gamma",
-        p=p,
-        variant=cfg.variant,
-        value_float=val,
-        value_exact=value_exact,
-        witness_a=best_wit[0],
-        witness_b=best_wit[1],
-        nodes=nodes,
-        complete=complete,
-        config=cfg.echo(),
-    )
+        return num, len(A), len(B)
 
-
-def _gamma_less(k1, k2, pa: int, pb: int) -> bool:
-    n1, a1, b1 = k1
-    n2, a2, b2 = k2
-    lhs = n1**pa * a2**pb * b2 ** (pa - pb)
-    rhs = n2**pa * a1**pb * b1 ** (pa - pb)
-    return lhs < rhs
+    return _first_minimum(sets, cfg, "gamma", eval_pair)
 
 
 def refine_weights_coordinate_descent(

@@ -176,6 +176,10 @@ class TestQuasicubeCommand:
         doc = json.loads(res.read_text())
         assert doc["quasicube"] is True and doc["size"] == 4
 
+    def test_check_without_set(self, capsys):
+        assert cli.main(["quasicube", "check"]) == 64
+        assert "--set" in capsys.readouterr().err
+
 
 class TestCompressCommand:
     def test_compress(self, tmp_path):
@@ -246,6 +250,10 @@ class TestTwoPointCommand:
 
     def test_delta_range(self):
         assert cli.main(["two-point", "--delta", "2"]) == 64
+
+    def test_delta_not_a_number(self, capsys):
+        assert cli.main(["two-point", "--delta", "abc"]) == 64
+        assert "abc" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -100,6 +100,13 @@ class TestLogSpanScan:
         with pytest.raises(ValueError):
             scan_log_span(1, 3, 3, other, checkpoint_path=ckpt)
 
+    def test_rejects_p_other_than_two(self, tmp_path):
+        out = tmp_path / "reports.jsonl"
+        cfg = SearchConfig(box=((-2, 3),), max_cardinality=3, p=F(3, 2))
+        with pytest.raises(ValueError, match="3/2"):
+            scan_log_span(1, 3, 3, cfg, out_path=str(out))
+        assert not out.exists()
+
 
 class TestDoublingTriplingScan:
     def test_small_line(self, tmp_path):
@@ -118,6 +125,13 @@ class TestDoublingTriplingScan:
         state = scan_doubling_tripling(1, 3, 3, cfg)
         assert state.counterexample is None
         assert all(e["margin_float"] >= 0 for e in state.near)
+
+    def test_rejects_p_other_than_two(self, tmp_path):
+        out = tmp_path / "dt.jsonl"
+        cfg = SearchConfig(box=((0, 1),), max_cardinality=2, p=F(3))
+        with pytest.raises(ValueError, match="3/1"):
+            scan_doubling_tripling(1, 2, 2, cfg, out_path=str(out))
+        assert not out.exists()
 
 
 class TestMatroid:

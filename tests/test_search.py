@@ -1,18 +1,21 @@
 """Estimation of the doubling/tripling functionals and two-point closed forms."""
 
+import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumsetlab.functional import WeightedFunction
+from sumsetlab.functional import WeightedFunction, l1_norm, max_convolve
 from sumsetlab.groups import GroupContext, PointSet, sumset
 from sumsetlab.search import (
     SearchConfig,
     alpha_estimate,
     beta_estimate,
+    box_points,
     c_p_constant,
     canonical_subsets,
     compare_ratios,
@@ -97,8 +100,8 @@ class TestBetaEstimate:
         base = SearchConfig(box=((-3, 4),), max_cardinality=4)
         r1 = beta_estimate(U, base)
         r3 = beta_estimate(U, SearchConfig(box=((-3, 4),), max_cardinality=4, parallelism=3))
-        assert (r1.value_exact, r1.witness_a, r1.witness_b, r1.nodes, r1.history) == (
-            r3.value_exact, r3.witness_a, r3.witness_b, r3.nodes, r3.history
+        assert (r1.value_exact, r1.witness_a, r1.witness_b, r1.nodes) == (
+            r3.value_exact, r3.witness_a, r3.witness_b, r3.nodes
         )
 
     def test_node_ceiling_flags_incomplete(self):
@@ -106,6 +109,19 @@ class TestBetaEstimate:
         cfg = SearchConfig(box=((-2, 3),), max_cardinality=4, node_ceiling=10)
         r = beta_estimate(U, cfg)
         assert not r.complete and r.nodes == 10
+
+    def test_node_ceiling_bounds_memory(self):
+        # 436 sets give 190,096 pairs; a ceiling of 100 must not build them all
+        U = ps(Z1, [(0,), (1,)])
+        cfg = SearchConfig(box=((0, 29),), max_cardinality=3, node_ceiling=100)
+        tracemalloc.start()
+        try:
+            r = beta_estimate(U, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.nodes == 100 and r.complete is False
+        assert peak < 2 * 2**20
 
     def test_node_ceiling_env(self, monkeypatch):
         monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "7")
@@ -128,6 +144,13 @@ class TestBetaEstimate:
         )
         assert not hc.complete
         assert hc.value_exact >= ex.value_exact
+
+    def test_hill_climb_cardinality_above_box(self):
+        U = ps(Z1, [(0,), (1,)])
+        cfg = SearchConfig(box=((0, 1),), max_cardinality=5, strategy="hill_climb", seed=1)
+        r = beta_estimate(U, cfg)
+        assert r.quantity == "beta" and not r.complete
+        assert 1 <= len(r.witness_a) <= 2 and 1 <= len(r.witness_b) <= 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -258,3 +281,103 @@ def test_compare_ratios_matches_floats(k1, k2, p):
     if abs(diff) > 1e-9:
         assert sign == (diff > 0) - (diff < 0)
     assert compare_ratios(*k2, *k1, p) == -sign
+
+
+# --- the streamed pair scan against a brute-force first minimum -------------
+
+ZT = GroupContext(1, (2,))
+WINDOWS = {  # group -> (box, points U and f may use)
+    Z1: (((-1, 2),), [(0,), (1,), (2,)]),
+    Z2: (((0, 1), (0, 2)), [(0, 0), (1, 0), (0, 1), (1, 2)]),
+    ZT: (((0, 2),), [(0, 0), (0, 1), (1, 0), (2, 1)]),
+}
+
+
+def brute_first_minimum(sets, cfg, num):
+    """Every pair in i-major order, then the ceiling cut, then the first
+    strict minimum: the scan's contract spelled out with no streaming."""
+    p = F(cfg.p)
+    pairs = [
+        (i, j)
+        for i, j in itertools.product(range(len(sets)), repeat=2)
+        if (cfg.variant != "isomeric" or i == j)
+        and (cfg.variant != "isometric" or len(sets[i]) == len(sets[j]))
+    ]
+    ceiling = cfg.effective_node_ceiling
+    best = None
+    for i, j in pairs[:ceiling]:
+        key = (num(sets[i], sets[j]), len(sets[i]), len(sets[j]))
+        if best is None or compare_ratios(*key, *best[0], p) < 0:
+            best = (key, sets[i], sets[j])
+    (n, a, b), wa, wb = best
+    return {
+        "value_float": ratio_float(n, a, b, p),
+        "value_exact": n * n / F(a * b) if p == 2 and not isinstance(n, float) else None,
+        "witness_a": wa,
+        "witness_b": wb,
+        "nodes": min(len(pairs), ceiling),
+        "complete": len(pairs) <= ceiling,
+    }
+
+
+def report_fields(r):
+    return {k: getattr(r, k) for k in
+            ("value_float", "value_exact", "witness_a", "witness_b", "nodes", "complete")}
+
+
+@st.composite
+def scan_cases(draw):
+    ctx = draw(st.sampled_from(list(WINDOWS)))
+    box, pool = WINDOWS[ctx]
+    U = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+    cfg = SearchConfig(
+        box=box,
+        max_cardinality=draw(st.integers(2, 3)),
+        p=draw(st.sampled_from([F(2), F(3, 2)])),
+        variant=draw(st.sampled_from(["unrestricted", "isometric", "isomeric"])),
+        node_ceiling=draw(st.sampled_from([10**6, 1, 7, 40])),
+    )
+    return ctx, U, cfg
+
+
+@given(scan_cases())
+@settings(max_examples=40, deadline=None)
+def test_beta_alpha_match_brute_force(case):
+    ctx, pts, cfg = case
+    U = ps(ctx, pts)
+
+    def beta_num(A, B):
+        return len(sumset(sumset(ps(ctx, A), ps(ctx, B)), U))
+
+    beta_sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
+    assert report_fields(beta_estimate(U, cfg)) == brute_first_minimum(beta_sets, cfg, beta_num)
+
+    def alpha_num(A, B):
+        return len(sumset(ps(ctx, A), ps(ctx, B)))
+
+    alpha_sets = sorted(
+        tuple(sorted(c))
+        for k in range(1, cfg.max_cardinality + 1)
+        for c in itertools.combinations(box_points(ctx, cfg.box), k)
+        if set(U.points) <= set(c)
+    )
+    assert report_fields(alpha_estimate(U, cfg)) == brute_first_minimum(alpha_sets, cfg, alpha_num)
+
+
+@given(scan_cases(), st.booleans(), st.lists(st.integers(1, 8), min_size=2, max_size=2))
+@settings(max_examples=25, deadline=None)
+def test_gamma_matches_brute_force(case, exact, weights):
+    ctx, pts, cfg = case
+    ws = [F(w, 4) if exact else w / 4 for w in weights]
+    f = WeightedFunction.of(ctx, list(zip(pts, ws)))
+    one = F(1) if f.exact else 1.0
+
+    def gamma_num(A, B):
+        ga = WeightedFunction.of(ctx, [(q, one) for q in A])
+        gb = WeightedFunction.of(ctx, [(q, one) for q in B])
+        n = l1_norm(max_convolve(max_convolve(f, ga), gb))
+        return F(n) if f.exact else n
+
+    sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
+    expected = brute_first_minimum(sets, cfg, gamma_num)
+    assert report_fields(gamma_indicator_estimate(f, cfg)) == expected
