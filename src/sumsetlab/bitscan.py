@@ -5,7 +5,7 @@ that |A+B+V|^2 >= |V|^2 |A| |B| with exact integer arithmetic, and that
 equality is attained (singleton pairs give |A+B+V| = |V|).  The pair space
 is large (~10^8 for a 6x6 box at cardinality 4), so pairs are packed into
 bitmask grids and screened by one numpy popcount pass; only pairs failing an
-exact integer certificate are re-checked per V with exact big-int masks.
+exact integer certificate keep their packed A+B, to be re-checked per V.
 
 The certificate: in a torsion-free commutative group, |X+Y| >= |X|+|Y|-1
 for finite nonempty X, Y (project along an injective-on-X-union-Y linear
@@ -17,7 +17,7 @@ so the scan stays exact.
 
 Grid packing: point (x, y) of the box maps to bit y*stride + x with stride
 2*w-1 (w the box width), so all sums A+B stay in distinct rows; A fits one
-uint64 word and A+B fits two.  Exact rechecks use Python ints at stride 64.
+uint64 word and A+B fits two; the recheck builds each row of A+B+V in one.
 
 The build is one sequential pass over i; the pairs it records, and so every
 verdict, depend only on the box and the cardinality.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from .groups import GroupContext
 from .search import canonical_subsets
 
 Pt = tuple[int, ...]
-
-WIDE = 64  # stride of the Python-int masks used for exact rechecks
 
 
 @dataclass
@@ -50,7 +48,8 @@ class ExhaustiveBetaScan:
     surv_j: np.ndarray
     surv_pop: np.ndarray
     surv_ab: np.ndarray
-    surv_masks: list[int]  # wide-stride masks of A+B for surviving pairs
+    surv_lo: np.ndarray  # bits 0-63 of the packed A+B of each surviving pair
+    surv_hi: np.ndarray  # bits 64-127
     pair_count: int
 
 
@@ -68,15 +67,6 @@ def _largest_unsafe_s(ab: int, v: int) -> int:
     while (s + v) ** 2 < v * v * ab:
         s += 1
     return s
-
-
-def _wide_mask(points) -> int:
-    m = 0
-    for p in points:
-        x = p[0]
-        y = p[1] if len(p) > 1 else 0
-        m |= 1 << (y * WIDE + x)
-    return m
 
 
 def build_scan(
@@ -115,7 +105,9 @@ def build_scan(
     for ab in range(1, abmax + 1):
         smax_any[ab] = max(_largest_unsafe_s(ab, v) for v in range(2, max_v + 1))
 
-    out_i, out_j, out_pop = [], [], []
+    # (i, j, |A+B|, low word, high word) of the survivors, one tuple per i;
+    # the empty first tuple fixes the dtypes
+    found = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=np.uint64),) * 2]
     for i in range(n):
         a_mask = masks[i]
         a_size = int(sizes[i])
@@ -132,28 +124,16 @@ def build_scan(
         pop = np.bitwise_count(lo).astype(np.int64) + np.bitwise_count(hi).astype(np.int64)
         ab = a_size * sizes[i:]
         assert np.all(pop >= a_size + sizes[i:] - 1)
-        surv = pop <= smax_any[ab]
-        if np.any(surv):
-            jj = np.nonzero(surv)[0]
-            out_i.append(np.full(len(jj), i, dtype=np.int64))
-            out_j.append(jj + i)
-            out_pop.append(pop[jj])
+        jj = np.nonzero(pop <= smax_any[ab])[0]
+        if len(jj):
+            found.append((np.full(len(jj), i, dtype=np.int64), jj + i, pop[jj], lo[jj], hi[jj]))
 
-    none = [np.zeros(0, dtype=np.int64)]
-    surv_i, surv_j, surv_pop = (np.concatenate(xs or none) for xs in (out_i, out_j, out_pop))
+    surv_i, surv_j, surv_pop, surv_lo, surv_hi = map(np.concatenate, zip(*found))
     surv_ab = sizes[surv_i] * sizes[surv_j]
-
-    surv_masks = []
-    for i, j in zip(surv_i.tolist(), surv_j.tolist()):
-        A, B = sets[i], sets[j]
-        surv_masks.append(
-            _wide_mask({tuple(a + b for a, b in zip(p, q)) for p in A for q in B})
-        )
-
     pair_count = n * (n + 1) // 2
     return ExhaustiveBetaScan(
         dims, max_card, max_v, sets, sizes, surv_i, surv_j, surv_pop, surv_ab,
-        surv_masks, pair_count,
+        surv_lo, surv_hi, pair_count,
     )
 
 
@@ -173,7 +153,7 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     v = len(vpts)
     if v > scan.max_v:
         raise ValueError(f"|V| = {v} above the scan's certificate bound {scan.max_v}")
-    if max(p[0] for p in vpts) + 2 * (scan.dims[0] - 1) >= WIDE:
+    if max(p[0] for p in vpts) + 2 * (scan.dims[0] - 1) >= 64:
         raise ValueError("V too wide for the exact recheck stride")
 
     result = {
@@ -192,27 +172,43 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     # survivors whose certificate fails at this particular v
     need = (scan.surv_pop + (v - 1)) ** 2 < v * v * scan.surv_ab
     cand = np.nonzero(need)[0]
-    vshifts = [(p[1] if d > 1 else 0) * WIDE + p[0] for p in vpts]
-    worst: Optional[int] = None
-    worst_pair = None
-    for c in cand.tolist():
-        s_mask = scan.surv_masks[c]
-        t = 0
-        for sh in vshifts:
-            t |= s_mask << sh
-        slack = t.bit_count() ** 2 - v * v * int(scan.surv_ab[c])
-        if worst is None or slack < worst:
-            worst = slack
-            worst_pair = c
     result["checked_pairs"] = int(len(cand))
-    if worst is not None and worst < 0:
-        c = worst_pair
-        i, j = int(scan.surv_i[c]), int(scan.surv_j[c])
+    # Row r of A+B is the 2w-1 bits at r*(2w-1) of the pair's two words; row r
+    # of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, and fits one
+    # uint64 by the width check.  Building one output row at a time keeps only
+    # a few candidate-sized arrays live.
+    width = 2 * scan.dims[0] - 1
+    rows = 2 * scan.dims[1] - 1 if d > 1 else 1
+    row_mask = np.uint64((1 << width) - 1)
+    lo, hi = scan.surv_lo[cand], scan.surv_hi[cand]
+
+    def row(r: int) -> np.ndarray:
+        s = r * width
+        bits = lo >> np.uint64(s) if s < 64 else hi >> np.uint64(s - 64)
+        if s < 64 < s + width:  # the row straddles the two words
+            bits |= hi << np.uint64(64 - s)
+        return bits & row_mask
+
+    xs_at: dict[int, list[np.uint64]] = {}  # x offsets of V per y
+    for p in vpts:
+        xs_at.setdefault(p[1] if d > 1 else 0, []).append(np.uint64(p[0]))
+    t = np.zeros(len(cand), dtype=np.int64)
+    for r in range(rows + max(xs_at)):
+        out = np.zeros(len(cand), dtype=np.uint64)
+        for y, xs in xs_at.items():
+            if 0 <= r - y < rows:
+                bits = row(r - y)
+                for x in xs:
+                    out |= bits << x
+        t += np.bitwise_count(out)
+    slack = t * t - v * v * scan.surv_ab[cand]
+    if len(cand) and slack.min() < 0:
+        k = int(np.argmin(slack))  # the first minimum: survivors are stored i-major
         result["holds"] = False
         result["counterexample"] = {
-            "A": scan.sets[i],
-            "B": scan.sets[j],
+            "A": scan.sets[scan.surv_i[cand[k]]],
+            "B": scan.sets[scan.surv_j[cand[k]]],
             "V": tuple(vpts),
-            "slack": worst,
+            "slack": int(slack[k]),
         }
     return result

@@ -61,6 +61,16 @@ def parse_rational(text: str) -> Fraction:
         raise CliError(f"bad rational {text!r}, expected num/den", EXIT_USAGE)
 
 
+def positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def parse_box(text: str) -> tuple[tuple[int, int], ...]:
     out = []
     for part in text.split(","):
@@ -276,7 +286,7 @@ def build_parser() -> _Parser:
 
     def add_common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=positive_int, default=1)
         sp.add_argument("--out", default=None)
 
     est = sub.add_parser("estimate", description="estimate alpha/beta/gamma on a window")

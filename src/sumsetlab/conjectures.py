@@ -102,6 +102,13 @@ def load_state(path: str) -> ScanState:
         return ScanState.from_json_dict(json.load(fh))
 
 
+def _work_config(config: dict) -> dict:
+    """A scan config without `search.parallelism`, which does not change the
+    work, so a scan may resume under a different thread count."""
+    search = {k: v for k, v in config.get("search", {}).items() if k != "parallelism"}
+    return {**config, "search": search}
+
+
 # --- canonical enumeration modulo translation and signed permutations -------
 
 
@@ -179,7 +186,7 @@ def scan_log_span(
     config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = load_state(checkpoint_path)
-        if state.config != config_echo:
+        if _work_config(state.config) != _work_config(config_echo):
             raise ValueError("checkpoint was created with a different configuration")
     else:
         state = ScanState("log_span", 0, len(candidates), 0, 0, [], None, config_echo)
@@ -296,7 +303,7 @@ def scan_doubling_tripling(
     config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = load_state(checkpoint_path)
-        if state.config != config_echo:
+        if _work_config(state.config) != _work_config(config_echo):
             raise ValueError("checkpoint was created with a different configuration")
     else:
         state = ScanState("doubling_tripling", 0, len(candidates), 0, 0, [], None, config_echo)

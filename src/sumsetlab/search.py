@@ -43,9 +43,15 @@ STRATEGIES = ("exhaustive", "hill_climb", "geometric_family")
 
 def node_ceiling_default() -> int:
     env = os.environ.get(NODE_CEILING_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_NODE_CEILING
+    if env is None:
+        return DEFAULT_NODE_CEILING
+    try:
+        ceiling = int(env)
+    except ValueError:
+        raise ValueError(f"{NODE_CEILING_ENV} must be an integer, got {env!r}") from None
+    if ceiling < 1:
+        raise ValueError(f"{NODE_CEILING_ENV} must be >= 1, got {ceiling}")
+    return ceiling
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,10 @@ class SearchConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.node_ceiling is None:
+            node_ceiling_default()  # a bad SUMSETLAB_NODE_CEILING fails here, not mid-scan
+        elif self.node_ceiling < 1:
+            raise ValueError("node_ceiling must be >= 1")
 
     @property
     def effective_node_ceiling(self) -> int:

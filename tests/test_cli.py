@@ -147,6 +147,12 @@ class TestEstimateCommand:
         )
         assert code == 74
 
+    def test_node_ceiling_env_rejected(self, u01, monkeypatch, capsys):
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "0")
+        code = cli.main(["estimate", "beta", "--set", u01, "--box", "0..2", "--max-card", "2"])
+        assert code == 64
+        assert "SUMSETLAB_NODE_CEILING" in capsys.readouterr().err
+
     def test_bad_box(self, u01):
         code = cli.main(["estimate", "beta", "--set", u01, "--box", "3..1", "--max-card", "2"])
         assert code == 64
@@ -204,6 +210,11 @@ class TestLawsCommand:
 
     def test_unknown_suite(self):
         assert cli.main(["laws", "run", "--suite", "bogus"]) == 64
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_threads_validated(self, threads, capsys):
+        assert cli.main(["laws", "run", "--suite", "independence", "--threads", threads]) == 64
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestConjectureCommand:

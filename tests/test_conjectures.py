@@ -134,6 +134,24 @@ class TestDoublingTriplingScan:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("scan", [scan_log_span, scan_doubling_tripling])
+def test_resume_under_other_threads(scan, tmp_path):
+    # --threads does not change the work, so a checkpoint taken at one
+    # thread count resumes at another, with the bytes of one uninterrupted run
+    cfg1 = SearchConfig(box=((-1, 1),), max_cardinality=3, parallelism=1)
+    cfg2 = SearchConfig(box=((-1, 1),), max_cardinality=3, parallelism=2)
+    full, full_ckpt = tmp_path / "full.jsonl", tmp_path / "full.json"
+    scan(1, 3, 3, cfg1, checkpoint_path=str(full_ckpt), out_path=str(full), shard_size=2)
+    part, ckpt = tmp_path / "part.jsonl", tmp_path / "state.json"
+    st1 = scan(1, 3, 3, cfg1, checkpoint_path=str(ckpt), out_path=str(part),
+               shard_size=2, max_shards=1)
+    assert st1.cursor < st1.total
+    st2 = scan(1, 3, 3, cfg2, checkpoint_path=str(ckpt), out_path=str(part), shard_size=2)
+    assert st2.cursor == st2.total
+    assert part.read_bytes() == full.read_bytes()
+    assert ckpt.read_bytes() == full_ckpt.read_bytes()
+
+
 class TestMatroid:
     def test_pairing_validation(self):
         U = PointSet.of(Z1, [(0,), (1,)])

@@ -23,6 +23,7 @@ from sumsetlab.search import (
     gamma_indicator_estimate,
     geometric_family_ratio,
     geometric_family_ratio_squared_exact,
+    node_ceiling_default,
     ratio_float,
     two_point_constant,
     two_point_constant_exact,
@@ -127,6 +128,19 @@ class TestBetaEstimate:
         monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "7")
         cfg = SearchConfig(box=((0, 1),), max_cardinality=1)
         assert cfg.effective_node_ceiling == 7
+
+    @pytest.mark.parametrize("env", ["0", "-3", "abc", "1.5"])
+    def test_node_ceiling_env_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", env)
+        with pytest.raises(ValueError, match="SUMSETLAB_NODE_CEILING"):
+            node_ceiling_default()
+        with pytest.raises(ValueError, match="SUMSETLAB_NODE_CEILING"):
+            SearchConfig(box=((0, 1),), max_cardinality=1)
+
+    @pytest.mark.parametrize("ceiling", [0, -1])
+    def test_node_ceiling_below_one_rejected(self, ceiling):
+        with pytest.raises(ValueError, match="node_ceiling"):
+            SearchConfig(box=((0, 1),), max_cardinality=1, node_ceiling=ceiling)
 
     def test_variant_nesting(self):
         U = ps(Z1, [(0,), (1,)])
