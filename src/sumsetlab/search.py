@@ -6,8 +6,10 @@ the witness and are replayable: the reported value is recomputable from the
 witness alone.  Exhaustive enumeration runs over canonical representatives
 modulo translation (every target ratio is translation invariant), anchoring
 the min-corner of each set at the box origin.  Every scan is one sequential
-pass over index pairs in i-major order, and ties break to the first
-minimising pair, so reports are deterministic.
+pass over rows in i-major order: row i evaluates A_i against all of its
+paired B_j at once, for beta and alpha on one numpy grid kernel (sets as
+boolean grids, A+B+U as an OR of shifts and torsion rolls).  Ties break to
+the first minimising pair, so reports are deterministic.
 
 Ratio comparisons at rational p = pa/pb are exact: with normalizer
 |A|^(1/p) |B|^(1-1/p), compare s1^pa a2^pb b2^(pa-pb) against
@@ -22,7 +24,9 @@ import os
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .functional import (
     WeightedFunction,
@@ -148,7 +152,8 @@ def compare_ratios(
     s1: Fraction | float, a1: int, b1: int, s2: Fraction | float, a2: int, b2: int, p: Fraction
 ) -> int:
     """Sign of s1/(a1^(1/p) b1^(1/q)) - s2/(a2^(1/p) b2^(1/q)), exactly."""
-    pa, pb = Fraction(p).numerator, Fraction(p).denominator
+    p = Fraction(p)
+    pa, pb = p.numerator, p.denominator
     lhs = s1**pa * a2**pb * b2 ** (pa - pb)
     rhs = s2**pa * a1**pb * b1 ** (pa - pb)
     return (lhs > rhs) - (lhs < rhs)
@@ -200,47 +205,53 @@ def canonical_subsets(
     return out
 
 
-def _pair_stream(sizes: Sequence[int], variant: str) -> Iterator[tuple[int, int]]:
-    """Index pairs in i-major order, with the variant's pairing applied."""
-    n = len(sizes)
-    for i in range(n):
-        if variant == "isomeric":
-            yield i, i
-        elif variant == "isometric":
-            for j in range(n):
-                if sizes[i] == sizes[j]:
-                    yield i, j
-        else:
-            for j in range(n):
-                yield i, j
-
-
 def _first_minimum(
     sets: Sequence[tuple[Vec, ...]],
     cfg: SearchConfig,
     quantity: str,
-    eval_pair: Callable[[int, int], tuple],
+    eval_row: Callable[[int, np.ndarray], Sequence],
 ) -> EstimateReport:
-    """Stream the pairs of `sets` up to the node ceiling and report the
-    first strict minimum of the ratio key (numerator, |A|, |B|).
+    """Scan the pairs of `sets` row by row in i-major order, up to the node
+    ceiling, and report the first strict minimum of the ratio key
+    (numerator, |A|, |B|).
 
-    complete is False exactly when a pair beyond the ceiling was left
-    unevaluated.  A float numerator (numeric-mode gamma) has no exact value."""
+    Row i pairs A_i with every B_j, with B_i alone (isomeric) or with the
+    B_j of equal size (isometric); eval_row(i, js) returns the numerators of
+    the pairs (i, j), j in js.  |A| is fixed within a row, so only the first
+    j of each distinct (numerator, |B|) can become a new minimum, and only
+    those are compared.  complete is False exactly when a pair beyond the
+    ceiling was left unevaluated.  A float numerator (numeric-mode gamma)
+    has no exact value."""
     p = Fraction(cfg.p)
     ceiling = cfg.effective_node_ceiling
+    sizes = np.array([len(s) for s in sets])
+    every = np.arange(len(sets))
+    of_size = {k: np.flatnonzero(sizes == k) for k in set(sizes.tolist())}
     best = None
     best_ij = (0, 0)
     nodes = 0
     complete = True
-    for i, j in _pair_stream([len(s) for s in sets], cfg.variant):
-        if nodes >= ceiling:
+    for i in range(len(sets)):
+        if cfg.variant == "isomeric":
+            js = every[i : i + 1]
+        elif cfg.variant == "isometric":
+            js = of_size[len(sets[i])]
+        else:
+            js = every
+        if nodes + len(js) > ceiling:
+            js = js[: ceiling - nodes]
             complete = False
+        nodes += len(js)
+        first: dict = {}  # (numerator, |B|) -> its first j in the row
+        for j, s, b in zip(js.tolist(), eval_row(i, js), sizes[js].tolist()):
+            first.setdefault((s, b), j)
+        a = len(sets[i])
+        for (s, b), j in first.items():
+            if best is None or compare_ratios(s, a, b, *best, p) < 0:
+                best = (s, a, b)
+                best_ij = (i, j)
+        if not complete:
             break
-        nodes += 1
-        key = eval_pair(i, j)
-        if best is None or compare_ratios(*key, *best, p) < 0:
-            best = key
-            best_ij = (i, j)
     assert best is not None
     s, a, b = best
     i, j = best_ij
@@ -267,41 +278,52 @@ def _scan_pairs(
     quantity: str,
 ) -> EstimateReport:
     """Shared exhaustive pair scan for alpha (U folded into the candidate
-    sets already) and beta (U added to every pair sum)."""
-    upoints = U.points if U is not None else None
+    sets already, so A+B+{0} is scanned) and beta (U added to every pair sum).
 
-    if ctx.is_torsion_free and ctx.free_rank == 1:
-        # bitmask fast path: sumsets on Z are shift-or-popcount
-        glb = min(p[0] for s in sets for p in s)
-        masks = [sum(1 << (p[0] - glb) for p in s) for s in sets]
-        shifts = [[p[0] - glb for p in s] for s in sets]
-        ushifts = None
-        if upoints is not None:
-            umin = min(p[0] for p in upoints)
-            ushifts = [p[0] - umin for p in upoints]
+    The sets lie on one boolean grid of shape (n, *free extents, *torsion
+    moduli), each free axis ext + 1 cells wide from the sets' common min.
+    Translating by a point shifts the free axes into a zero-padded wider
+    grid and rolls the torsion axes (the fold modulo m).  A+B is 2*ext + 1
+    cells wide per free axis and A+B+U 2*ext + ext(U) + 1, so sums never
+    wrap; a whole row of numerators is one count over the grid axes."""
+    d = ctx.free_rank
+    upoints = U.points if U is not None else (ctx.zero(),)
 
-        def eval_pair(i: int, j: int) -> tuple[int, int, int]:
-            m = masks[i]
-            s = 0
-            for b in shifts[j]:
-                s |= m << b
-            if ushifts is not None:
-                t = 0
-                for u in ushifts:
-                    t |= s << u
-                s = t
-            return s.bit_count(), len(sets[i]), len(sets[j])
-    else:
-        def eval_pair(i: int, j: int) -> tuple[int, int, int]:
-            A, B = sets[i], sets[j]
-            ab = {ctx.add(a, b) for a in A for b in B}
-            if upoints is not None:
-                s = {ctx.add(x, u) for x in ab for u in upoints}
-            else:
-                s = ab
-            return len(s), len(A), len(B)
+    def span(points: Sequence[Vec]) -> tuple[list[int], list[int]]:
+        lo = [min(q[k] for q in points) for k in range(d)]
+        return lo, [max(q[k] for q in points) - lo[k] for k in range(d)]
 
-    return _first_minimum(sets, cfg, quantity, eval_pair)
+    def offsets(points: Sequence[Vec], lo: Sequence[int]) -> list[Vec]:
+        return [tuple(q[k] - lo[k] for k in range(d)) + q[d:] for q in points]
+
+    lo, ext = span([q for s in sets for q in s])
+    ulo, uext = span(upoints)
+    set_offsets = [offsets(s, lo) for s in sets]
+    u_offsets = offsets(upoints, ulo)
+    grid = np.zeros((len(sets), *(e + 1 for e in ext), *ctx.torsion_moduli), dtype=bool)
+    grid[tuple(np.array([(i, *q) for i, qs in enumerate(set_offsets) for q in qs]).T)] = True
+    ab_shape = [2 * e + 1 for e in ext] + list(ctx.torsion_moduli)
+    abu_shape = [2 * e + ue + 1 for e, ue in zip(ext, uext)] + list(ctx.torsion_moduli)
+    torsion_axes = tuple(range(1 + d, 1 + ctx.arity))
+    count_axes = tuple(range(1, 1 + ctx.arity))
+
+    def translate_into(out: np.ndarray, src: np.ndarray, q: Vec) -> None:
+        """out |= src translated by q, which fits out's free axes."""
+        if any(q[d:]):
+            src = np.roll(src, q[d:], axis=torsion_axes)
+        out[(slice(None),) + tuple(slice(q[k], q[k] + src.shape[1 + k]) for k in range(d))] |= src
+
+    def eval_row(i: int, js: np.ndarray) -> list[int]:
+        B = grid[js]
+        ab = np.zeros((len(js), *ab_shape), dtype=bool)
+        for q in set_offsets[i]:
+            translate_into(ab, B, q)
+        abu = np.zeros((len(js), *abu_shape), dtype=bool)
+        for q in u_offsets:
+            translate_into(abu, ab, q)
+        return np.count_nonzero(abu, axis=count_axes).tolist()
+
+    return _first_minimum(sets, cfg, quantity, eval_row)
 
 
 def beta_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
@@ -417,16 +439,15 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
     one = Fraction(1) if f.exact else 1.0
 
-    def eval_pair(i: int, j: int) -> tuple:
-        A, B = sets[i], sets[j]
-        ga = WeightedFunction.of(ctx, [(q, one) for q in A])
-        gb = WeightedFunction.of(ctx, [(q, one) for q in B])
-        num = l1_norm(max_convolve(max_convolve(f, ga), gb))
-        if f.exact:
-            num = Fraction(num)
-        return num, len(A), len(B)
+    def eval_row(i: int, js: np.ndarray) -> list:
+        fa = max_convolve(f, WeightedFunction.of(ctx, [(q, one) for q in sets[i]]))
+        nums = []
+        for j in js.tolist():
+            num = l1_norm(max_convolve(fa, WeightedFunction.of(ctx, [(q, one) for q in sets[j]])))
+            nums.append(Fraction(num) if f.exact else num)
+        return nums
 
-    return _first_minimum(sets, cfg, "gamma", eval_pair)
+    return _first_minimum(sets, cfg, "gamma", eval_row)
 
 
 def refine_weights_coordinate_descent(

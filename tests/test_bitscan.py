@@ -1,9 +1,11 @@
 """The numpy survivor recheck of the bit scan against a brute-force oracle."""
 
+import dataclasses
 import functools
 import itertools
 import tracemalloc
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +96,33 @@ def test_pinned_counterexample():
         "B": ((0,), (1,), (2,), (3,)),
         "V": ((0,), (1,), (2,)),
         "slack": -63,
+    }
+
+
+@pytest.mark.parametrize("ce_first", [True, False])
+def test_counterexample_is_first_minimum(ce_first):
+    # the counterexample's words stored twice, under its own (i, j) and under
+    # another survivor's, tie at the minimum: the first label stored is named
+    scan, _, _ = window((6,))
+    V = [(0,), (1,), (2,)]
+    ce = bitscan.verify_subset_beta(scan, V)["counterexample"]
+    k = next(k for k in range(len(scan.surv_i))
+             if (scan.sets[scan.surv_i[k]], scan.sets[scan.surv_j[k]]) == (ce["A"], ce["B"]))
+    other = 0 if k else 1
+    labels = [k, other] if ce_first else [other, k]
+    twin = dataclasses.replace(
+        scan,
+        surv_i=scan.surv_i[labels], surv_j=scan.surv_j[labels],
+        **{f: getattr(scan, f)[[k, k]] for f in ("surv_pop", "surv_ab", "surv_lo", "surv_hi")},
+    )
+    res = bitscan.verify_subset_beta(twin, V)
+    first = labels[0]
+    assert res["checked_pairs"] == 2
+    assert res["counterexample"] == {
+        "A": scan.sets[scan.surv_i[first]],
+        "B": scan.sets[scan.surv_j[first]],
+        "V": ce["V"],
+        "slack": ce["slack"],
     }
 
 

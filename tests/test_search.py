@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumsetlab.functional import WeightedFunction, l1_norm, max_convolve
@@ -300,11 +300,17 @@ def test_compare_ratios_matches_floats(k1, k2, p):
 # --- the streamed pair scan against a brute-force first minimum -------------
 
 ZT = GroupContext(1, (2,))
-WINDOWS = {  # group -> (box, points U and f may use)
-    Z1: (((-1, 2),), [(0,), (1,), (2,)]),
-    Z2: (((0, 1), (0, 2)), [(0, 0), (1, 0), (0, 1), (1, 2)]),
-    ZT: (((0, 2),), [(0, 0), (0, 1), (1, 0), (2, 1)]),
-}
+ZT3 = GroupContext(1, (3,))
+Z2T = GroupContext(2, (2,))
+WINDOWS = (  # (group, box, points U and f may use, largest cardinality)
+    (Z1, ((-1, 2),), [(0,), (1,), (2,)], 3),
+    (Z2, ((0, 1), (0, 2)), [(0, 0), (1, 0), (0, 1), (1, 2)], 3),
+    (ZT, ((0, 2),), [(0, 0), (0, 1), (1, 0), (2, 1)], 3),
+    (ZT3, ((0, 1),), [(0, 0), (0, 2), (1, 1), (1, 2)], 3),  # rolls by 1 and 2
+    (Z2T, ((0, 1), (0, 1)), [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)], 3),
+    (Z1, ((-1, 2),), [(0,), (7,), (-5,)], 3),  # U far outside the box
+    (Z1, ((0, 40),), [(0,), (1,), (40,)], 2),  # A+B+U up to 121 cells wide
+)
 
 
 def brute_first_minimum(sets, cfg, num):
@@ -341,12 +347,11 @@ def report_fields(r):
 
 @st.composite
 def scan_cases(draw):
-    ctx = draw(st.sampled_from(list(WINDOWS)))
-    box, pool = WINDOWS[ctx]
+    ctx, box, pool, top = draw(st.sampled_from(WINDOWS))
     U = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
     cfg = SearchConfig(
         box=box,
-        max_cardinality=draw(st.integers(2, 3)),
+        max_cardinality=draw(st.integers(2, top)),
         p=draw(st.sampled_from([F(2), F(3, 2)])),
         variant=draw(st.sampled_from(["unrestricted", "isometric", "isomeric"])),
         node_ceiling=draw(st.sampled_from([10**6, 1, 7, 40])),
@@ -355,7 +360,11 @@ def scan_cases(draw):
 
 
 @given(scan_cases())
-@settings(max_examples=40, deadline=None)
+@example((ZT3, [(0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)))
+@example((Z2T, [(0, 0, 0), (1, 0, 1)], SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3)))
+@example((Z1, [(7,), (-5,)], SearchConfig(box=((-1, 2),), max_cardinality=3, variant="isometric")))
+@example((Z1, [(0,), (40,)], SearchConfig(box=((0, 40),), max_cardinality=2)))
+@settings(max_examples=60, deadline=None)
 def test_beta_alpha_match_brute_force(case):
     ctx, pts, cfg = case
     U = ps(ctx, pts)
@@ -369,17 +378,22 @@ def test_beta_alpha_match_brute_force(case):
     def alpha_num(A, B):
         return len(sumset(ps(ctx, A), ps(ctx, B)))
 
+    inside = box_points(ctx, cfg.box)
+    if not set(U.points) <= set(inside):
+        with pytest.raises(ValueError, match="inside the search box"):
+            alpha_estimate(U, cfg)
+        return
     alpha_sets = sorted(
         tuple(sorted(c))
         for k in range(1, cfg.max_cardinality + 1)
-        for c in itertools.combinations(box_points(ctx, cfg.box), k)
+        for c in itertools.combinations(inside, k)
         if set(U.points) <= set(c)
     )
     assert report_fields(alpha_estimate(U, cfg)) == brute_first_minimum(alpha_sets, cfg, alpha_num)
 
 
 @given(scan_cases(), st.booleans(), st.lists(st.integers(1, 8), min_size=2, max_size=2))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_gamma_matches_brute_force(case, exact, weights):
     ctx, pts, cfg = case
     ws = [F(w, 4) if exact else w / 4 for w in weights]
@@ -395,3 +409,26 @@ def test_gamma_matches_brute_force(case, exact, weights):
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
     expected = brute_first_minimum(sets, cfg, gamma_num)
     assert report_fields(gamma_indicator_estimate(f, cfg)) == expected
+
+
+# rows of the window below: sizes 1, 2, 3, 3, 2, 3, 2, so 49 unrestricted
+# pairs in rows of 7, and 19 isometric pairs in rows of 1, 3, 3, 3, 3, 3, 3
+CUT_SETS = canonical_subsets(Z1, ((-1, 2),), 3)
+
+
+@pytest.mark.parametrize("variant, ceiling, complete", [
+    ("unrestricted", len(CUT_SETS), False),  # exactly the first row
+    ("unrestricted", len(CUT_SETS) ** 2, True),
+    ("unrestricted", len(CUT_SETS) ** 2 - 1, False),
+    ("isometric", 5, False),  # one pair into the third row
+    ("isometric", 19, True),
+])
+def test_node_ceiling_cuts_rows(variant, ceiling, complete):
+    assert [len(s) for s in CUT_SETS] == [1, 2, 3, 3, 2, 3, 2]
+    U = ps(Z1, [(0,), (2,)])
+    cfg = SearchConfig(box=((-1, 2),), max_cardinality=3, variant=variant, node_ceiling=ceiling)
+    r = beta_estimate(U, cfg)
+    assert (r.nodes, r.complete) == (ceiling, complete)
+    expected = brute_first_minimum(
+        CUT_SETS, cfg, lambda A, B: len(sumset(sumset(ps(Z1, A), ps(Z1, B)), U)))
+    assert report_fields(r) == expected
