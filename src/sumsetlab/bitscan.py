@@ -19,14 +19,18 @@ Grid packing: point (x, y) of the box maps to bit y*stride + x with stride
 2*w-1 (w the box width), so all sums A+B stay in distinct rows; A fits one
 uint64 word and A+B fits two; the recheck builds each row of A+B+V in one.
 
-The build is one sequential pass over i; the pairs it records, and so every
-verdict, depend only on the box and the cardinality.
+The build is one sequential pass over i.  Row i forms A_i+B for every later
+set B at once, as the union of B's words shifted by each point offset s of
+A_i: the low word ORs B << s, the high word B >> (64-s) for s > 0.  The
+pairs it records, and so every verdict, depend only on the box and the
+cardinality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -62,11 +66,9 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
 
 
 def _largest_unsafe_s(ab: int, v: int) -> int:
-    # largest s with (s+v-1)^2 < v^2*ab; 0 when no such s >= 1
-    s = 0
-    while (s + v) ** 2 < v * v * ab:
-        s += 1
-    return s
+    # largest s with (s+v-1)^2 < v^2*ab, i.e. s+v-1 <= isqrt(v^2*ab - 1);
+    # 0 when no such s >= 1
+    return max(0, isqrt(v * v * ab - 1) - v + 1)
 
 
 def build_scan(
@@ -91,14 +93,7 @@ def build_scan(
     sets = anchored_subsets(dims, max_card)
     n = len(sets)
     sizes = np.array([len(s) for s in sets], dtype=np.int64)
-    masks = np.zeros(n, dtype=np.uint64)
-    shifts = np.full((n, max_card), -1, dtype=np.int64)
-    for i, s in enumerate(sets):
-        m = 0
-        for k, p in enumerate(s):
-            m |= 1 << idx(p)
-            shifts[i, k] = idx(p)
-        masks[i] = m
+    masks = np.array([sum(1 << idx(p) for p in s) for s in sets], dtype=np.uint64)
 
     abmax = max_card * max_card
     smax_any = np.zeros(abmax + 1, dtype=np.int64)
@@ -109,18 +104,15 @@ def build_scan(
     # the empty first tuple fixes the dtypes
     found = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=np.uint64),) * 2]
     for i in range(n):
-        a_mask = masks[i]
         a_size = int(sizes[i])
-        m = n - i
-        lo = np.zeros(m, dtype=np.uint64)
-        hi = np.zeros(m, dtype=np.uint64)
-        for k in range(max_card):
-            sv = shifts[i:, k]
-            valid = sv >= 0
-            svu = np.where(valid, sv, 0).astype(np.uint64)
-            lo |= np.where(valid, a_mask << svu, np.uint64(0))
-            hs = np.where(sv > 0, 64 - sv, 63).astype(np.uint64)
-            hi |= np.where(sv > 0, a_mask >> hs, np.uint64(0))
+        b = masks[i:]
+        lo = np.zeros(n - i, dtype=np.uint64)
+        hi = np.zeros(n - i, dtype=np.uint64)
+        for p in sets[i]:
+            s = idx(p)
+            lo |= b << np.uint64(s)
+            if s:
+                hi |= b >> np.uint64(64 - s)
         pop = np.bitwise_count(lo).astype(np.int64) + np.bitwise_count(hi).astype(np.int64)
         ab = a_size * sizes[i:]
         assert np.all(pop >= a_size + sizes[i:] - 1)

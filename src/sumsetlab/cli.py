@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import __version__
 from . import io_formats, laws
 from .conjectures import scan_doubling_tripling, scan_log_span
-from .groups import Homomorphism, PointSet
+from .groups import Homomorphism
 from .quasicube import format_spec, is_quasicube, make_quasicube, random_spec
 from .search import (
     SearchConfig,
@@ -136,7 +136,6 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
             strategy=args.strategy,
             seed=args.seed,
             parallelism=args.threads,
-            budget_ms=args.budget_ms,
         )
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
@@ -300,7 +299,6 @@ def build_parser() -> _Parser:
     est.add_argument("--max-card", type=int, required=True)
     est.add_argument("--strategy", default="exhaustive",
                      choices=["exhaustive", "hill_climb", "geometric_family"])
-    est.add_argument("--budget-ms", type=int, default=None)
     add_common(est)
     est.set_defaults(func=_cmd_estimate)
 

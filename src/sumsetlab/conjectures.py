@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import random
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -49,6 +48,7 @@ class ScanState:
     near: list[dict]  # smallest margins seen, ascending
     counterexample: Optional[dict]
     config: dict
+    out_bytes: Optional[int] = None  # size of --out after the last saved shard
 
     def to_json_dict(self) -> dict:
         return {
@@ -60,6 +60,7 @@ class ScanState:
             "near": self.near,
             "counterexample": self.counterexample,
             "config": self.config,
+            "out_bytes": self.out_bytes,
         }
 
     @staticmethod
@@ -73,6 +74,7 @@ class ScanState:
             near=d["near"],
             counterexample=d["counterexample"],
             config=d["config"],
+            out_bytes=d.get("out_bytes"),  # None: no size recorded, nothing to cut
         )
 
     def push_near(self, margin: Fraction, record: dict) -> None:
@@ -158,12 +160,64 @@ def _require_p2(cfg: SearchConfig) -> None:
         raise ValueError(f"conjecture scans need p = 2, got p = {frac_str(cfg.p)}")
 
 
-def _emit(out_path: Optional[str], lines: list[str]) -> None:
+def _emit(out_path: Optional[str], lines: list[str]) -> Optional[int]:
+    """Append lines to --out; return its size in bytes afterwards."""
     if out_path is None:
-        return
-    with open(out_path, "a") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        return None
+    with open(out_path, "ab") as fh:
+        fh.write("".join(line + "\n" for line in lines).encode())
+        return fh.tell()
+
+
+def _run_shards(
+    conjecture: str, d: int, side: int, max_size: int, cfg: SearchConfig,
+    check: Callable[[ScanState, int, tuple[Vec, ...]], Optional[str]],
+    checkpoint_path: Optional[str], out_path: Optional[str],
+    shard_size: int, max_shards: Optional[int],
+) -> ScanState:
+    """The shard loop of both scans.
+
+    `check(state, idx, pts)` examines candidate idx, updates the counts in
+    `state` and returns its --out line (None when skipped); it stops the scan
+    by setting `state.counterexample`.  A new scan saves its checkpoint before
+    the first shard; each shard's lines are appended to --out before the
+    checkpoint is saved with the new size of --out, and a resume cuts --out
+    back to that size, so a crash between the two writes leaves no duplicate
+    lines."""
+    _require_p2(cfg)
+    candidates = enumerate_canonical(d, side, max_size)
+    config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        state = load_state(checkpoint_path)
+        if _work_config(state.config) != _work_config(config_echo):
+            raise ValueError("checkpoint was created with a different configuration")
+        if out_path is not None and state.out_bytes is not None and os.path.exists(out_path):
+            os.truncate(out_path, min(state.out_bytes, os.path.getsize(out_path)))
+    else:
+        # _emit of no lines gives the size --out starts from
+        state = ScanState(conjecture, 0, len(candidates), 0, 0, [], None, config_echo,
+                          _emit(out_path, []))
+        if checkpoint_path:  # so a crash in the first shard resumes too
+            save_state(state, checkpoint_path)
+    shards_done = 0
+    while state.cursor < state.total and state.counterexample is None:
+        if max_shards is not None and shards_done >= max_shards:
+            break
+        shards_done += 1
+        shard_end = min(state.cursor + shard_size, state.total)
+        lines = []
+        for idx in range(state.cursor, shard_end):
+            line = check(state, idx, candidates[idx])
+            if line is not None:
+                lines.append(line)
+            if state.counterexample is not None:
+                break
+        if state.counterexample is None:
+            state.cursor = shard_end
+        state.out_bytes = _emit(out_path, lines)
+        if checkpoint_path:
+            save_state(state, checkpoint_path)
+    return state
 
 
 def scan_log_span(
@@ -181,59 +235,36 @@ def scan_log_span(
 
     An exact witness below |V|^2 disproves the conjecture conclusively (the
     window minimum is an upper bound on the infimum)."""
-    _require_p2(cfg)
-    candidates = enumerate_canonical(d, side, max_size)
-    config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        state = load_state(checkpoint_path)
-        if _work_config(state.config) != _work_config(config_echo):
-            raise ValueError("checkpoint was created with a different configuration")
-    else:
-        state = ScanState("log_span", 0, len(candidates), 0, 0, [], None, config_echo)
     ctx = GroupContext(d)
-    shards_done = 0
-    while state.cursor < state.total and state.counterexample is None:
-        if max_shards is not None and shards_done >= max_shards:
-            break
-        shards_done += 1
-        shard_end = min(state.cursor + shard_size, state.total)
-        lines = []
-        for idx in range(state.cursor, shard_end):
-            pts = candidates[idx]
-            V = PointSet.of(ctx, pts)
-            ok, _ = log_span_check(V)
-            if not ok:
-                state.skipped += 1
-                continue
-            report = beta_estimate(V, cfg)
-            margin = report.value_exact - len(V) ** 2
-            state.examined += 1
-            record = {"index": idx, "V": [list(p) for p in pts]}
-            if margin < 0:
-                # conclusive: re-verify the witness ratio directly
-                A = PointSet.of(ctx, report.witness_a)
-                B = PointSet.of(ctx, report.witness_b)
-                n = len(sumset(sumset(A, B), V))
-                assert Fraction(n * n, len(A) * len(B)) == report.value_exact
-                state.counterexample = {
-                    **record,
-                    "A": [list(p) for p in report.witness_a],
-                    "B": [list(p) for p in report.witness_b],
-                    "ratio_squared": frac_str(report.value_exact),
-                }
-                lines.append(json.dumps(
-                    {"type": "disproof", **state.counterexample}, sort_keys=True))
-                break
-            state.push_near(margin, record)
-            lines.append(json.dumps(
-                {"type": "margin", **record, "margin": frac_str(margin)}, sort_keys=True))
-        state.cursor = shard_end if state.counterexample is None else state.cursor
-        _emit(out_path, lines)
-        if checkpoint_path:
-            save_state(state, checkpoint_path)
-        if state.counterexample is not None:
-            break
-    return state
+
+    def check(state: ScanState, idx: int, pts: tuple[Vec, ...]) -> Optional[str]:
+        V = PointSet.of(ctx, pts)
+        ok, _ = log_span_check(V)
+        if not ok:
+            state.skipped += 1
+            return None
+        report = beta_estimate(V, cfg)
+        margin = report.value_exact - len(V) ** 2
+        state.examined += 1
+        record = {"index": idx, "V": [list(p) for p in pts]}
+        if margin < 0:
+            # conclusive: re-verify the witness ratio directly
+            A = PointSet.of(ctx, report.witness_a)
+            B = PointSet.of(ctx, report.witness_b)
+            n = len(sumset(sumset(A, B), V))
+            assert Fraction(n * n, len(A) * len(B)) == report.value_exact
+            state.counterexample = {
+                **record,
+                "A": [list(p) for p in report.witness_a],
+                "B": [list(p) for p in report.witness_b],
+                "ratio_squared": frac_str(report.value_exact),
+            }
+            return json.dumps({"type": "disproof", **state.counterexample}, sort_keys=True)
+        state.push_near(margin, record)
+        return json.dumps({"type": "margin", **record, "margin": frac_str(margin)}, sort_keys=True)
+
+    return _run_shards("log_span", d, side, max_size, cfg, check,
+                       checkpoint_path, out_path, shard_size, max_shards)
 
 
 @dataclass(frozen=True)
@@ -298,63 +329,42 @@ def scan_doubling_tripling(
     """For each canonical U compute the six estimates on matched windows;
     exact violations of the proved variant chains are bugs, margins of the
     conjectural equalities and of beta <= alpha^2 are recorded."""
-    _require_p2(cfg)
-    candidates = enumerate_canonical(d, side, max_size)
-    config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        state = load_state(checkpoint_path)
-        if _work_config(state.config) != _work_config(config_echo):
-            raise ValueError("checkpoint was created with a different configuration")
-    else:
-        state = ScanState("doubling_tripling", 0, len(candidates), 0, 0, [], None, config_echo)
     ctx = GroupContext(d)
     box_pts = {p for p in itertools.product(*[range(lo, hi + 1) for lo, hi in cfg.box])}
-    shards_done = 0
-    while state.cursor < state.total and state.counterexample is None:
-        if max_shards is not None and shards_done >= max_shards:
-            break
-        shards_done += 1
-        shard_end = min(state.cursor + shard_size, state.total)
-        lines = []
-        for idx in range(state.cursor, shard_end):
-            pts = candidates[idx]
-            U = PointSet.of(ctx, pts)
-            if not set(U.points) <= box_pts:
-                state.skipped += 1
-                continue
-            est = {}
-            for variant in ("unrestricted", "isometric", "isomeric"):
-                cfgv = replace(cfg, variant=variant)
-                est[("beta", variant)] = beta_estimate(U, cfgv).value_exact
-                est[("alpha", variant)] = alpha_estimate(
-                    U, replace(cfgv, max_cardinality=max(cfg.max_cardinality, len(U)))
-                ).value_exact
-            b = [est[("beta", v)] for v in ("unrestricted", "isometric", "isomeric")]
-            a = [est[("alpha", v)] for v in ("unrestricted", "isometric", "isomeric")]
-            if not (b[0] <= b[1] <= b[2] and a[0] <= a[1] <= a[2]):
-                # proved chain violated: implementation bug, stop the scan
-                state.counterexample = {
-                    "index": idx, "U": [list(p) for p in pts], "kind": "bug",
-                    "beta_sq": [frac_str(x) for x in b],
-                    "alpha_sq": [frac_str(x) for x in a],
-                }
-                lines.append(json.dumps({"type": "bug", **state.counterexample}, sort_keys=True))
-                break
-            state.examined += 1
-            # beta <= alpha^2  <=>  beta^2 <= (alpha^2)^2 on squared ratios
-            dt_margin = a[0] * a[0] - b[0]
-            record = {"index": idx, "U": [list(p) for p in pts]}
-            state.push_near(dt_margin, record)
-            lines.append(json.dumps({
-                "type": "margins", **record,
-                "doubling_tripling": frac_str(dt_margin),
-                "alpha_variants_gap": frac_str(a[2] - a[0]),
-                "beta_variants_gap": frac_str(b[2] - b[0]),
-            }, sort_keys=True))
-        state.cursor = shard_end if state.counterexample is None else state.cursor
-        _emit(out_path, lines)
-        if checkpoint_path:
-            save_state(state, checkpoint_path)
-        if state.counterexample is not None:
-            break
-    return state
+
+    def check(state: ScanState, idx: int, pts: tuple[Vec, ...]) -> Optional[str]:
+        U = PointSet.of(ctx, pts)
+        if not set(U.points) <= box_pts:
+            state.skipped += 1
+            return None
+        est = {}
+        for variant in ("unrestricted", "isometric", "isomeric"):
+            cfgv = replace(cfg, variant=variant)
+            est[("beta", variant)] = beta_estimate(U, cfgv).value_exact
+            est[("alpha", variant)] = alpha_estimate(
+                U, replace(cfgv, max_cardinality=max(cfg.max_cardinality, len(U)))
+            ).value_exact
+        b = [est[("beta", v)] for v in ("unrestricted", "isometric", "isomeric")]
+        a = [est[("alpha", v)] for v in ("unrestricted", "isometric", "isomeric")]
+        if not (b[0] <= b[1] <= b[2] and a[0] <= a[1] <= a[2]):
+            # proved chain violated: implementation bug, stop the scan
+            state.counterexample = {
+                "index": idx, "U": [list(p) for p in pts], "kind": "bug",
+                "beta_sq": [frac_str(x) for x in b],
+                "alpha_sq": [frac_str(x) for x in a],
+            }
+            return json.dumps({"type": "bug", **state.counterexample}, sort_keys=True)
+        state.examined += 1
+        # beta <= alpha^2  <=>  beta^2 <= (alpha^2)^2 on squared ratios
+        dt_margin = a[0] * a[0] - b[0]
+        record = {"index": idx, "U": [list(p) for p in pts]}
+        state.push_near(dt_margin, record)
+        return json.dumps({
+            "type": "margins", **record,
+            "doubling_tripling": frac_str(dt_margin),
+            "alpha_variants_gap": frac_str(a[2] - a[0]),
+            "beta_variants_gap": frac_str(b[2] - b[0]),
+        }, sort_keys=True)
+
+    return _run_shards("doubling_tripling", d, side, max_size, cfg, check,
+                       checkpoint_path, out_path, shard_size, max_shards)

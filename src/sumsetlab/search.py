@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +32,6 @@ from .functional import (
     WeightedFunction,
     gamma_ratio,
     l1_norm,
-    lp_norm,
     max_convolve,
 )
 from .groups import GroupContext, PointSet, Vec, sumset
@@ -69,7 +68,6 @@ class SearchConfig:
     # kept for compatibility: validated and echoed, but scans are sequential
     parallelism: int = 1
     node_ceiling: int | None = None
-    budget_ms: int | None = None
     geometric_max_r: int = 8
     hill_climb_restarts: int = 20
 
@@ -105,7 +103,6 @@ class SearchConfig:
             "seed": self.seed,
             "parallelism": self.parallelism,
             "node_ceiling": self.effective_node_ceiling,
-            "budget_ms": self.budget_ms,
             "geometric_max_r": self.geometric_max_r,
         }
 

@@ -1,4 +1,5 @@
-"""The numpy survivor recheck of the bit scan against a brute-force oracle."""
+"""The bit scan's build and its numpy survivor recheck against a brute-force
+oracle."""
 
 import dataclasses
 import functools
@@ -51,6 +52,29 @@ def oracle(dims, V):
         unproved += v > 1 and (len(AB) + v - 1) ** 2 < v * v * ab
     holds = best[0] >= 0
     return holds, None if holds else (best[1], best[2], best[0]), unproved
+
+
+def decode(dims, lo, hi):
+    """The points whose bits are set in a survivor's two packed words."""
+    stride = 2 * dims[0] - 1
+    word = int(lo) | int(hi) << 64
+    bits = [k for k in range(128) if word >> k & 1]
+    return {(k,) if len(dims) == 1 else (k % stride, k // stride) for k in bits}
+
+
+@pytest.mark.parametrize("dims", sorted(WINDOWS), ids=str)
+def test_build_matches_brute_force(dims):
+    # survivors are the pairs, i-major, the certificate leaves unproved at
+    # some v in [2, max_v]; each keeps |A+B| and the words of A+B
+    scan, _, pairs = window(dims)
+    unsafe = [
+        (i, j, AB) for i, j, ab, AB in pairs
+        if any((len(AB) + v - 1) ** 2 < v * v * ab for v in range(2, scan.max_v + 1))
+    ]
+    assert list(zip(scan.surv_i.tolist(), scan.surv_j.tolist())) == [(i, j) for i, j, _ in unsafe]
+    assert scan.surv_pop.tolist() == [len(AB) for _, _, AB in unsafe]
+    for k, (_, _, AB) in enumerate(unsafe):
+        assert decode(dims, scan.surv_lo[k], scan.surv_hi[k]) == set(AB.points)
 
 
 @st.composite

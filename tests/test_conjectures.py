@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sumsetlab import conjectures
 from sumsetlab.conjectures import (
     MatroidMap,
     ScanState,
@@ -148,6 +149,34 @@ def test_resume_under_other_threads(scan, tmp_path):
     assert st1.cursor < st1.total
     st2 = scan(1, 3, 3, cfg2, checkpoint_path=str(ckpt), out_path=str(part), shard_size=2)
     assert st2.cursor == st2.total
+    assert part.read_bytes() == full.read_bytes()
+    assert ckpt.read_bytes() == full_ckpt.read_bytes()
+
+
+@pytest.mark.parametrize("crash_at", [2, 3])  # the saves after shards 1 and 2
+@pytest.mark.parametrize("scan", [scan_log_span, scan_doubling_tripling])
+def test_resume_after_crash_between_writes(scan, crash_at, tmp_path, monkeypatch):
+    # a crash after a shard's lines reach --out but before its checkpoint is
+    # saved: the resume cuts the unsaved lines, so --out equals one run's
+    cfg = SearchConfig(box=((-2, 2),), max_cardinality=3)
+    full, full_ckpt = tmp_path / "full.jsonl", tmp_path / "full.json"
+    scan(1, 3, 3, cfg, checkpoint_path=str(full_ckpt), out_path=str(full), shard_size=1)
+    part, ckpt = tmp_path / "part.jsonl", tmp_path / "state.json"
+    saves = []
+
+    def crashing_save(state, path):
+        saves.append(path)
+        if len(saves) == crash_at:
+            raise OSError("crash between the two writes")
+        save_state(state, path)
+
+    monkeypatch.setattr(conjectures, "save_state", crashing_save)
+    with pytest.raises(OSError, match="between the two writes"):
+        scan(1, 3, 3, cfg, checkpoint_path=str(ckpt), out_path=str(part), shard_size=1)
+    monkeypatch.undo()
+    assert part.stat().st_size > load_state(str(ckpt)).out_bytes
+    st = scan(1, 3, 3, cfg, checkpoint_path=str(ckpt), out_path=str(part), shard_size=1)
+    assert st.cursor == st.total
     assert part.read_bytes() == full.read_bytes()
     assert ckpt.read_bytes() == full_ckpt.read_bytes()
 
