@@ -40,6 +40,8 @@ from .search import canonical_subsets
 
 Pt = tuple[int, ...]
 
+MAX_V = 4  # the largest |V| the certificate of build_scan covers
+
 
 @dataclass
 class ExhaustiveBetaScan:
@@ -71,11 +73,9 @@ def _largest_unsafe_s(ab: int, v: int) -> int:
     return max(0, isqrt(v * v * ab - 1) - v + 1)
 
 
-def build_scan(
-    dims: Sequence[int], max_card: int, max_v: int = 4
-) -> ExhaustiveBetaScan:
+def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     """One popcount pass over all canonical unordered pairs, recording the
-    pairs the integer certificate cannot clear at any v in [2, max_v]."""
+    pairs the integer certificate cannot clear at any v in [2, MAX_V]."""
     dims = tuple(dims)
     d = len(dims)
     if d not in (1, 2):
@@ -98,7 +98,7 @@ def build_scan(
     abmax = max_card * max_card
     smax_any = np.zeros(abmax + 1, dtype=np.int64)
     for ab in range(1, abmax + 1):
-        smax_any[ab] = max(_largest_unsafe_s(ab, v) for v in range(2, max_v + 1))
+        smax_any[ab] = max(_largest_unsafe_s(ab, v) for v in range(2, MAX_V + 1))
 
     # (i, j, |A+B|, low word, high word) of the survivors, one tuple per i;
     # the empty first tuple fixes the dtypes
@@ -124,7 +124,7 @@ def build_scan(
     surv_ab = sizes[surv_i] * sizes[surv_j]
     pair_count = n * (n + 1) // 2
     return ExhaustiveBetaScan(
-        dims, max_card, max_v, sets, sizes, surv_i, surv_j, surv_pop, surv_ab,
+        dims, max_card, MAX_V, sets, sizes, surv_i, surv_j, surv_pop, surv_ab,
         surv_lo, surv_hi, pair_count,
     )
 

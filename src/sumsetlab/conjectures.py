@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -35,8 +35,6 @@ from .search import (
 NEAR_LEDGER_SIZE = 100
 SHARD_SIZE = 64
 
-CONJECTURES = ("log_span", "matroid", "doubling_tripling")
-
 
 @dataclass
 class ScanState:
@@ -50,32 +48,21 @@ class ScanState:
     config: dict
     out_bytes: Optional[int] = None  # size of --out after the last saved shard
 
-    def to_json_dict(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "cursor": self.cursor,
-            "total": self.total,
-            "examined": self.examined,
-            "skipped": self.skipped,
-            "near": self.near,
-            "counterexample": self.counterexample,
-            "config": self.config,
-            "out_bytes": self.out_bytes,
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ScanState":
-        return ScanState(
-            conjecture=d["conjecture"],
-            cursor=d["cursor"],
-            total=d["total"],
-            examined=d["examined"],
-            skipped=d["skipped"],
-            near=d["near"],
-            counterexample=d["counterexample"],
-            config=d["config"],
-            out_bytes=d.get("out_bytes"),  # None: no size recorded, nothing to cut
-        )
+    @classmethod
+    def from_json_dict(cls, d: object) -> "ScanState":
+        """The state a checkpoint holds.  ValueError unless it is a JSON
+        object with every field, each of its JSON type; out_bytes may be
+        absent (no size recorded, nothing to cut on resume)."""
+        if not isinstance(d, dict):
+            raise ValueError("checkpoint does not hold a JSON object")
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in d and n != "out_bytes"]
+        if missing:
+            raise ValueError(f"checkpoint lacks the field(s) {', '.join(missing)}")
+        mistyped = [n for n in names if n in d and not isinstance(d[n], _JSON_TYPES[n])]
+        if mistyped:
+            raise ValueError(f"checkpoint field(s) of the wrong type: {', '.join(mistyped)}")
+        return cls(**{n: d[n] for n in names if n in d})
 
     def push_near(self, margin: Fraction, record: dict) -> None:
         entry = {"margin": frac_str(margin), "margin_float": float(margin), **record}
@@ -84,13 +71,20 @@ class ScanState:
         del self.near[NEAR_LEDGER_SIZE:]
 
 
+_JSON_TYPES = {  # what ScanState.from_json_dict accepts for each field
+    "conjecture": str, "cursor": int, "total": int, "examined": int, "skipped": int,
+    "near": list, "counterexample": (dict, type(None)), "config": dict,
+    "out_bytes": (int, type(None)),
+}
+
+
 def save_state(state: ScanState, path: str) -> None:
     """Atomic write: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(state.to_json_dict(), fh, sort_keys=True)
+            json.dump(asdict(state), fh, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -189,6 +183,8 @@ def _run_shards(
     config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = load_state(checkpoint_path)
+        if state.conjecture != conjecture:
+            raise ValueError(f"checkpoint belongs to a {state.conjecture} scan, not {conjecture}")
         if _work_config(state.config) != _work_config(config_echo):
             raise ValueError("checkpoint was created with a different configuration")
         if out_path is not None and state.out_bytes is not None and os.path.exists(out_path):

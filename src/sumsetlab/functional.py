@@ -59,9 +59,8 @@ class WeightedFunction:
         return WeightedFunction(context, ordered, exact)
 
     @staticmethod
-    def indicator(A: PointSet, exact: bool = True) -> "WeightedFunction":
-        one: Weight = Fraction(1) if exact else 1.0
-        return WeightedFunction.of(A.context, [(p, one) for p in A.points])
+    def indicator(A: PointSet) -> "WeightedFunction":
+        return WeightedFunction.of(A.context, [(p, Fraction(1)) for p in A.points])
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -57,15 +57,6 @@ class GroupContext:
     def add(self, u: Vec, v: Vec) -> Vec:
         return self.reduce(tuple(a + b for a, b in zip(u, v)))
 
-    def neg(self, u: Vec) -> Vec:
-        return self.reduce(tuple(-a for a in u))
-
-    def sub(self, u: Vec, v: Vec) -> Vec:
-        return self.reduce(tuple(a - b for a, b in zip(u, v)))
-
-    def scale(self, u: Vec, k: int) -> Vec:
-        return self.reduce(tuple(k * a for a in u))
-
     def free_part(self, u: Vec) -> Vec:
         return u[: self.free_rank]
 
@@ -109,10 +100,9 @@ class PointSet:
         tt = self.context.reduce(t)
         return PointSet.of(self.context, (self.context.add(p, tt) for p in self.points))
 
-    def subsets(self, min_size: int = 1, max_size: int | None = None):
-        """Yield all subsets (as PointSets) with sizes in [min_size, max_size]."""
-        hi = len(self.points) if max_size is None else min(max_size, len(self.points))
-        for k in range(min_size, hi + 1):
+    def subsets(self):
+        """Yield all nonempty subsets (as PointSets), by size."""
+        for k in range(1, len(self.points) + 1):
             for combo in itertools.combinations(self.points, k):
                 yield PointSet(self.context, combo)
 

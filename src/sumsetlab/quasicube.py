@@ -17,12 +17,13 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .groups import GroupContext, PointSet, Vec, dimension
 from .intlinalg import in_rational_span
 
 MAX_RECOGNITION_DIM = 4
+LOG_SPAN_MAX_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -71,36 +72,38 @@ def _balanced(spec: QuasicubeSpec) -> bool:
     )
 
 
-def _build(spec: QuasicubeSpec, ctx: GroupContext) -> list[Vec]:
-    """Build and validate one node: halves must not collide, and the coset
-    difference of the halves must lie outside the rational span of the
-    within-half differences (infinite order in the quotient)."""
-    if isinstance(spec, Leaf):
-        return [ctx.reduce(spec.point)]
-    left = _build(spec.left, ctx)
-    right = [ctx.add(p, ctx.reduce(spec.shift)) for p in _build(spec.right, ctx)]
-    if set(left) & set(right):
-        raise ValueError("spec halves collide")
+def _separation(left: Sequence[Vec], right: Sequence[Vec]) -> Optional[list[Vec]]:
+    """The within-half differences of consecutive points, or None when the
+    coset difference right[0] - left[0] lies in their rational span (the
+    halves are then not separated by a difference of infinite order in the
+    quotient)."""
     within = [
         tuple(a - b for a, b in zip(p, q))
         for side in (left, right)
         for p, q in zip(side[1:], side)
     ]
     cross = tuple(a - b for a, b in zip(right[0], left[0]))
-    if in_rational_span(cross, within):
+    return None if in_rational_span(cross, within) else within
+
+
+def _build(spec: QuasicubeSpec, ctx: GroupContext) -> list[Vec]:
+    """Build and validate one node: halves must not collide, and they must
+    be coset separated (see _separation)."""
+    if isinstance(spec, Leaf):
+        return [ctx.reduce(spec.point)]
+    left = _build(spec.left, ctx)
+    right = [ctx.add(p, ctx.reduce(spec.shift)) for p in _build(spec.right, ctx)]
+    if set(left) & set(right):
+        raise ValueError("spec halves collide")
+    if _separation(left, right) is None:
         raise ValueError("spec violates coset separation")
     return left + right
 
 
-def make_quasicube(spec: QuasicubeSpec, context: GroupContext | None = None) -> PointSet:
-    """Build the point set of a spec, validating the quasicube property at
-    every node.  The generator is restricted to torsion-free ambient groups.
-    """
-    if context is None:
-        arity = _spec_arity(spec)
-        context = GroupContext(arity)
-    if not context.is_torsion_free:
-        raise ValueError("quasicube construction requires a torsion-free context")
+def make_quasicube(spec: QuasicubeSpec) -> PointSet:
+    """Build the point set of a spec in Z^n, n the length of its points,
+    validating the quasicube property at every node."""
+    context = GroupContext(_spec_arity(spec))
     d = spec_depth(spec)
     if not _balanced(spec):
         raise ValueError("spec tree must be a full binary tree (both halves equal depth)")
@@ -115,8 +118,9 @@ def _spec_arity(spec: QuasicubeSpec) -> int:
     return len(spec.shift)
 
 
-def random_spec(depth: int, box: int, rng: random.Random, ambient: int | None = None) -> QuasicubeSpec:
-    """Random quasicube spec with leaf/level shifts drawn from [-box, box].
+def random_spec(depth: int, box: int, rng: random.Random) -> QuasicubeSpec:
+    """Random quasicube spec in Z^depth with leaf/level shifts drawn from
+    [-box, box].
 
     Level k separates its halves along coordinate k-1; the extra shift of the
     upper half is drawn from the box in the earlier coordinates, so halves
@@ -124,14 +128,11 @@ def random_spec(depth: int, box: int, rng: random.Random, ambient: int | None = 
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    n = depth if ambient is None else ambient
-    if n < depth:
-        raise ValueError("ambient rank below depth")
 
     def gen(k: int) -> QuasicubeSpec:
         if k == 0:
-            return Leaf((0,) * n)
-        sep = [0] * n
+            return Leaf((0,) * depth)
+        sep = [0] * depth
         sep[k - 1] = rng.choice([m for m in range(-box, box + 1) if m != 0] or [1])
         for i in range(k - 1):
             sep[i] = rng.randint(-box, box)
@@ -174,13 +175,8 @@ def _recognize(ctx: GroupContext, pts: tuple[Vec, ...]) -> tuple[bool, Optional[
         left = (first,) + combo
         left_set = set(left)
         right = tuple(p for p in pts if p not in left_set)
-        within = [
-            tuple(a - b for a, b in zip(p, q))
-            for side in (left, right)
-            for p, q in zip(side[1:], side)
-        ]
-        cross = tuple(a - b for a, b in zip(right[0], left[0]))
-        if in_rational_span(cross, within):
+        within = _separation(left, right)
+        if within is None:
             continue
         okl, wl = _recognize(ctx, left)
         if not okl:
@@ -193,9 +189,7 @@ def _recognize(ctx: GroupContext, pts: tuple[Vec, ...]) -> tuple[bool, Optional[
     return False, None
 
 
-def log_span_check(
-    V: PointSet, max_points: int = 20
-) -> tuple[bool, Optional[PointSet]]:
+def log_span_check(V: PointSet) -> tuple[bool, Optional[PointSet]]:
     """True iff every subset V' of V has at most 2^dim(V') elements.
 
     A violation of size m forces one of size 2^k + 1 (drop points until the
@@ -204,8 +198,8 @@ def log_span_check(
     """
     if not V.points:
         raise ValueError("empty set")
-    if len(V) > max_points:
-        raise ValueError(f"set of size {len(V)} above the enumeration bound {max_points}")
+    if len(V) > LOG_SPAN_MAX_POINTS:
+        raise ValueError(f"set of size {len(V)} above the enumeration bound {LOG_SPAN_MAX_POINTS}")
     n = len(V)
     k = 0
     while 2**k + 1 <= n:

@@ -42,6 +42,7 @@ NODE_CEILING_ENV = "SUMSETLAB_NODE_CEILING"
 
 VARIANTS = ("unrestricted", "isometric", "isomeric")
 STRATEGIES = ("exhaustive", "hill_climb", "geometric_family")
+HILL_CLIMB_RESTARTS = 20
 
 
 def node_ceiling_default() -> int:
@@ -69,7 +70,6 @@ class SearchConfig:
     parallelism: int = 1
     node_ceiling: int | None = None
     geometric_max_r: int = 8
-    hill_climb_restarts: int = 20
 
     def __post_init__(self) -> None:
         if self.max_cardinality < 1:
@@ -358,8 +358,12 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
 
 
 def _beta_hill_climb(U: PointSet, cfg: SearchConfig) -> EstimateReport:
-    """Seeded random-restart local search: add/remove one point of A or B,
-    accept strict ratio decrease."""
+    """Seeded local search from HILL_CLIMB_RESTARTS random starts: add or
+    remove one point of A or B, accept a strict ratio decrease.
+
+    This is the slow strategy, kept as it is: each move builds `PointSet`s
+    and calls `groups.sumset`, with no grid kernel.  It never certifies a
+    window, so its reports always have complete = False."""
     ctx = U.context
     p = Fraction(cfg.p)
     rng = random.Random(cfg.seed)
@@ -374,7 +378,7 @@ def _beta_hill_climb(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     best_key = None
     best_wit = None
     top = min(cfg.max_cardinality, len(pts))  # a sample cannot outgrow the box
-    for _ in range(cfg.hill_climb_restarts):
+    for _ in range(HILL_CLIMB_RESTARTS):
         A = frozenset(rng.sample(pts, rng.randint(1, top)))
         B = frozenset(rng.sample(pts, rng.randint(1, top)))
         if cfg.variant == "isomeric":
@@ -454,11 +458,11 @@ def refine_weights_coordinate_descent(
     p: Fraction | float,
     init_g: Sequence[float] | None = None,
     init_h: Sequence[float] | None = None,
-    rel_tol: float = 1e-10,
     max_sweeps: int = 200,
-) -> tuple[float, list[float], list[float]]:
-    """Cyclic single-weight optimization of the gamma ratio on fixed
-    supports; stops when a full sweep improves by less than rel_tol."""
+) -> float:
+    """The gamma ratio reached by cyclic single-weight optimization on fixed
+    supports; stops when a full sweep improves by less than 1e-10
+    (relative)."""
     from scipy.optimize import minimize_scalar
 
     ctx = f.context
@@ -494,9 +498,9 @@ def refine_weights_coordinate_descent(
                     cur = float(res.fun)
                 else:
                     ws[idx] = saved
-        if start - cur < rel_tol * max(abs(start), 1.0):
+        if start - cur < 1e-10 * max(abs(start), 1.0):
             break
-    return cur, gw, hw
+    return cur
 
 
 def gamma_estimate(f: WeightedFunction, cfg: SearchConfig) -> EstimateReport:
@@ -509,9 +513,7 @@ def gamma_estimate(f: WeightedFunction, cfg: SearchConfig) -> EstimateReport:
     if cfg.strategy == "geometric_family":
         return _gamma_geometric(f, cfg)
     report = gamma_indicator_estimate(f, cfg)
-    refined, gw, hw = refine_weights_coordinate_descent(
-        f, report.witness_a, report.witness_b, cfg.p
-    )
+    refined = refine_weights_coordinate_descent(f, report.witness_a, report.witness_b, cfg.p)
     if refined < report.value_float - 1e-12:
         return replace(report, value_float=refined, value_exact=None)
     return report
@@ -602,10 +604,6 @@ def two_point_constant_exact(delta: Fraction) -> Fraction:
     if not 0 <= d <= 1:
         raise ValueError("delta must lie in [0, 1]")
     return 1 + d
-
-
-#: limit of c_p as p -> 1+ (p^(1/p) -> 1, q^(1/q) -> 1)
-C_P_LIMIT_AT_ONE = Fraction(1, 2)
 
 
 def c_p_constant(p: float | Fraction) -> float:

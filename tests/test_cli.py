@@ -235,6 +235,38 @@ class TestConjectureCommand:
         code = cli.main(["conjecture", "scan", "--id", "log_span", "--box", "0..1,0..2"])
         assert code == 64
 
+    SCAN = ["conjecture", "scan", "--box", "-1..1", "--max-size", "3", "--max-card", "2"]
+
+    def test_checkpoint_of_other_scan_rejected(self, tmp_path, capsys):
+        # the two scans echo the same config, so only the conjecture id tells
+        # their checkpoints apart; neither file may change on the refusal
+        out, ckpt = tmp_path / "r.jsonl", tmp_path / "s.json"
+        files = ["--checkpoint", str(ckpt), "--out", str(out)]
+        assert cli.main(self.SCAN + ["--id", "log_span"] + files) == 0
+        before = ckpt.read_bytes(), out.read_bytes()
+        capsys.readouterr()
+        assert cli.main(self.SCAN + ["--id", "doubling_tripling"] + files) == 64
+        assert "log_span" in capsys.readouterr().err
+        assert (ckpt.read_bytes(), out.read_bytes()) == before
+
+    @pytest.mark.parametrize("bad", ["{}", "[]", "no cursor", "config 5"])
+    def test_malformed_checkpoint_rejected(self, bad, tmp_path, capsys):
+        ckpt = tmp_path / "s.json"
+        files = ["--id", "log_span", "--checkpoint", str(ckpt)]
+        if bad in ("no cursor", "config 5"):
+            assert cli.main(self.SCAN + files) == 0
+            state = json.loads(ckpt.read_text())
+            if bad == "no cursor":
+                del state["cursor"]
+            else:
+                state["config"] = 5
+            bad = json.dumps(state)
+        ckpt.write_text(bad)
+        capsys.readouterr()
+        assert cli.main(self.SCAN + files) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and err.count("\n") == 1
+
     def test_exit_codes_on_counterexample(self, monkeypatch, tmp_path):
         from sumsetlab.conjectures import ScanState
 

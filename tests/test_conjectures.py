@@ -59,6 +59,18 @@ class TestScanState:
         save_state(s, path)
         assert load_state(path) == s
 
+    def test_from_json_dict_checks_fields(self):
+        s = ScanState("log_span", 3, 10, 2, 1, [], None, {"d": 1})
+        d = {"conjecture": "log_span", "cursor": 3, "total": 10, "examined": 2,
+             "skipped": 1, "near": [], "counterexample": None, "config": {"d": 1}}
+        assert ScanState.from_json_dict(d) == s  # out_bytes may be absent
+        with pytest.raises(ValueError, match="JSON object"):
+            ScanState.from_json_dict([d])
+        with pytest.raises(ValueError, match="cursor, total"):
+            ScanState.from_json_dict({k: v for k, v in d.items() if k not in ("cursor", "total")})
+        with pytest.raises(ValueError, match="wrong type: cursor, out_bytes"):
+            ScanState.from_json_dict({**d, "cursor": "3", "out_bytes": [0]})
+
     def test_near_ledger_sorted(self):
         s = ScanState("log_span", 0, 0, 0, 0, [], None, {})
         for m in (F(3), F(1), F(2)):
