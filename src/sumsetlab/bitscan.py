@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -46,10 +45,8 @@ MAX_V = 4  # the largest |V| the certificate of build_scan covers
 @dataclass
 class ExhaustiveBetaScan:
     dims: tuple[int, ...]
-    max_card: int
     max_v: int
     sets: list[tuple[Pt, ...]]
-    sizes: np.ndarray
     surv_i: np.ndarray
     surv_j: np.ndarray
     surv_pop: np.ndarray
@@ -67,15 +64,13 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
     return canonical_subsets(GroupContext(len(dims)), [(0, n - 1) for n in dims], max_card)
 
 
-def _largest_unsafe_s(ab: int, v: int) -> int:
-    # largest s with (s+v-1)^2 < v^2*ab, i.e. s+v-1 <= isqrt(v^2*ab - 1);
-    # 0 when no such s >= 1
-    return max(0, isqrt(v * v * ab - 1) - v + 1)
-
-
 def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     """One popcount pass over all canonical unordered pairs, recording the
-    pairs the integer certificate cannot clear at any v in [2, MAX_V]."""
+    pairs the integer certificate cannot clear at any v in [2, MAX_V].
+
+    The certificate fails at v iff s-1 < v(sqrt(ab)-1), whose right side
+    never decreases in v, so it fails for some v <= MAX_V iff it fails at
+    MAX_V: one test, the one verify_subset_beta makes per v."""
     dims = tuple(dims)
     d = len(dims)
     if d not in (1, 2):
@@ -95,11 +90,6 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     sizes = np.array([len(s) for s in sets], dtype=np.int64)
     masks = np.array([sum(1 << idx(p) for p in s) for s in sets], dtype=np.uint64)
 
-    abmax = max_card * max_card
-    smax_any = np.zeros(abmax + 1, dtype=np.int64)
-    for ab in range(1, abmax + 1):
-        smax_any[ab] = max(_largest_unsafe_s(ab, v) for v in range(2, MAX_V + 1))
-
     # (i, j, |A+B|, low word, high word) of the survivors, one tuple per i;
     # the empty first tuple fixes the dtypes
     found = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=np.uint64),) * 2]
@@ -116,7 +106,7 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
         pop = np.bitwise_count(lo).astype(np.int64) + np.bitwise_count(hi).astype(np.int64)
         ab = a_size * sizes[i:]
         assert np.all(pop >= a_size + sizes[i:] - 1)
-        jj = np.nonzero(pop <= smax_any[ab])[0]
+        jj = np.nonzero((pop + MAX_V - 1) ** 2 < MAX_V**2 * ab)[0]
         if len(jj):
             found.append((np.full(len(jj), i, dtype=np.int64), jj + i, pop[jj], lo[jj], hi[jj]))
 
@@ -124,7 +114,7 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     surv_ab = sizes[surv_i] * sizes[surv_j]
     pair_count = n * (n + 1) // 2
     return ExhaustiveBetaScan(
-        dims, max_card, MAX_V, sets, sizes, surv_i, surv_j, surv_pop, surv_ab,
+        dims, MAX_V, sets, surv_i, surv_j, surv_pop, surv_ab,
         surv_lo, surv_hi, pair_count,
     )
 
@@ -156,12 +146,8 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
         "holds": True,
         "counterexample": None,
     }
-    if v == 1:
-        # (s+v-1)^2 >= v^2*ab reduces to (a+b-1)^2 >= ab, true for all a, b
-        result["checked_pairs"] = 0
-        return result
-
-    # survivors whose certificate fails at this particular v
+    # survivors whose certificate fails at this particular v (none at v = 1,
+    # where s >= a+b-1 >= sqrt(ab))
     need = (scan.surv_pop + (v - 1)) ** 2 < v * v * scan.surv_ab
     cand = np.nonzero(need)[0]
     result["checked_pairs"] = int(len(cand))

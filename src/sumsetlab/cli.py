@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import __version__
 from . import io_formats, laws
 from .conjectures import scan_doubling_tripling, scan_log_span
-from .groups import Homomorphism
+from .groups import Homomorphism, compress
 from .quasicube import format_spec, is_quasicube, make_quasicube, random_spec
 from .search import (
     SearchConfig,
@@ -88,22 +88,16 @@ def parse_box(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}", EXIT_IO)
+    with open(path) as fh:
+        return fh.read()
 
 
 def _write(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise CliError(f"cannot write {path}: {e}", EXIT_IO)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _manifest(args: argparse.Namespace, inputs: dict[str, str], started: float) -> dict:
@@ -123,44 +117,29 @@ def _manifest(args: argparse.Namespace, inputs: dict[str, str], started: float) 
     }
 
 
-def _search_config(args: argparse.Namespace) -> SearchConfig:
-    p = parse_rational(args.p)
-    if p <= 1:
-        raise CliError("p must be > 1", EXIT_USAGE)
-    try:
-        return SearchConfig(
-            box=parse_box(args.box),
-            max_cardinality=args.max_card,
-            p=p,
-            variant=args.variant,
-            strategy=args.strategy,
-            seed=args.seed,
-            parallelism=args.threads,
-        )
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
-
-
 def _cmd_estimate(args: argparse.Namespace, started: float) -> int:
-    cfg = _search_config(args)
-    inputs = {}
-    try:
-        if args.quantity in ("alpha", "beta"):
-            if not args.set:
-                raise CliError("--set is required for alpha/beta", EXIT_USAGE)
-            text = _read(args.set)
-            inputs[args.set] = text
-            U = io_formats.parse_point_set(text)
-            report = (beta_estimate if args.quantity == "beta" else alpha_estimate)(U, cfg)
-        else:
-            if not args.fn:
-                raise CliError("--fn is required for gamma", EXIT_USAGE)
-            text = _read(args.fn)
-            inputs[args.fn] = text
-            f = io_formats.parse_function(text)
-            report = gamma_estimate(f, cfg)
-    except (io_formats.FormatError, ValueError) as e:
-        raise CliError(str(e), EXIT_USAGE)
+    cfg = SearchConfig(
+        box=parse_box(args.box),
+        max_cardinality=args.max_card,
+        p=parse_rational(args.p),
+        variant=args.variant,
+        strategy=args.strategy,
+        seed=args.seed,
+        parallelism=args.threads,
+    )
+    if args.quantity in ("alpha", "beta"):
+        if not args.set:
+            raise CliError("--set is required for alpha/beta", EXIT_USAGE)
+        text = _read(args.set)
+        inputs = {args.set: text}
+        U = io_formats.parse_point_set(text)
+        report = (beta_estimate if args.quantity == "beta" else alpha_estimate)(U, cfg)
+    else:
+        if not args.fn:
+            raise CliError("--fn is required for gamma", EXIT_USAGE)
+        text = _read(args.fn)
+        inputs = {args.fn: text}
+        report = gamma_estimate(io_formats.parse_function(text), cfg)
     doc = report.to_json_dict()
     doc["manifest"] = _manifest(args, inputs, started)
     _write(args.out, json.dumps(doc, sort_keys=True) + "\n")
@@ -178,11 +157,8 @@ def _cmd_quasicube(args: argparse.Namespace, started: float) -> int:
     if not args.set:
         raise CliError("--set is required for check", EXIT_USAGE)
     text = _read(args.set)
-    try:
-        U = io_formats.parse_point_set(text)
-        ok, _ = is_quasicube(U)
-    except (io_formats.FormatError, ValueError) as e:
-        raise CliError(str(e), EXIT_USAGE)
+    U = io_formats.parse_point_set(text)
+    ok, _ = is_quasicube(U)
     doc = {
         "quasicube": ok,
         "size": len(U),
@@ -193,23 +169,14 @@ def _cmd_quasicube(args: argparse.Namespace, started: float) -> int:
 
 
 def _cmd_compress(args: argparse.Namespace, started: float) -> int:
-    text = _read(args.set)
-    try:
-        A = io_formats.parse_point_set(text)
-        h = Homomorphism.drop_free_coordinate(A.context, args.coord)
-        from .groups import compress
-        C = compress(A, h)
-    except (io_formats.FormatError, ValueError) as e:
-        raise CliError(str(e), EXIT_USAGE)
+    A = io_formats.parse_point_set(_read(args.set))
+    C = compress(A, Homomorphism.drop_free_coordinate(A.context, args.coord))
     _write(args.out, io_formats.format_point_set(C))
     return EXIT_OK
 
 
 def _cmd_laws(args: argparse.Namespace, started: float) -> int:
-    try:
-        verdicts = laws.run_suite(args.suite, seed=args.seed)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
+    verdicts = laws.run_suite(args.suite, seed=args.seed)
     lines = [json.dumps(v.to_json_dict(), sort_keys=True) for v in verdicts]
     summary = {
         "suite": args.suite,
@@ -228,23 +195,15 @@ def _cmd_conjecture(args: argparse.Namespace, started: float) -> int:
     side = box[0][1] - box[0][0] + 1
     if any(hi - lo + 1 != side for lo, hi in box):
         raise CliError("conjecture scans use a cubical box", EXIT_USAGE)
-    try:
-        cfg = SearchConfig(
-            box=box, max_cardinality=args.max_card, seed=args.seed,
-            parallelism=args.threads,
-        )
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
+    cfg = SearchConfig(
+        box=box, max_cardinality=args.max_card, seed=args.seed,
+        parallelism=args.threads,
+    )
     scan = scan_log_span if args.id == "log_span" else scan_doubling_tripling
-    try:
-        state = scan(
-            d, side, args.max_size, cfg,
-            checkpoint_path=args.checkpoint, out_path=args.out,
-        )
-    except OSError as e:
-        raise CliError(str(e), EXIT_IO)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
+    state = scan(
+        d, side, args.max_size, cfg,
+        checkpoint_path=args.checkpoint, out_path=args.out,
+    )
     sys.stderr.write(
         f"scanned {state.examined} candidates ({state.skipped} skipped)\n"
     )
@@ -256,14 +215,7 @@ def _cmd_conjecture(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_two_point(args: argparse.Namespace, started: float) -> int:
     p = parse_rational(args.p)
-    if p <= 1:
-        raise CliError("p must be > 1", EXIT_USAGE)
-    try:
-        delta = float(parse_rational(args.delta)) if "/" in args.delta else float(args.delta)
-    except ValueError:
-        raise CliError(f"bad delta {args.delta!r}, expected a number or num/den", EXIT_USAGE)
-    if not 0 <= delta <= 1:
-        raise CliError("delta must lie in [0, 1]", EXIT_USAGE)
+    delta = float(parse_rational(args.delta)) if "/" in args.delta else float(args.delta)
     ratios = [
         geometric_family_ratio(delta, float(p), r, r) for r in range(args.r_max + 1)
     ]
@@ -363,12 +315,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_box(list(argv))
+    # the one place an exception becomes an exit code: every library check
+    # raises ValueError (bad input, 64) and every failed read or write OSError (74)
     try:
         args = parser.parse_args(argv)
         return args.func(args, started)
     except CliError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return e.code
+        code, error = e.code, e
+    except ValueError as e:  # FormatError, JSONDecodeError, UnicodeDecodeError too
+        code, error = EXIT_USAGE, e
+    except OSError as e:
+        code, error = EXIT_IO, e
+    sys.stderr.write(f"error: {error}\n")
+    return code
 
 
 def entry() -> None:

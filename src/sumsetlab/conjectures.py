@@ -51,7 +51,9 @@ class ScanState:
     @classmethod
     def from_json_dict(cls, d: object) -> "ScanState":
         """The state a checkpoint holds.  ValueError unless it is a JSON
-        object with every field, each of its JSON type; out_bytes may be
+        object with every field, each of its JSON type, with
+        0 <= cursor <= total, nonnegative counts and `near` entries that
+        carry a string margin and a numeric margin_float; out_bytes may be
         absent (no size recorded, nothing to cut on resume)."""
         if not isinstance(d, dict):
             raise ValueError("checkpoint does not hold a JSON object")
@@ -62,6 +64,13 @@ class ScanState:
         mistyped = [n for n in names if n in d and not isinstance(d[n], _JSON_TYPES[n])]
         if mistyped:
             raise ValueError(f"checkpoint field(s) of the wrong type: {', '.join(mistyped)}")
+        if not 0 <= d["cursor"] <= d["total"]:
+            raise ValueError(f"checkpoint cursor {d['cursor']} outside [0, {d['total']}]")
+        if min(d["examined"], d["skipped"], d.get("out_bytes") or 0) < 0:
+            raise ValueError("checkpoint counts examined, skipped and out_bytes must be >= 0")
+        if not all(isinstance(e, dict) and isinstance(e.get("margin"), str)
+                   and isinstance(e.get("margin_float"), (int, float)) for e in d["near"]):
+            raise ValueError("checkpoint near entries need a string margin and a numeric margin_float")
         return cls(**{n: d[n] for n in names if n in d})
 
     def push_near(self, margin: Fraction, record: dict) -> None:
@@ -187,6 +196,9 @@ def _run_shards(
             raise ValueError(f"checkpoint belongs to a {state.conjecture} scan, not {conjecture}")
         if _work_config(state.config) != _work_config(config_echo):
             raise ValueError("checkpoint was created with a different configuration")
+        if state.total != len(candidates):
+            raise ValueError(f"checkpoint counts {state.total} candidates, "
+                             f"the scan has {len(candidates)}")
         if out_path is not None and state.out_bytes is not None and os.path.exists(out_path):
             os.truncate(out_path, min(state.out_bytes, os.path.getsize(out_path)))
     else:

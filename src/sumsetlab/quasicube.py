@@ -128,6 +128,8 @@ def random_spec(depth: int, box: int, rng: random.Random) -> QuasicubeSpec:
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if box < 0:
+        raise ValueError("box must be nonnegative")
 
     def gen(k: int) -> QuasicubeSpec:
         if k == 0:

@@ -323,11 +323,18 @@ def _scan_pairs(
     return _first_minimum(sets, cfg, quantity, eval_row)
 
 
+def _require_strategy(cfg: SearchConfig, quantity: str, runs: tuple[str, ...]) -> None:
+    # a report must not name a strategy that never ran
+    if cfg.strategy not in runs:
+        raise ValueError(f"{quantity} estimates have no {cfg.strategy} strategy")
+
+
 def beta_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     """Upper bound on beta_p(U): min over enumerated (A, B) of
     |A+B+U| / (|A|^(1/p) |B|^(1-1/p)), canonical modulo translation."""
     if not U.points:
         raise ValueError("U must be nonempty")
+    _require_strategy(cfg, "beta", ("exhaustive", "hill_climb"))
     ctx = U.context
     if cfg.strategy == "hill_climb":
         return _beta_hill_climb(U, cfg)
@@ -340,6 +347,7 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     |A+B| / (|A|^(1/p) |B|^(1-1/p))."""
     if not U.points:
         raise ValueError("U must be nonempty")
+    _require_strategy(cfg, "alpha", ("exhaustive",))
     ctx = U.context
     pts = box_points(ctx, cfg.box)
     upts = set(U.points)
@@ -510,6 +518,7 @@ def gamma_estimate(f: WeightedFunction, cfg: SearchConfig) -> EstimateReport:
     refinement on the best supports.  geometric_family: g = h =
     (1, delta, ..., delta^r) for a two-point f (1-dimensional only).
     """
+    _require_strategy(cfg, "gamma", ("exhaustive", "geometric_family"))
     if cfg.strategy == "geometric_family":
         return _gamma_geometric(f, cfg)
     report = gamma_indicator_estimate(f, cfg)

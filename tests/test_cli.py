@@ -187,6 +187,25 @@ class TestQuasicubeCommand:
         assert "--set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["quasicube", "gen", "--depth", "-1"],
+    ["quasicube", "gen", "--box", "-1", "--depth", "1"],
+    ["quasicube", "gen", "--box", "-1", "--depth", "2"],
+    ["quasicube", "check", "--set", "NOT_UTF8"],
+    ["compress", "--set", "NOT_UTF8", "--coord", "0"],
+    ["estimate", "alpha", "--set", "U01", "--box", "0..1", "--max-card", "2",
+     "--strategy", "hill_climb"],
+])
+def test_rejected_input_exits_64_with_one_line(argv, u01, tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    raw.write_bytes(b"group 1\n\xff\xfe\n")
+    argv = [{"NOT_UTF8": str(raw), "U01": u01}.get(a, a) for a in argv]
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 class TestCompressCommand:
     def test_compress(self, tmp_path):
         src = tmp_path / "a.txt"
@@ -249,23 +268,28 @@ class TestConjectureCommand:
         assert "log_span" in capsys.readouterr().err
         assert (ckpt.read_bytes(), out.read_bytes()) == before
 
-    @pytest.mark.parametrize("bad", ["{}", "[]", "no cursor", "config 5"])
+    @pytest.mark.parametrize("bad", ["{}", "[]", "no cursor", "config 5",
+                                     "near [1]", "cursor -5", "total 9"])
     def test_malformed_checkpoint_rejected(self, bad, tmp_path, capsys):
-        ckpt = tmp_path / "s.json"
-        files = ["--id", "log_span", "--checkpoint", str(ckpt)]
-        if bad in ("no cursor", "config 5"):
+        ckpt, out = tmp_path / "s.json", tmp_path / "r.jsonl"
+        files = ["--id", "log_span", "--checkpoint", str(ckpt), "--out", str(out)]
+        edits = {"no cursor": None, "config 5": ("config", 5), "near [1]": ("near", [1]),
+                 "cursor -5": ("cursor", -5), "total 9": ("total", 9)}  # 4 candidates
+        if bad in edits:
             assert cli.main(self.SCAN + files) == 0
             state = json.loads(ckpt.read_text())
-            if bad == "no cursor":
+            if edits[bad] is None:
                 del state["cursor"]
             else:
-                state["config"] = 5
+                state[edits[bad][0]] = edits[bad][1]
             bad = json.dumps(state)
         ckpt.write_text(bad)
+        before = ckpt.read_bytes(), out.exists() and out.read_bytes()
         capsys.readouterr()
         assert cli.main(self.SCAN + files) == 64
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and err.count("\n") == 1
+        assert (ckpt.read_bytes(), out.exists() and out.read_bytes()) == before
 
     def test_exit_codes_on_counterexample(self, monkeypatch, tmp_path):
         from sumsetlab.conjectures import ScanState

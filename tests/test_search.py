@@ -236,6 +236,21 @@ class TestGammaEstimate:
         assert r.value_float <= gamma_indicator_estimate(f, cfg).value_float + 1e-12
 
 
+@pytest.mark.parametrize("estimate, strategy", [
+    (alpha_estimate, "hill_climb"),
+    (alpha_estimate, "geometric_family"),
+    (beta_estimate, "geometric_family"),
+    (gamma_estimate, "hill_climb"),
+])
+def test_estimate_rejects_strategy_it_does_not_run(estimate, strategy):
+    # a report that echoed the strategy would name a search that never ran
+    cfg = SearchConfig(box=((0, 1),), max_cardinality=2, strategy=strategy)
+    U = ps(Z1, [(0,), (1,)])
+    arg = WeightedFunction.indicator(U) if estimate is gamma_estimate else U
+    with pytest.raises(ValueError, match=f"no {strategy} strategy"):
+        estimate(arg, cfg)
+
+
 class TestTwoPointClosedForms:
     def test_p2_is_one_plus_delta(self):
         assert two_point_constant(0.5, 2.0) == pytest.approx(1.5)
