@@ -90,7 +90,10 @@ _JSON_TYPES = {  # what ScanState.from_json_dict accepts for each field
 def save_state(state: ScanState, path: str) -> None:
     """Atomic write: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as e:  # name the checkpoint, not the random temp file
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(asdict(state), fh, sort_keys=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .functional import (
     WeightedFunction,
-    gamma_ratio,
+    holder_conjugate,
     l1_norm,
     max_convolve,
 )
@@ -447,16 +447,79 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     ctx = f.context
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
     one = Fraction(1) if f.exact else 1.0
+    indicators = [WeightedFunction.of(ctx, [(q, one) for q in s]) for s in sets]
 
     def eval_row(i: int, js: np.ndarray) -> list:
-        fa = max_convolve(f, WeightedFunction.of(ctx, [(q, one) for q in sets[i]]))
+        fa = max_convolve(f, indicators[i])
         nums = []
         for j in js.tolist():
-            num = l1_norm(max_convolve(fa, WeightedFunction.of(ctx, [(q, one) for q in sets[j]])))
+            num = l1_norm(max_convolve(fa, indicators[j]))
             nums.append(Fraction(num) if f.exact else num)
         return nums
 
     return _first_minimum(sets, cfg, "gamma", eval_row)
+
+
+def fixed_support_gamma(
+    f: WeightedFunction,
+    support_g: Sequence[Vec],
+    support_h: Sequence[Vec],
+    p: Fraction | float,
+) -> Callable[[Sequence[float], Sequence[float]], float]:
+    """The gamma ratio on fixed supports as a function evaluate(gw, hw) of
+    the weights listed along support_g and support_h.
+
+    evaluate(gw, hw) == gamma_ratio(ff, g, h, float(p)) bit for bit, where
+    ff is f in float mode and g, h keep the positive weights (math.inf when
+    either keeps none).  The sumset structure is built once: the canonical
+    order of each support and, for every f+g and (f*g)+h sum, the index of
+    its key in the sorted key list of f*g and f*g*h.  An evaluation forms
+    the products (f.g).h, takes the max per key, and sums and normalises in
+    canonical key order, as max_convolve, l1_norm and lp_norm do."""
+    ctx = f.context
+    pf = float(p)
+    qf = holder_conjugate(pf)
+    fw = np.array([float(w) for _, w in f.entries])
+
+    def canonical(support: Sequence[Vec]) -> tuple[list[Vec], np.ndarray]:
+        keys = [ctx.reduce(x) for x in support]
+        order = sorted(range(len(keys)), key=lambda k: ctx.sort_key(keys[k]))
+        for a, b in zip(order, order[1:]):
+            if keys[a] == keys[b]:
+                raise ValueError(f"duplicate support point {keys[a]}")
+        return [keys[k] for k in order], np.array(order, dtype=np.intp)
+
+    def key_index(xs: Sequence[Vec], ys: Sequence[Vec]) -> tuple[list[Vec], np.ndarray]:
+        sums = [ctx.add(x, y) for x in xs for y in ys]
+        keys = sorted(set(sums), key=ctx.sort_key)
+        where = {k: n for n, k in enumerate(keys)}
+        return keys, np.array([where[s] for s in sums], dtype=np.intp)
+
+    gpts, gorder = canonical(support_g)
+    hpts, horder = canonical(support_h)
+    fg_keys, fg_index = key_index([x for x, _ in f.entries], gpts)
+    fgh_keys, fgh_index = key_index(fg_keys, hpts)
+
+    def evaluate(gw: Sequence[float], hw: Sequence[float]) -> float:
+        g = np.asarray(gw, dtype=float)[gorder]
+        h = np.asarray(hw, dtype=float)[horder]
+        g = np.where(g > 0, g, 0.0)  # a weight that is not positive drops its point
+        h = np.where(h > 0, h, 0.0)
+        gpos = [w for w in g.tolist() if w > 0]
+        hpos = [w for w in h.tolist() if w > 0]
+        if not gpos or not hpos:
+            return math.inf
+        fg = np.zeros(len(fg_keys))
+        np.maximum.at(fg, fg_index, np.multiply.outer(fw, g).ravel())
+        fgh = np.zeros(len(fgh_keys))
+        np.maximum.at(fgh, fgh_index, np.multiply.outer(fg, h).ravel())
+        # Python's sum over Python floats, in key order, as l1_norm sums
+        num = float(sum([w for w in fgh.tolist() if w > 0]))
+        gnorm = sum([w**pf for w in gpos]) ** (1.0 / pf)
+        hnorm = sum([w**qf for w in hpos]) ** (1.0 / qf)
+        return num / (gnorm * hnorm)
+
+    return evaluate
 
 
 def refine_weights_coordinate_descent(
@@ -470,25 +533,19 @@ def refine_weights_coordinate_descent(
 ) -> float:
     """The gamma ratio reached by cyclic single-weight optimization on fixed
     supports; stops when a full sweep improves by less than 1e-10
-    (relative)."""
+    (relative).
+
+    The sumset structure of the supports is built once per descent
+    (fixed_support_gamma), and each evaluation is bit-identical to
+    gamma_ratio on the functions the weights define, so the descent takes
+    the same path as one that rebuilds them on every call."""
     from scipy.optimize import minimize_scalar
 
-    ctx = f.context
-    ff = WeightedFunction.of(ctx, [(q, float(w)) for q, w in f.entries]) if f.exact else f
+    evaluate = fixed_support_gamma(f, support_g, support_h, p)
     gw = [float(x) for x in (init_g if init_g is not None else [1.0] * len(support_g))]
     hw = [float(x) for x in (init_h if init_h is not None else [1.0] * len(support_h))]
 
-    def build(ws, supp):
-        return WeightedFunction.of(ctx, [(q, w) for q, w in zip(supp, ws) if w > 0])
-
-    def objective() -> float:
-        g = build(gw, support_g)
-        h = build(hw, support_h)
-        if not g.entries or not h.entries:
-            return math.inf
-        return gamma_ratio(ff, g, h, float(p))
-
-    cur = objective()
+    cur = evaluate(gw, hw)
     for _ in range(max_sweeps):
         start = cur
         for ws in (gw, hw):
@@ -497,8 +554,7 @@ def refine_weights_coordinate_descent(
 
                 def one(x: float, idx=idx, ws=ws) -> float:
                     ws[idx] = max(x, 0.0)
-                    v = objective()
-                    return v
+                    return evaluate(gw, hw)
 
                 res = minimize_scalar(one, bounds=(0.0, 4.0), method="bounded")
                 if res.fun < cur:

@@ -291,6 +291,14 @@ class TestConjectureCommand:
         assert err.startswith("error: checkpoint") and err.count("\n") == 1
         assert (ckpt.read_bytes(), out.exists() and out.read_bytes()) == before
 
+    def test_checkpoint_in_missing_directory(self, tmp_path, capsys):
+        ckpt = tmp_path / "no" / "dir" / "c.json"
+        code = cli.main(["conjecture", "scan", "--id", "log_span", "--box", "0..1",
+                         "--checkpoint", str(ckpt)])
+        assert code == 74
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.rstrip().endswith(f"'{ckpt}'")
+
     def test_exit_codes_on_counterexample(self, monkeypatch, tmp_path):
         from sumsetlab.conjectures import ScanState
 

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumsetlab.functional import WeightedFunction, l1_norm, max_convolve
+from sumsetlab.functional import WeightedFunction, gamma_ratio, l1_norm, max_convolve
 from sumsetlab.groups import GroupContext, PointSet, sumset
 from sumsetlab.search import (
     SearchConfig,
@@ -19,12 +21,14 @@ from sumsetlab.search import (
     c_p_constant,
     canonical_subsets,
     compare_ratios,
+    fixed_support_gamma,
     gamma_estimate,
     gamma_indicator_estimate,
     geometric_family_ratio,
     geometric_family_ratio_squared_exact,
     node_ceiling_default,
     ratio_float,
+    refine_weights_coordinate_descent,
     two_point_constant,
     two_point_constant_exact,
 )
@@ -447,3 +451,110 @@ def test_node_ceiling_cuts_rows(variant, ceiling, complete):
     expected = brute_first_minimum(
         CUT_SETS, cfg, lambda A, B: len(sumset(sumset(ps(Z1, A), ps(Z1, B)), U)))
     assert report_fields(r) == expected
+
+
+# --- gamma on fixed supports --------------------------------------------------
+
+
+def float_mode(f):
+    return WeightedFunction.of(f.context, [(q, float(w)) for q, w in f.entries]) if f.exact else f
+
+
+def gamma_by_rebuild(f, support_g, support_h, p, gw, hw):
+    """The oracle: build g and h from their positive weights, call gamma_ratio."""
+    ctx = f.context
+    g = WeightedFunction.of(ctx, [(q, w) for q, w in zip(support_g, gw) if w > 0])
+    h = WeightedFunction.of(ctx, [(q, w) for q, w in zip(support_h, hw) if w > 0])
+    if not g.entries or not h.entries:
+        return math.inf
+    return gamma_ratio(float_mode(f), g, h, float(p))
+
+
+@pytest.mark.parametrize("ctx", [Z1, Z2, ZT3, Z2T], ids=["Z", "Z2", "ZxZ3", "Z2xZ2"])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, F(2)])
+def test_fixed_support_gamma_equals_gamma_ratio(ctx, exact, p):
+    rng = random.Random(f"{ctx}{exact}{p}")
+
+    def support(k):
+        pts = {}
+        while len(pts) < k:
+            x = tuple(rng.randint(-2, 4) for _ in range(ctx.arity))
+            pts[ctx.reduce(x)] = x  # unreduced torsion residues, as callers may pass
+        out = list(pts.values())
+        rng.shuffle(out)  # out of canonical order
+        return out
+
+    for _ in range(6):
+        f = WeightedFunction.of(ctx, [
+            (x, F(rng.randint(1, 9), rng.randint(1, 9)) if exact else rng.uniform(0.05, 3.0))
+            for x in support(rng.randint(1, 3))])
+        sg, sh = support(rng.randint(1, 5)), support(rng.randint(1, 5))
+        evaluate = fixed_support_gamma(f, sg, sh, p)
+        cases = [([0.0] * len(sg), [1.0] * len(sh)), ([1.0] * len(sg), [0.0] * len(sh))]
+        cases += [([rng.choice([0.0, rng.uniform(0.0, 4.0)]) for _ in sg],
+                   [rng.choice([0.0, rng.uniform(0.0, 4.0)]) for _ in sh]) for _ in range(30)]
+        for gw, hw in cases:
+            assert evaluate(gw, hw) == gamma_by_rebuild(f, sg, sh, p, gw, hw)
+        assert evaluate(*cases[0]) == evaluate(*cases[1]) == math.inf
+
+
+def test_fixed_support_gamma_rejects_duplicate_point():
+    f = WeightedFunction.of(ZT3, [((0, 0), 1.0)])
+    with pytest.raises(ValueError, match="duplicate support point"):
+        fixed_support_gamma(f, [(0, 1), (0, 4)], [(0, 0)], 2.0)  # 4 = 1 mod 3
+
+
+def descent_by_rebuild(f, support_g, support_h, p, init_g=None, init_h=None, max_sweeps=200):
+    """The coordinate descent with its objective rebuilt through gamma_ratio
+    on every call, as the reference for the fixed-support one."""
+    from scipy.optimize import minimize_scalar
+
+    gw = [float(x) for x in (init_g if init_g is not None else [1.0] * len(support_g))]
+    hw = [float(x) for x in (init_h if init_h is not None else [1.0] * len(support_h))]
+
+    def objective():
+        return gamma_by_rebuild(f, support_g, support_h, p, gw, hw)
+
+    cur = objective()
+    for _ in range(max_sweeps):
+        start = cur
+        for ws in (gw, hw):
+            for idx in range(len(ws)):
+                saved = ws[idx]
+
+                def one(x, idx=idx, ws=ws):
+                    ws[idx] = max(x, 0.0)
+                    return objective()
+
+                res = minimize_scalar(one, bounds=(0.0, 4.0), method="bounded")
+                if res.fun < cur:
+                    ws[idx] = max(float(res.x), 0.0)
+                    cur = float(res.fun)
+                else:
+                    ws[idx] = saved
+        if start - cur < 1e-10 * max(abs(start), 1.0):
+            break
+    return cur
+
+
+@pytest.mark.parametrize("delta, p", [(0.5, 2.0), (0.1, 1.5)])
+def test_descent_matches_rebuild_on_two_point_starts(delta, p):
+    # the starts of laws.check_two_point: g, h on {0..4}, seeded uniform weights
+    f = WeightedFunction.of(Z1, [((0,), 1.0), ((1,), delta)])
+    supp = [(i,) for i in range(5)]
+    rng = random.Random(0)
+    for _ in range(2):
+        init_g = [rng.uniform(0.1, 1.0) for _ in supp]
+        init_h = [rng.uniform(0.1, 1.0) for _ in supp]
+        args = (f, supp, supp, p, init_g, init_h, 12)
+        assert refine_weights_coordinate_descent(*args) == descent_by_rebuild(*args)
+
+
+def test_descent_matches_rebuild_on_gamma_witness():
+    f = WeightedFunction.of(Z2, [((0, 0), F(1)), ((1, 0), F(1, 2)), ((0, 1), F(1, 3))])
+    cfg = SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3)
+    w = gamma_indicator_estimate(f, cfg)
+    refined = refine_weights_coordinate_descent(f, w.witness_a, w.witness_b, cfg.p)
+    assert refined == descent_by_rebuild(f, w.witness_a, w.witness_b, cfg.p)
+    assert refined == gamma_estimate(f, cfg).value_float
