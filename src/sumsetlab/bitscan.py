@@ -29,7 +29,6 @@ cardinality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -124,6 +123,9 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     exactly |V|^2, attained at the singleton pair.
 
     V must be translated to nonnegative coordinates with min 0 per axis.
+    The result holds `holds`, `counterexample` (None, or the A, B and V of
+    the first minimum with its slack |A+B+V|^2 - |V|^2 |A||B|), `pair_count`
+    and `checked_pairs`, the survivors rechecked for this V.
     """
     d = len(scan.dims)
     vpts = sorted({tuple(p) for p in v_points})
@@ -138,19 +140,16 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     if max(p[0] for p in vpts) + 2 * (scan.dims[0] - 1) >= 64:
         raise ValueError("V too wide for the exact recheck stride")
 
-    result = {
-        "size": v,
-        "min_ratio_squared": Fraction(v * v),
-        "attained_at_singletons": True,  # A = B = {0} gives |A+B+V| = |V|
-        "pair_count": scan.pair_count,
-        "holds": True,
-        "counterexample": None,
-    }
     # survivors whose certificate fails at this particular v (none at v = 1,
     # where s >= a+b-1 >= sqrt(ab))
     need = (scan.surv_pop + (v - 1)) ** 2 < v * v * scan.surv_ab
     cand = np.nonzero(need)[0]
-    result["checked_pairs"] = int(len(cand))
+    result = {
+        "pair_count": scan.pair_count,
+        "holds": True,
+        "counterexample": None,
+        "checked_pairs": int(len(cand)),
+    }
     # Row r of A+B is the 2w-1 bits at r*(2w-1) of the pair's two words; row r
     # of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, and fits one
     # uint64 by the width check.  Building one output row at a time keeps only

@@ -17,7 +17,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from . import io_formats, laws
@@ -28,6 +28,7 @@ from .search import (
     SearchConfig,
     alpha_estimate,
     beta_estimate,
+    frac_str,
     gamma_estimate,
     geometric_family_ratio,
     two_point_constant,
@@ -61,14 +62,21 @@ def parse_rational(text: str) -> Fraction:
         raise CliError(f"bad rational {text!r}, expected num/den", EXIT_USAGE)
 
 
-def positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    return parse
+
+
+positive_int = _int_at_least(1)
+nonnegative_int = _int_at_least(0)
 
 
 def parse_box(text: str) -> tuple[tuple[int, int], ...]:
@@ -117,6 +125,13 @@ def _manifest(args: argparse.Namespace, inputs: dict[str, str], started: float) 
     }
 
 
+def _write_doc(args: argparse.Namespace, doc: dict, inputs: dict[str, str], started: float) -> int:
+    """Write one JSON document with its run manifest to --out (or stdout)."""
+    doc["manifest"] = _manifest(args, inputs, started)
+    _write(args.out, json.dumps(doc, sort_keys=True) + "\n")
+    return EXIT_OK
+
+
 def _cmd_estimate(args: argparse.Namespace, started: float) -> int:
     cfg = SearchConfig(
         box=parse_box(args.box),
@@ -140,10 +155,7 @@ def _cmd_estimate(args: argparse.Namespace, started: float) -> int:
         text = _read(args.fn)
         inputs = {args.fn: text}
         report = gamma_estimate(io_formats.parse_function(text), cfg)
-    doc = report.to_json_dict()
-    doc["manifest"] = _manifest(args, inputs, started)
-    _write(args.out, json.dumps(doc, sort_keys=True) + "\n")
-    return EXIT_OK
+    return _write_doc(args, report.to_json_dict(), inputs, started)
 
 
 def _cmd_quasicube(args: argparse.Namespace, started: float) -> int:
@@ -159,13 +171,7 @@ def _cmd_quasicube(args: argparse.Namespace, started: float) -> int:
     text = _read(args.set)
     U = io_formats.parse_point_set(text)
     ok, _ = is_quasicube(U)
-    doc = {
-        "quasicube": ok,
-        "size": len(U),
-        "manifest": _manifest(args, {args.set: text}, started),
-    }
-    _write(args.out, json.dumps(doc, sort_keys=True) + "\n")
-    return EXIT_OK
+    return _write_doc(args, {"quasicube": ok, "size": len(U)}, {args.set: text}, started)
 
 
 def _cmd_compress(args: argparse.Namespace, started: float) -> int:
@@ -221,13 +227,11 @@ def _cmd_two_point(args: argparse.Namespace, started: float) -> int:
     ]
     doc = {
         "delta": delta,
-        "p": f"{p.numerator}/{p.denominator}",
+        "p": frac_str(p),
         "c_delta": two_point_constant(delta, float(p)),
         "geometric_ratios": ratios,
-        "manifest": _manifest(args, {}, started),
     }
-    _write(args.out, json.dumps(doc, sort_keys=True) + "\n")
-    return EXIT_OK
+    return _write_doc(args, doc, {}, started)
 
 
 def build_parser() -> _Parser:
@@ -287,7 +291,7 @@ def build_parser() -> _Parser:
     tp = sub.add_parser("two-point")
     tp.add_argument("--delta", required=True)
     tp.add_argument("--p", default="2/1")
-    tp.add_argument("--r-max", type=int, default=8)
+    tp.add_argument("--r-max", type=nonnegative_int, default=8)
     add_common(tp)
     tp.set_defaults(func=_cmd_two_point)
 
@@ -328,10 +332,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, error = EXIT_IO, e
     sys.stderr.write(f"error: {error}\n")
     return code
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

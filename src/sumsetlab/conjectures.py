@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +30,7 @@ from .search import (
     beta_estimate,
     canonical_subsets,
     frac_str,
+    json_value,
 )
 
 NEAR_LEDGER_SIZE = 100
@@ -96,7 +97,7 @@ def save_state(state: ScanState, path: str) -> None:
         raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(asdict(state), fh, sort_keys=True)
+            json.dump(json_value(state), fh, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -191,6 +192,8 @@ def _run_shards(
     back to that size, so a crash between the two writes leaves no duplicate
     lines."""
     _require_p2(cfg)
+    if max_size < 1:  # no candidate to scan
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     candidates = enumerate_canonical(d, side, max_size)
     config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
     if checkpoint_path and os.path.exists(checkpoint_path):

@@ -47,6 +47,7 @@ from .search import (
     refine_weights_coordinate_descent,
     two_point_constant,
     frac_str,
+    json_value,
 )
 
 FLOAT_TOL = 1e-9
@@ -66,17 +67,7 @@ class Verdict:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        m = self.margin
-        if isinstance(m, Fraction):
-            m = frac_str(m)
-        return {
-            "law": self.law,
-            "holds": self.holds,
-            "margin": m,
-            "inputs": self.inputs,
-            "counterexample": self.counterexample,
-            "note": self.note,
-        }
+        return json_value(self)
 
 
 def _pts(A: PointSet | Sequence[Vec]) -> list[list[int]]:
@@ -105,41 +96,38 @@ def _get_scan(dims: tuple[int, ...], max_card: int) -> bitscan.ExhaustiveBetaSca
 def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Verdict:
     """Every scanned pair satisfies |A+B+V|^2 >= |V|^2 |A||B| exactly, with
     equality attained at singletons; the scanned minimum of the squared
-    ratio is therefore exactly |V|^2.
+    ratio is therefore exactly |V|^2.  The margin is that minimum less
+    |V|^2, and a counterexample names the A, B and V that attain it.
 
     `threads` is kept for compatibility and has no effect: the scan is
     sequential."""
     if cfg.strategy != "exhaustive" or Fraction(cfg.p) != 2:
         raise ValueError("requires an exhaustive p=2 configuration")
     ctx = V.context
-    inputs = {"V": _pts(V), "config": cfg.echo()}
     if ctx.is_torsion_free and ctx.free_rank == len(cfg.box) and ctx.free_rank in (1, 2):
         dims = tuple(hi - lo + 1 for lo, hi in cfg.box)
         scan = _get_scan(dims, cfg.max_cardinality)
         res = bitscan.verify_subset_beta(scan, _normalized_free(V))
-        return Verdict(
-            law="quasicube_beta",
-            holds=res["holds"],
-            margin=Fraction(0) if res["holds"] else res["counterexample"]["slack"],
-            inputs=inputs,
-            counterexample=None if res["holds"] else {
-                "A": _pts(res["counterexample"]["A"]),
-                "B": _pts(res["counterexample"]["B"]),
-                "V": _pts(res["counterexample"]["V"]),
-            },
-            note=f"pairs={res['pair_count']} rechecked={res['checked_pairs']}",
-        )
-    report = beta_estimate(V, cfg)
-    target = Fraction(len(V) ** 2)
-    holds = report.value_exact == target
+        holds = res["holds"]
+        if holds:
+            margin = Fraction(0)
+        else:  # A, B and V in the scan's frame, anchored at the origin
+            A, B, V_ce = (res["counterexample"][k] for k in ("A", "B", "V"))
+            margin = Fraction(res["counterexample"]["slack"], len(A) * len(B))
+        note = f"pairs={res['pair_count']} rechecked={res['checked_pairs']}"
+    else:
+        report = beta_estimate(V, cfg)
+        A, B, V_ce = report.witness_a, report.witness_b, V
+        margin = report.value_exact - len(V) ** 2
+        holds = margin == 0
+        note = ""
     return Verdict(
         law="quasicube_beta",
         holds=holds,
-        margin=report.value_exact - target,
-        inputs=inputs,
-        counterexample=None if holds else {
-            "A": _pts(report.witness_a), "B": _pts(report.witness_b),
-        },
+        margin=margin,
+        inputs={"V": _pts(V), "config": cfg.echo()},
+        counterexample=None if holds else {"A": _pts(A), "B": _pts(B), "V": _pts(V_ce)},
+        note=note,
     )
 
 
@@ -466,6 +454,8 @@ def check_two_point(
     acceptance criterion 2, not here); (b) seeded coordinate-descent
     minimization with g, h supported on {0, ..., 4} never drops below
     c_delta(p) - 1e-6; (c) c_delta(p) >= c_p (1+delta) - tol."""
+    if r_max < 0 or not deltas or not ps:  # no ratio to check: the margin would be inf
+        raise ValueError(f"two_point needs a delta, a p and r_max >= 0, got r_max = {r_max}")
     rng = random.Random(seed)
     ctx = GroupContext(1)
     min_margin = float("inf")

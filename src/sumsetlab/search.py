@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -94,22 +94,32 @@ class SearchConfig:
         return self.node_ceiling if self.node_ceiling is not None else node_ceiling_default()
 
     def echo(self) -> dict:
+        # p may be an int; node_ceiling None means the environment's ceiling
         return {
-            "box": [[lo, hi] for lo, hi in self.box],
-            "max_cardinality": self.max_cardinality,
+            **json_value(self),
             "p": frac_str(self.p),
-            "variant": self.variant,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "parallelism": self.parallelism,
             "node_ceiling": self.effective_node_ceiling,
-            "geometric_max_r": self.geometric_max_r,
         }
 
 
 def frac_str(x: Fraction | int) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def json_value(x: object) -> object:
+    """The JSON form of a report, verdict or config: a dataclass becomes the
+    dict of its fields, a tuple or list a list and a Fraction "num/den",
+    recursively; every other value is left as it is."""
+    if is_dataclass(x):
+        return {f.name: json_value(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, Fraction):
+        return frac_str(x)
+    if isinstance(x, (tuple, list)):
+        return [json_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: json_value(v) for k, v in x.items()}
+    return x
 
 
 @dataclass(frozen=True)
@@ -127,19 +137,7 @@ class EstimateReport:
     tool_version: str = TOOL_VERSION
 
     def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "p": frac_str(self.p),
-            "variant": self.variant,
-            "value_float": self.value_float,
-            "value_exact": frac_str(self.value_exact) if self.value_exact is not None else None,
-            "witness_a": [list(p) for p in self.witness_a],
-            "witness_b": [list(p) for p in self.witness_b],
-            "nodes": self.nodes,
-            "complete": self.complete,
-            "config": self.config,
-            "tool_version": self.tool_version,
-        }
+        return json_value(self)
 
 
 # --- exact ratio ordering ---------------------------------------------------
@@ -250,20 +248,28 @@ def _first_minimum(
         if not complete:
             break
     assert best is not None
-    s, a, b = best
     i, j = best_ij
+    return _report(quantity, cfg, best, sets[i], sets[j], nodes, complete)
+
+
+def _report(
+    quantity: str,
+    cfg: SearchConfig,
+    key: tuple,
+    witness_a: tuple[Vec, ...],
+    witness_b: tuple[Vec, ...],
+    nodes: int,
+    complete: bool,
+) -> EstimateReport:
+    """The report of a scan's best ratio key (numerator, |A|, |B|): the
+    squared ratio is exact at p = 2 unless the numerator is a float."""
+    s, a, b = key
+    p = Fraction(cfg.p)
     exact = p == 2 and not isinstance(s, float)
     return EstimateReport(
-        quantity=quantity,
-        p=p,
-        variant=cfg.variant,
-        value_float=ratio_float(s, a, b, p),
-        value_exact=Fraction(s) * s / (a * b) if exact else None,
-        witness_a=sets[i],
-        witness_b=sets[j],
-        nodes=nodes,
-        complete=complete,
-        config=cfg.echo(),
+        quantity, p, cfg.variant, ratio_float(s, a, b, p),
+        Fraction(s) * s / (a * b) if exact else None,
+        witness_a, witness_b, nodes, complete, cfg.echo(),
     )
 
 
@@ -421,19 +427,8 @@ def _beta_hill_climb(U: PointSet, cfg: SearchConfig) -> EstimateReport:
                 tuple(sorted(B, key=ctx.sort_key)),
             )
     assert best_key is not None and best_wit is not None
-    s, a, b = best_key
-    return EstimateReport(
-        quantity="beta",
-        p=p,
-        variant=cfg.variant,
-        value_float=ratio_float(s, a, b, p),
-        value_exact=Fraction(s * s, a * b) if p == 2 else None,
-        witness_a=best_wit[0],
-        witness_b=best_wit[1],
-        nodes=nodes,
-        complete=False,  # heuristic search never certifies the window
-        config=cfg.echo(),
-    )
+    # a heuristic search never certifies the window: complete is False
+    return _report("beta", cfg, best_key, *best_wit, nodes, False)
 
 
 # --- gamma ------------------------------------------------------------------

@@ -195,6 +195,9 @@ class TestQuasicubeCommand:
     ["compress", "--set", "NOT_UTF8", "--coord", "0"],
     ["estimate", "alpha", "--set", "U01", "--box", "0..1", "--max-card", "2",
      "--strategy", "hill_climb"],
+    ["two-point", "--delta", "0.5", "--r-max", "-1"],
+    ["conjecture", "scan", "--id", "log_span", "--box", "0..2", "--max-size", "0"],
+    ["conjecture", "scan", "--id", "log_span", "--box", "0..2", "--max-size", "-4"],
 ])
 def test_rejected_input_exits_64_with_one_line(argv, u01, tmp_path, capsys):
     raw = tmp_path / "raw.txt"

@@ -3,10 +3,11 @@
 import itertools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from sumsetlab import conjectures
+from sumsetlab import cli, conjectures
 from sumsetlab.conjectures import (
     MatroidMap,
     ScanState,
@@ -145,6 +146,50 @@ class TestDoublingTriplingScan:
         with pytest.raises(ValueError, match="3/1"):
             scan_doubling_tripling(1, 2, 2, cfg, out_path=str(out))
         assert not out.exists()
+
+
+@pytest.mark.parametrize("max_size", [0, -4])
+@pytest.mark.parametrize("scan", [scan_log_span, scan_doubling_tripling])
+def test_rejects_window_without_candidates(scan, max_size, tmp_path):
+    out = tmp_path / "r.jsonl"
+    with pytest.raises(ValueError, match="max_size must be >= 1"):
+        scan(1, 3, max_size, SearchConfig(box=((0, 2),), max_cardinality=2), out_path=str(out))
+    assert not out.exists()
+
+
+def test_log_span_disproof_record(monkeypatch, tmp_path):
+    # coverage of the disproof path: with the log-span test made to pass every
+    # V, V = {0,1,2} reaches the exact check, and A = B = {0..3} gives
+    # |A+B+V|^2/(|A||B|) = 81/16 < |V|^2, which stops the scan
+    monkeypatch.setattr(conjectures, "log_span_check", lambda V: (True, None))
+    out = tmp_path / "r.jsonl"
+    cfg = SearchConfig(box=((0, 3),), max_cardinality=4)
+    state = scan_log_span(1, 3, 3, cfg, out_path=str(out))
+    line = [[0], [1], [2], [3]]
+    ce = {"index": 2, "V": line[:3], "A": line, "B": line, "ratio_squared": "81/16"}
+    assert state.counterexample == ce and state.cursor == 0
+    assert json.loads(out.read_text().splitlines()[-1]) == {"type": "disproof", **ce}
+    argv = ["conjecture", "scan", "--id", "log_span", "--box", "0..3",
+            "--max-size", "3", "--max-card", "4"]
+    assert cli.main(argv) == cli.EXIT_DISPROOF
+
+
+def test_doubling_tripling_bug_record(monkeypatch, tmp_path):
+    # coverage of the bug path: a beta estimate that breaks the proved chain
+    # beta <= beta' <= beta'' stops the scan with a bug record
+    chain = {"unrestricted": F(5), "isometric": F(4), "isomeric": F(6)}
+    monkeypatch.setattr(conjectures, "beta_estimate",
+                        lambda U, cfg: SimpleNamespace(value_exact=chain[cfg.variant]))
+    out = tmp_path / "r.jsonl"
+    state = scan_doubling_tripling(1, 2, 2, SearchConfig(box=((0, 1),), max_cardinality=2),
+                                   out_path=str(out))
+    ce = {"index": 0, "U": [[0]], "kind": "bug",
+          "beta_sq": ["5/1", "4/1", "6/1"], "alpha_sq": ["1/1"] * 3}
+    assert state.counterexample == ce and state.examined == 0
+    assert [json.loads(l) for l in out.read_text().splitlines()] == [{"type": "bug", **ce}]
+    argv = ["conjecture", "scan", "--id", "doubling_tripling", "--box", "0..1",
+            "--max-size", "2", "--max-card", "2"]
+    assert cli.main(argv) == cli.EXIT_LAW_FAILURE
 
 
 @pytest.mark.parametrize("scan", [scan_log_span, scan_doubling_tripling])

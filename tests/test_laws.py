@@ -49,6 +49,41 @@ class TestQuasicubeBeta:
         v = check_quasicube_beta(V, cfg)
         assert v.holds
 
+    @pytest.mark.parametrize("ctx, pts, box", [
+        (GroupContext(1, (2,)), [(0, 0), (1, 1)], ((0, 2),)),
+        (GroupContext(3), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+         ((0, 1), (0, 1), (0, 0))),
+    ])
+    def test_generic_path_holds(self, ctx, pts, box):
+        # coverage: torsion and rank 3 have no bit scan, beta_estimate decides
+        v = check_quasicube_beta(ps(ctx, pts), SearchConfig(box=box, max_cardinality=4))
+        assert v.holds and v.margin == 0 and v.counterexample is None and v.note == ""
+
+    def test_generic_path_torsion_coset_fails(self):
+        # {0} x Z_2 is a subgroup: A = B = V give the squared ratio 1 < |V|^2
+        V = ps(GroupContext(1, (2,)), [(0, 0), (0, 1)])
+        v = check_quasicube_beta(V, SearchConfig(box=((0, 2),), max_cardinality=3))
+        assert not v.holds and v.margin == -3
+        assert v.counterexample == {"A": [[0, 0], [0, 1]], "B": [[0, 0], [0, 1]],
+                                    "V": [[0, 0], [0, 1]]}
+
+    def test_both_paths_report_one_margin(self):
+        # V = {0,1,2} is no quasicube: A = B = {0..3} gives |A+B+V| = 9, so the
+        # margin is 81/16 - 9 = -63/16, on the bit scan in Z and generically
+        # for the same V embedded in Z^3
+        line = check_quasicube_beta(ps(Z1, [(0,), (1,), (2,)]),
+                                    SearchConfig(box=((0, 3),), max_cardinality=4))
+        space = check_quasicube_beta(ps(GroupContext(3), [(x, 0, 0) for x in range(3)]),
+                                     SearchConfig(box=((0, 3), (0, 0), (0, 0)), max_cardinality=4))
+        assert line.note.startswith("pairs=") and space.note == ""
+        for v in (line, space):
+            assert not v.holds and v.margin == F(-63, 16)
+            assert v.to_json_dict()["margin"] == "-63/16"
+        pts = [[0], [1], [2], [3]]
+        assert line.counterexample == {"A": pts, "B": pts, "V": pts[:3]}
+        first_axis = {k: [q[:1] for q in qs] for k, qs in space.counterexample.items()}
+        assert first_axis == line.counterexample
+
     def test_requires_exact_config(self):
         with pytest.raises(ValueError):
             check_quasicube_beta(
@@ -159,6 +194,13 @@ class TestTwoPoint:
         v = check_two_point([0.0, 0.5, 1.0], [2.0, 3.0], r_max=4, descent_starts=0)
         assert v.holds
         assert v.margin >= -1e-9
+
+    @pytest.mark.parametrize("deltas, ps_, r_max", [([0.5], [2.0], -1), ([], [2.0], 2),
+                                                    ([0.5], [], 2)])
+    def test_rejects_empty_grid(self, deltas, ps_, r_max):
+        # such a grid checks no ratio, and its margin would be inf
+        with pytest.raises(ValueError, match="two_point needs"):
+            check_two_point(deltas, ps_, r_max=r_max)
 
 
 FAST_SUITES = [

@@ -170,6 +170,21 @@ class TestBetaEstimate:
         assert r.quantity == "beta" and not r.complete
         assert 1 <= len(r.witness_a) <= 2 and 1 <= len(r.witness_b) <= 2
 
+    @pytest.mark.parametrize("variant", ["isometric", "isomeric"])
+    def test_hill_climb_variants_replay(self, variant):
+        # coverage: the restricted moves keep |A| = |B| (isometric) or A = B
+        # (isomeric), and the witness replays through groups.sumset
+        U = ps(Z1, [(0,), (1,), (3,)])
+        cfg = SearchConfig(box=((-1, 3),), max_cardinality=3, variant=variant,
+                           strategy="hill_climb", seed=5)
+        r = beta_estimate(U, cfg)
+        A, B = ps(Z1, r.witness_a), ps(Z1, r.witness_b)
+        assert A == B if variant == "isomeric" else len(A) == len(B)
+        n = len(sumset(sumset(A, B), U))
+        assert r.value_exact == F(n * n, len(A) * len(B))
+        assert r.value_float == ratio_float(n, len(A), len(B), F(2))
+        assert r.variant == variant and not r.complete
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(box=((1, 0),), max_cardinality=1)
@@ -232,6 +247,18 @@ class TestGammaEstimate:
         r = gamma_estimate(f, cfg)
         assert r.value_float == pytest.approx(1.5)
         assert not r.complete
+
+    def test_refinement_replaces_indicator_value(self):
+        # coverage: the descent beats the best indicator pair, so the report
+        # keeps that pair's witness and drops its exact value
+        f = WeightedFunction.of(Z1, [((-1,), F(1)), ((0,), F(3, 4)), ((1,), F(1, 2))])
+        cfg = SearchConfig(box=((-1, 1),), max_cardinality=3)
+        ind = gamma_indicator_estimate(f, cfg)
+        r = gamma_estimate(f, cfg)
+        assert ind.value_float == pytest.approx(2.0833, abs=1e-4)
+        assert r.value_exact is None
+        assert r.value_float == pytest.approx(1.8341996954988742, abs=1e-9)
+        assert (r.witness_a, r.witness_b, r.nodes) == (ind.witness_a, ind.witness_b, ind.nodes)
 
     def test_refinement_never_inflates(self):
         f = WeightedFunction.of(Z1, [((0,), F(1)), ((1,), F(1, 2))])
