@@ -7,13 +7,24 @@ is large (~10^8 for a 6x6 box at cardinality 4), so pairs are packed into
 bitmask grids and screened by one numpy popcount pass; only pairs failing an
 exact integer certificate keep their packed A+B, to be re-checked per V.
 
-The certificate: in a torsion-free commutative group, |X+Y| >= |X|+|Y|-1
-for finite nonempty X, Y (project along an injective-on-X-union-Y linear
-functional to Z; the |X|+|Y|-1 distinct sums of sorted prefixes survive).
-Hence |A+B+V| >= s+v-1 with s = |A+B|, v = |V|, and a pair is safe for
-every V of size v once (s+v-1)^2 >= v^2 |A| |B|.  The inequality itself is
-property-tested in the suite; survivors are decided by direct computation,
-so the scan stays exact.
+The certificate lower-bounds |X+V| from s = |X|, v = |V| and the affine
+dimension of V (`certified_size`), with X = A+B in a torsion-free group:
+- collinear V: |X+V| >= s+v-1 (project along a functional injective on
+  X, V and X+V to Z; the s+v-1 distinct sums of sorted prefixes survive);
+- 2-D V: |X+V| >= max(s,v) + 2 min(s,v) - 3 as well, Ruzsa's bound
+  |X|+d|Y|-d(d+1)/2 for |X| >= |Y| and dim(X+Y) = d (I. Z. Ruzsa, "Sum of
+  sets in several dimensions", Combinatorica 14, 1994) at d = 2, since X+V
+  holds a translate of V and so is at least 2-D (project to Z^2 if it is
+  more).
+A pair is safe for V once certified_size(s, v, dim V)^2 >= v^2 |A| |B|.  The
+bounds themselves are property-tested in the suite; survivors are decided
+by direct computation, so the scan stays exact.
+
+The build's screen uses the collinear bound at v = MAX_V, the weakest
+certificate of any V the scan serves, so one set of survivors serves every
+V.  It then marks, per survivor, the (v, dim) classes whose certificate
+fails (`CLASSES`, one bit each of a uint8), and a V rechecks only the
+survivors flagged for its class.
 
 Grid packing: point (x, y) of the box maps to bit y*stride + x with stride
 2*w-1 (w the box width), so all sums A+B stay in distinct rows; A fits one
@@ -33,12 +44,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupContext
+from .groups import GroupContext, PointSet, dimension
 from .search import canonical_subsets
 
 Pt = tuple[int, ...]
 
 MAX_V = 4  # the largest |V| the certificate of build_scan covers
+# the (|V|, dim V) classes a survivor's flags cover, bit k for CLASSES[k];
+# a V of one point is always certified, and two points are collinear
+CLASSES = tuple((v, k) for v in range(2, MAX_V + 1) for k in (1, 2) if k < v)
+
+
+def certified_size(s, v: int, dim: int):
+    """A lower bound on |X+V| from s = |X| (an int or an int array), v = |V|
+    and dim, the affine dimension of V, for X, V in a torsion-free group:
+    s+v-1, and for dim >= 2 also Ruzsa's max(s,v) + 2 min(s,v) - 3."""
+    bound = s + v - 1
+    if dim >= 2:
+        bound = np.maximum(bound, np.maximum(s, v) + 2 * np.minimum(s, v) - 3)
+    return bound
 
 
 @dataclass
@@ -52,6 +76,7 @@ class ExhaustiveBetaScan:
     surv_ab: np.ndarray
     surv_lo: np.ndarray  # bits 0-63 of the packed A+B of each surviving pair
     surv_hi: np.ndarray  # bits 64-127
+    surv_flags: np.ndarray  # uint8, bit k set where the certificate of CLASSES[k] fails
     pair_count: int
 
 
@@ -65,11 +90,14 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
 
 def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     """One popcount pass over all canonical unordered pairs, recording the
-    pairs the integer certificate cannot clear at any v in [2, MAX_V].
+    pairs the integer certificate cannot clear for some V with |V| <= MAX_V,
+    with per-survivor flags naming the (|V|, dim V) classes it fails for.
 
-    The certificate fails at v iff s-1 < v(sqrt(ab)-1), whose right side
-    never decreases in v, so it fails for some v <= MAX_V iff it fails at
-    MAX_V: one test, the one verify_subset_beta makes per v."""
+    The screen tests the collinear bound s+v-1 at v = MAX_V.  It fails at v
+    iff s-1 < v(sqrt(ab)-1), whose right side never decreases in v, so it
+    fails for some v <= MAX_V iff it fails at MAX_V; and Ruzsa's bound for
+    2-D V is never below it, so no pair any V needs is dropped.  Screening
+    on Ruzsa's bound instead would drop pairs that collinear V's need."""
     dims = tuple(dims)
     d = len(dims)
     if d not in (1, 2):
@@ -111,10 +139,15 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
 
     surv_i, surv_j, surv_pop, surv_lo, surv_hi = map(np.concatenate, zip(*found))
     surv_ab = sizes[surv_i] * sizes[surv_j]
+    surv_flags = np.zeros(len(surv_i), dtype=np.uint8)
+    for bit, (v, k) in enumerate(CLASSES):
+        if k <= d:
+            fails = certified_size(surv_pop, v, k) ** 2 < v * v * surv_ab
+            surv_flags |= fails.astype(np.uint8) << np.uint8(bit)
     pair_count = n * (n + 1) // 2
     return ExhaustiveBetaScan(
         dims, MAX_V, sets, surv_i, surv_j, surv_pop, surv_ab,
-        surv_lo, surv_hi, pair_count,
+        surv_lo, surv_hi, surv_flags, pair_count,
     )
 
 
@@ -125,7 +158,9 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     V must be translated to nonnegative coordinates with min 0 per axis.
     The result holds `holds`, `counterexample` (None, or the A, B and V of
     the first minimum with its slack |A+B+V|^2 - |V|^2 |A||B|), `pair_count`
-    and `checked_pairs`, the survivors rechecked for this V.
+    and `checked_pairs`, the survivors rechecked for this V: those whose
+    flag for V's (|V|, dim V) class says its certificate (collinear, or
+    Ruzsa's for 2-D V) fails.
     """
     d = len(scan.dims)
     vpts = sorted({tuple(p) for p in v_points})
@@ -140,10 +175,11 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     if max(p[0] for p in vpts) + 2 * (scan.dims[0] - 1) >= 64:
         raise ValueError("V too wide for the exact recheck stride")
 
-    # survivors whose certificate fails at this particular v (none at v = 1,
-    # where s >= a+b-1 >= sqrt(ab))
-    need = (scan.surv_pop + (v - 1)) ** 2 < v * v * scan.surv_ab
-    cand = np.nonzero(need)[0]
+    # survivors whose certificate fails for V's class (none at v = 1, where
+    # s >= a+b-1 >= sqrt(ab))
+    dim_v = dimension(PointSet.of(GroupContext(d), vpts))
+    bit = 1 << CLASSES.index((v, dim_v)) if v > 1 else 0
+    cand = np.nonzero(scan.surv_flags & np.uint8(bit))[0]
     result = {
         "pair_count": scan.pair_count,
         "holds": True,

@@ -256,7 +256,7 @@ def check_compression_shrinks(A: PointSet, B: PointSet, h: Homomorphism) -> Verd
 
 def check_beta_is_gamma(U: PointSet, p: Fraction, cfg: SearchConfig) -> Verdict:
     """beta and gamma estimates agree exactly on matched indicator windows."""
-    cfgp = replace(cfg, p=Fraction(p))
+    cfgp = replace(cfg, p=p)  # SearchConfig rejects a float p
     rb = beta_estimate(U, cfgp)
     rg = gamma_indicator_estimate(WeightedFunction.indicator(U), cfgp)
     if Fraction(p) == 2:

@@ -76,6 +76,8 @@ class SearchConfig:
             raise ValueError("max_cardinality must be >= 1")
         if any(lo > hi for lo, hi in self.box):
             raise ValueError("box intervals must be nonempty")
+        if isinstance(self.p, float):  # its exact Fraction has a 2^k denominator
+            raise ValueError(f"p must be an int or a Fraction, not the float {self.p!r}")
         if Fraction(self.p) <= 1:
             raise ValueError("p must exceed 1")
         if self.variant not in VARIANTS:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import bitscan
-from sumsetlab.groups import GroupContext, PointSet, sumset
+from sumsetlab.groups import GroupContext, PointSet, dimension, sumset
 
 # window -> cardinality.  Rows of A+B in the last two windows leave the low
 # word: row 12 of (3, 7) straddles both words (bits 60-64), and so does row
@@ -33,13 +33,20 @@ def window(dims):
     return scan, ctx, pairs
 
 
+def certificate(s, v, dim):
+    """The lower bound on |X+V| the recheck may rely on, from s = |X|, v = |V|
+    and dim V: s+v-1, and Ruzsa's max(s,v) + 2 min(s,v) - 3 for 2-D V."""
+    return max(s + v - 1, max(s, v) + 2 * min(s, v) - 3) if dim == 2 else s + v - 1
+
+
 def oracle(dims, V):
-    """holds, the counterexample's (A, B, slack) and the number of pairs the
-    certificate (|A+B|+v-1)^2 >= v^2|A||B| leaves unproved, by brute force:
-    the first minimum of |A+B+V|^2 - v^2|A||B| over all pairs."""
+    """holds, the counterexample's (A, B, slack) and the number of pairs
+    certificate(|A+B|, v, dim V)^2 >= v^2|A||B| leaves unproved, by brute
+    force: the first minimum of |A+B+V|^2 - v^2|A||B| over all pairs."""
     scan, ctx, pairs = window(dims)
     U = PointSet.of(ctx, V)
     v = len(U)
+    dim = dimension(U)
     size_of = {}
     best = None
     unproved = 0
@@ -49,7 +56,7 @@ def oracle(dims, V):
         slack = size_of[AB.points] ** 2 - v * v * ab
         if best is None or slack < best[0]:
             best = (slack, scan.sets[i], scan.sets[j])
-        unproved += v > 1 and (len(AB) + v - 1) ** 2 < v * v * ab
+        unproved += v > 1 and certificate(len(AB), v, dim) ** 2 < v * v * ab
     holds = best[0] >= 0
     return holds, None if holds else (best[1], best[2], best[0]), unproved
 
@@ -64,16 +71,22 @@ def decode(dims, lo, hi):
 
 @pytest.mark.parametrize("dims", sorted(WINDOWS), ids=str)
 def test_build_matches_brute_force(dims):
-    # survivors are the pairs, i-major, the certificate leaves unproved at
-    # some v in [2, max_v]; each keeps |A+B| and the words of A+B
+    # survivors are the pairs, i-major, the collinear certificate leaves
+    # unproved at some v in [2, max_v]; each keeps |A+B|, the words of A+B
+    # and a flag per (v, dim) class whose certificate fails, for dim <= d
     scan, _, pairs = window(dims)
     unsafe = [
-        (i, j, AB) for i, j, ab, AB in pairs
+        (i, j, ab, AB) for i, j, ab, AB in pairs
         if any((len(AB) + v - 1) ** 2 < v * v * ab for v in range(2, scan.max_v + 1))
     ]
-    assert list(zip(scan.surv_i.tolist(), scan.surv_j.tolist())) == [(i, j) for i, j, _ in unsafe]
-    assert scan.surv_pop.tolist() == [len(AB) for _, _, AB in unsafe]
-    for k, (_, _, AB) in enumerate(unsafe):
+    assert list(zip(scan.surv_i.tolist(), scan.surv_j.tolist())) == [(i, j) for i, j, _, _ in unsafe]
+    assert scan.surv_pop.tolist() == [len(AB) for _, _, _, AB in unsafe]
+    assert scan.surv_flags.tolist() == [
+        sum(1 << bit for bit, (v, dim) in enumerate(bitscan.CLASSES)
+            if dim <= len(dims) and certificate(len(AB), v, dim) ** 2 < v * v * ab)
+        for _, _, ab, AB in unsafe
+    ]
+    for k, (_, _, _, AB) in enumerate(unsafe):
         assert decode(dims, scan.surv_lo[k], scan.surv_hi[k]) == set(AB.points)
 
 
@@ -137,7 +150,8 @@ def test_counterexample_is_first_minimum(ce_first):
     twin = dataclasses.replace(
         scan,
         surv_i=scan.surv_i[labels], surv_j=scan.surv_j[labels],
-        **{f: getattr(scan, f)[[k, k]] for f in ("surv_pop", "surv_ab", "surv_lo", "surv_hi")},
+        **{f: getattr(scan, f)[[k, k]]
+           for f in ("surv_pop", "surv_ab", "surv_lo", "surv_hi", "surv_flags")},
     )
     res = bitscan.verify_subset_beta(twin, V)
     first = labels[0]
@@ -150,16 +164,61 @@ def test_counterexample_is_first_minimum(ce_first):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def scan_5x4():
+    return bitscan.build_scan((5, 4), 4)
+
+
 def test_recheck_streams_rows():
-    # the square rechecks all 228,851 survivors of the 5x4 scan; built one
-    # output row at a time the peak was 14.2 MB, against 35-40 MB when every
-    # row of A+B and of A+B+V is held at once
-    scan = bitscan.build_scan((5, 4), 4)
+    # the collinear {0,..,3} x {0} rechecks all 228,851 survivors of the 5x4
+    # scan (its certificate is the build's screen); built one output row at a
+    # time the peak was 14.0 MB, against 35-40 MB when every row of A+B and of
+    # A+B+V is held at once.  No collinear V of four points is a quasicube,
+    # and this one fails at A = B = V: |A+B+V| = 10 < 4 * 4
+    scan = scan_5x4()
     tracemalloc.start()
     try:
-        res = bitscan.verify_subset_beta(scan, [(0, 0), (1, 0), (0, 1), (1, 1)])
+        res = bitscan.verify_subset_beta(scan, [(0, 0), (1, 0), (2, 0), (3, 0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res["holds"] and res["checked_pairs"] == len(scan.surv_i) == 228851
-    assert peak < 20 * 2**20
+    assert not res["holds"] and res["checked_pairs"] == len(scan.surv_i) == 228851
+    assert peak < 20 * 2**20, peak
+
+
+def test_square_recheck_count():
+    # of the 3,206,778 pairs of the 5x4 window, Ruzsa's bound leaves 5,175
+    # unproved for the unit square (the collinear bound leaves all 228,851
+    # survivors), as a brute force with `certificate` over every pair counts
+    res = bitscan.verify_subset_beta(scan_5x4(), [(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert res["holds"] and res["checked_pairs"] == 5175
+
+
+@st.composite
+def certificate_cases(draw):
+    # X in Z^2 with |X| <= 12, V of 1-4 points: collinear V along a drawn
+    # direction, any V (mostly 2-D), or X and V in Z
+    kind = draw(st.sampled_from(["line", "plane", "z"]))
+    coord = st.integers(-4, 4)
+    if kind == "z":
+        X = draw(st.lists(st.tuples(coord), min_size=1, max_size=12, unique=True))
+        V = draw(st.lists(st.tuples(coord), min_size=1, max_size=4, unique=True))
+        return GroupContext(1), X, V
+    X = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12, unique=True))
+    if kind == "line":
+        step = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)]))
+        ts = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+        V = [(t * step[0], t * step[1]) for t in ts]
+    else:
+        V = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4, unique=True))
+    return GroupContext(2), X, V
+
+
+@given(certificate_cases())
+@example((GroupContext(2), [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (0, 1), (1, 1)]))
+@example((GroupContext(2), [(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 0), (1, 0), (0, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_certified_size_is_a_lower_bound(case):
+    ctx, X, V = case
+    X, V = PointSet.of(ctx, X), PointSet.of(ctx, V)
+    assert len(sumset(X, V)) >= bitscan.certified_size(len(X), len(V), dimension(V))

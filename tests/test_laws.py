@@ -7,6 +7,7 @@ import pytest
 from sumsetlab.groups import GroupContext, Homomorphism, PointSet
 from sumsetlab.laws import (
     InstanceRejected,
+    check_beta_is_gamma,
     check_bm_corollary,
     check_compression_shrinks,
     check_freiman,
@@ -177,6 +178,13 @@ class TestIndependence:
         for m in (1, 2, 3):
             v = check_independence_beta(ps(Z1, [(0,), (1,)]), m, cfg)
             assert v.holds and v.margin == 0
+
+
+class TestBetaIsGamma:
+    def test_float_p_rejected(self):
+        # a float p reaches SearchConfig as given, not as its exact Fraction
+        with pytest.raises(ValueError, match="1.3"):
+            check_beta_is_gamma(ps(Z1, [(0,), (1,)]), 1.3, SearchConfig(box=((0, 1),), max_cardinality=2))
 
 
 class TestFreiman:

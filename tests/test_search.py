@@ -141,6 +141,16 @@ class TestBetaEstimate:
         with pytest.raises(ValueError, match="SUMSETLAB_NODE_CEILING"):
             SearchConfig(box=((0, 1),), max_cardinality=1)
 
+    def test_float_p_rejected(self):
+        # Fraction(1.3) is 5854679515581645/4503599627370496: compare_ratios
+        # would raise numerators to that power
+        with pytest.raises(ValueError, match="1.3"):
+            SearchConfig(box=((0, 1),), max_cardinality=1, p=1.3)
+
+    def test_int_p_accepted(self):
+        cfg = SearchConfig(box=((0, 1),), max_cardinality=1, p=2)
+        assert cfg.echo()["p"] == "2/1"
+
     @pytest.mark.parametrize("ceiling", [0, -1])
     def test_node_ceiling_below_one_rejected(self, ceiling):
         with pytest.raises(ValueError, match="node_ceiling"):
