@@ -22,24 +22,27 @@ by direct computation, so the scan stays exact.
 
 The build's screen uses the collinear bound at v = MAX_V, the weakest
 certificate of any V the scan serves, so one set of survivors serves every
-V.  It then marks, per survivor, the (v, dim) classes whose certificate
-fails (`CLASSES`, one bit each of a uint8), and a V rechecks only the
-survivors flagged for its class.
+V.  It then lists, once per (v, dim) class of `CLASSES`, the survivors whose
+certificate for that class fails, and a V rechecks only its class's list.
 
 Grid packing: point (x, y) of the box maps to bit y*stride + x with stride
 2*w-1 (w the box width), so all sums A+B stay in distinct rows; A fits one
 uint64 word and A+B fits two; the recheck builds each row of A+B+V in one.
 
-The build is one sequential pass over i.  Row i forms A_i+B for every later
-set B at once, as the union of B's words shifted by each point offset s of
-A_i: the low word ORs B << s, the high word B >> (64-s) for s > 0.  The
-pairs it records, and so every verdict, depend only on the box and the
-cardinality.
+The build is one sequential pass over blocks of consecutive rows i0 <= i < i1,
+sized so that a block holds about _BLOCK_CELLS pairs.  A block forms A_i+B_j
+for all its rows and every j >= i0 in one numpy call per point of A: the low
+word ORs B << s, the high word B >> (64-s), over the offsets s of A_i's
+points (sets with fewer points repeat their first).  Cells below the
+diagonal (j < i) are real sumsets too, so the Cauchy-Davenport check covers
+the whole block, and only their screen hits are dropped.  The pairs it
+records, and so every verdict, depend only on the box and the cardinality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -50,9 +53,10 @@ from .search import canonical_subsets
 Pt = tuple[int, ...]
 
 MAX_V = 4  # the largest |V| the certificate of build_scan covers
-# the (|V|, dim V) classes a survivor's flags cover, bit k for CLASSES[k];
-# a V of one point is always certified, and two points are collinear
+# the (|V|, dim V) classes a scan lists failing survivors for; a V of one
+# point is always certified, and two points are collinear
 CLASSES = tuple((v, k) for v in range(2, MAX_V + 1) for k in (1, 2) if k < v)
+_BLOCK_CELLS = 1 << 16  # about this many (i, j) cells per numpy call of the build
 
 
 def certified_size(s, v: int, dim: int):
@@ -76,8 +80,15 @@ class ExhaustiveBetaScan:
     surv_ab: np.ndarray
     surv_lo: np.ndarray  # bits 0-63 of the packed A+B of each surviving pair
     surv_hi: np.ndarray  # bits 64-127
-    surv_flags: np.ndarray  # uint8, bit k set where the certificate of CLASSES[k] fails
+    # the survivors, ascending, whose certificate for CLASSES[k] fails are
+    # class_rows[class_bounds[k]:class_bounds[k + 1]] (`flagged(k)`)
+    class_rows: np.ndarray
+    class_bounds: np.ndarray
     pair_count: int
+
+    def flagged(self, k: int) -> np.ndarray:
+        """Indices of the survivors whose certificate for CLASSES[k] fails."""
+        return self.class_rows[self.class_bounds[k]:self.class_bounds[k + 1]]
 
 
 def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]:
@@ -89,9 +100,10 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
 
 
 def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
-    """One popcount pass over all canonical unordered pairs, recording the
-    pairs the integer certificate cannot clear for some V with |V| <= MAX_V,
-    with per-survivor flags naming the (|V|, dim V) classes it fails for.
+    """One popcount pass over all canonical unordered pairs, block by block
+    of rows, recording i-major the pairs the integer certificate cannot
+    clear for some V with |V| <= MAX_V, and then, per (|V|, dim V) class of
+    CLASSES, the survivors it fails for (`ExhaustiveBetaScan.flagged`).
 
     The screen tests the collinear bound s+v-1 at v = MAX_V.  It fails at v
     iff s-1 < v(sqrt(ab)-1), whose right side never decreases in v, so it
@@ -117,37 +129,60 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     sizes = np.array([len(s) for s in sets], dtype=np.int64)
     masks = np.array([sum(1 << idx(p) for p in s) for s in sets], dtype=np.uint64)
 
-    # (i, j, |A+B|, low word, high word) of the survivors, one tuple per i;
-    # the empty first tuple fixes the dtypes
-    found = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=np.uint64),) * 2]
-    for i in range(n):
-        a_size = int(sizes[i])
-        b = masks[i:]
-        lo = np.zeros(n - i, dtype=np.uint64)
-        hi = np.zeros(n - i, dtype=np.uint64)
-        for p in sets[i]:
-            s = idx(p)
-            lo |= b << np.uint64(s)
-            if s:
-                hi |= b >> np.uint64(64 - s)
-        pop = np.bitwise_count(lo).astype(np.int64) + np.bitwise_count(hi).astype(np.int64)
-        ab = a_size * sizes[i:]
-        assert np.all(pop >= a_size + sizes[i:] - 1)
-        jj = np.nonzero((pop + MAX_V - 1) ** 2 < MAX_V**2 * ab)[0]
-        if len(jj):
-            found.append((np.full(len(jj), i, dtype=np.int64), jj + i, pop[jj], lo[jj], hi[jj]))
+    # each set's bit offsets, padded to one width with its first offset
+    # (OR-ing the same shifted word twice changes nothing)
+    width = int(sizes.max())
+    shifts = np.array([[idx(p) for p in s] + [idx(s[0])] * (width - len(s)) for s in sets],
+                      dtype=np.uint64)
+    # The screen fails iff (|A+B| + MAX_V - 1)^2 < MAX_V^2 |A||B|, that is iff
+    # |A+B| < ceil(MAX_V sqrt(|A||B|)) - MAX_V + 1 =: lim[|A| - 1, j] for B =
+    # sets[j] (exact integer roots).  |A+B| <= 128 and |A|, |B| <= 64, so the
+    # counts, limits and Cauchy-Davenport bounds below all fit uint8.
+    by_size = [[max(0, isqrt(MAX_V**2 * a * b - 1) + 2 - MAX_V) for b in range(1, width + 1)]
+               for a in range(1, width + 1)]
+    lim = np.array(by_size, dtype=np.uint8)[:, sizes - 1]
+    sizes8 = sizes.astype(np.uint8)
+
+    # (i, j, |A+B|, low word, high word) of the survivors, one tuple per
+    # block of rows i0 <= i < i1, each row paired with every j >= i0
+    found = []
+    i0 = 0
+    while i0 < n:
+        cols = n - i0
+        i1 = min(n, i0 + max(1, _BLOCK_CELLS // cols))
+        b = masks[i0:]
+        lo = np.zeros((i1 - i0, cols), dtype=np.uint64)
+        hi = np.zeros_like(lo)
+        for s in shifts[i0:i1].T:
+            s = s[:, None]
+            lo |= b << s
+            hi |= b >> (np.uint64(64) - s)  # numpy shifts by 64 to 0, so s = 0 adds nothing
+        pop = np.bitwise_count(lo)
+        pop += np.bitwise_count(hi)
+        # every cell is a real sumset A_i + B_j, below the diagonal too
+        if not np.all(pop >= sizes8[i0:i1, None] + sizes8[i0:] - 1):
+            raise AssertionError(f"a sumset of rows {i0}-{i1 - 1} breaks Cauchy-Davenport")
+        k = np.flatnonzero(pop < lim[sizes[i0:i1] - 1, i0:])
+        r, c = np.divmod(k, cols)
+        keep = c >= r  # j >= i; row-major order keeps the survivors i-major
+        k = k[keep]
+        found.append((r[keep] + i0, c[keep] + i0, pop.ravel()[k].astype(np.int64),
+                      lo.ravel()[k], hi.ravel()[k]))
+        i0 = i1
 
     surv_i, surv_j, surv_pop, surv_lo, surv_hi = map(np.concatenate, zip(*found))
+    del found
     surv_ab = sizes[surv_i] * sizes[surv_j]
-    surv_flags = np.zeros(len(surv_i), dtype=np.uint8)
-    for bit, (v, k) in enumerate(CLASSES):
-        if k <= d:
-            fails = certified_size(surv_pop, v, k) ** 2 < v * v * surv_ab
-            surv_flags |= fails.astype(np.uint8) << np.uint8(bit)
+    rows = [
+        np.flatnonzero(certified_size(surv_pop, v, k) ** 2 < v * v * surv_ab)
+        if k <= d else np.zeros(0, dtype=np.intp)
+        for v, k in CLASSES
+    ]
+    class_bounds = np.cumsum([0] + [len(r) for r in rows])
     pair_count = n * (n + 1) // 2
     return ExhaustiveBetaScan(
         dims, MAX_V, sets, surv_i, surv_j, surv_pop, surv_ab,
-        surv_lo, surv_hi, surv_flags, pair_count,
+        surv_lo, surv_hi, np.concatenate(rows), class_bounds, pair_count,
     )
 
 
@@ -158,9 +193,9 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     V must be translated to nonnegative coordinates with min 0 per axis.
     The result holds `holds`, `counterexample` (None, or the A, B and V of
     the first minimum with its slack |A+B+V|^2 - |V|^2 |A||B|), `pair_count`
-    and `checked_pairs`, the survivors rechecked for this V: those whose
-    flag for V's (|V|, dim V) class says its certificate (collinear, or
-    Ruzsa's for 2-D V) fails.
+    and `checked_pairs`, the survivors rechecked for this V: those the
+    build listed for V's (|V|, dim V) class, where its certificate
+    (collinear, or Ruzsa's for 2-D V) fails.
     """
     d = len(scan.dims)
     vpts = sorted({tuple(p) for p in v_points})
@@ -178,8 +213,7 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     # survivors whose certificate fails for V's class (none at v = 1, where
     # s >= a+b-1 >= sqrt(ab))
     dim_v = dimension(PointSet.of(GroupContext(d), vpts))
-    bit = 1 << CLASSES.index((v, dim_v)) if v > 1 else 0
-    cand = np.nonzero(scan.surv_flags & np.uint8(bit))[0]
+    cand = scan.flagged(CLASSES.index((v, dim_v))) if v > 1 else np.zeros(0, dtype=np.intp)
     result = {
         "pair_count": scan.pair_count,
         "holds": True,

@@ -266,7 +266,9 @@ def scan_log_span(
             A = PointSet.of(ctx, report.witness_a)
             B = PointSet.of(ctx, report.witness_b)
             n = len(sumset(sumset(A, B), V))
-            assert Fraction(n * n, len(A) * len(B)) == report.value_exact
+            if Fraction(n * n, len(A) * len(B)) != report.value_exact:
+                raise AssertionError(f"witness of V = {pts} replays to {n}^2/{len(A) * len(B)}, "
+                                     f"not {report.value_exact}")
             state.counterexample = {
                 **record,
                 "A": [list(p) for p in report.witness_a],

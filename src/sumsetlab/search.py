@@ -43,6 +43,7 @@ NODE_CEILING_ENV = "SUMSETLAB_NODE_CEILING"
 VARIANTS = ("unrestricted", "isometric", "isomeric")
 STRATEGIES = ("exhaustive", "hill_climb", "geometric_family")
 HILL_CLIMB_RESTARTS = 20
+MAX_P_TERM = 1000  # the largest numerator or denominator of p a scan accepts
 
 
 def node_ceiling_default() -> int:
@@ -78,8 +79,11 @@ class SearchConfig:
             raise ValueError("box intervals must be nonempty")
         if isinstance(self.p, float):  # its exact Fraction has a 2^k denominator
             raise ValueError(f"p must be an int or a Fraction, not the float {self.p!r}")
-        if Fraction(self.p) <= 1:
+        p = Fraction(self.p)
+        if p <= 1:
             raise ValueError("p must exceed 1")
+        if max(p.numerator, p.denominator) > MAX_P_TERM:  # compare_ratios raises to p.numerator
+            raise ValueError(f"p = {self.p} has a numerator or denominator above {MAX_P_TERM}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.strategy not in STRATEGIES:

@@ -4,8 +4,13 @@ oracle."""
 import dataclasses
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -72,8 +77,9 @@ def decode(dims, lo, hi):
 @pytest.mark.parametrize("dims", sorted(WINDOWS), ids=str)
 def test_build_matches_brute_force(dims):
     # survivors are the pairs, i-major, the collinear certificate leaves
-    # unproved at some v in [2, max_v]; each keeps |A+B|, the words of A+B
-    # and a flag per (v, dim) class whose certificate fails, for dim <= d
+    # unproved at some v in [2, max_v]; each keeps |A+B| and the words of
+    # A+B, and each (v, dim) class lists, ascending, the survivors whose
+    # certificate fails, for dim <= d
     scan, _, pairs = window(dims)
     unsafe = [
         (i, j, ab, AB) for i, j, ab, AB in pairs
@@ -81,13 +87,58 @@ def test_build_matches_brute_force(dims):
     ]
     assert list(zip(scan.surv_i.tolist(), scan.surv_j.tolist())) == [(i, j) for i, j, _, _ in unsafe]
     assert scan.surv_pop.tolist() == [len(AB) for _, _, _, AB in unsafe]
-    assert scan.surv_flags.tolist() == [
-        sum(1 << bit for bit, (v, dim) in enumerate(bitscan.CLASSES)
-            if dim <= len(dims) and certificate(len(AB), v, dim) ** 2 < v * v * ab)
-        for _, _, ab, AB in unsafe
-    ]
+    for c, (v, dim) in enumerate(bitscan.CLASSES):
+        assert scan.flagged(c).tolist() == [
+            k for k, (_, _, ab, AB) in enumerate(unsafe)
+            if dim <= len(dims) and certificate(len(AB), v, dim) ** 2 < v * v * ab
+        ]
     for k, (_, _, _, AB) in enumerate(unsafe):
         assert decode(dims, scan.surv_lo[k], scan.surv_hi[k]) == set(AB.points)
+
+
+SCAN_FIELDS = ("surv_i", "surv_j", "surv_pop", "surv_ab", "surv_lo", "surv_hi",
+               "class_rows", "class_bounds")
+
+
+@pytest.mark.parametrize("cells", [1, 37, 4099])
+@pytest.mark.parametrize("dims", sorted(WINDOWS) + [(5, 4)], ids=str)
+def test_block_height_changes_nothing(monkeypatch, dims, cells):
+    # one row per block (cells = 1), and blocks of one to many rows whose
+    # boundaries fall elsewhere than the default's (37, 4099), give the
+    # default build's arrays; (3, 7) and (2, 12) hold sums that straddle the
+    # two words
+    card = WINDOWS.get(dims, 4)
+    default = scan_5x4() if dims == (5, 4) else window(dims)[0]
+    monkeypatch.setattr(bitscan, "_BLOCK_CELLS", cells)
+    scan = bitscan.build_scan(dims, card)
+    for f in SCAN_FIELDS:
+        got, want = getattr(scan, f), getattr(default, f)
+        assert got.dtype == want.dtype and np.array_equal(got, want), f
+
+
+# anchored_subsets patched to hand the build a "set" {0, 0} of size 2 whose
+# mask holds one bit, so |A+A| = 1 < 2 + 2 - 1
+BROKEN_SETS = """
+import sys
+from sumsetlab import bitscan
+
+bitscan.anchored_subsets = lambda dims, card: [((0,), (0,))]
+try:
+    bitscan.build_scan((5,), 4)
+except AssertionError as err:
+    print(sys.flags.optimize, err)
+"""
+
+
+def test_cauchy_davenport_check_runs_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_SETS],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Cauchy-Davenport" in done.stdout and done.stdout.startswith("1 "), done.stdout
 
 
 @st.composite
@@ -147,11 +198,15 @@ def test_counterexample_is_first_minimum(ce_first):
              if (scan.sets[scan.surv_i[k]], scan.sets[scan.surv_j[k]]) == (ce["A"], ce["B"]))
     other = 0 if k else 1
     labels = [k, other] if ce_first else [other, k]
+    # each class lists both twins or neither, as it lists survivor k or not
+    rows = [np.flatnonzero(np.isin([k, k], scan.flagged(c))) for c in range(len(bitscan.CLASSES))]
     twin = dataclasses.replace(
         scan,
         surv_i=scan.surv_i[labels], surv_j=scan.surv_j[labels],
         **{f: getattr(scan, f)[[k, k]]
-           for f in ("surv_pop", "surv_ab", "surv_lo", "surv_hi", "surv_flags")},
+           for f in ("surv_pop", "surv_ab", "surv_lo", "surv_hi")},
+        class_rows=np.concatenate(rows),
+        class_bounds=np.cumsum([0] + [len(r) for r in rows]),
     )
     res = bitscan.verify_subset_beta(twin, V)
     first = labels[0]

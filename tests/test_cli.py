@@ -195,6 +195,8 @@ class TestQuasicubeCommand:
     ["compress", "--set", "NOT_UTF8", "--coord", "0"],
     ["estimate", "alpha", "--set", "U01", "--box", "0..1", "--max-card", "2",
      "--strategy", "hill_climb"],
+    ["estimate", "beta", "--set", "U01", "--box", "0..1", "--max-card", "2",
+     "--p", "1001/1000"],
     ["two-point", "--delta", "0.5", "--r-max", "-1"],
     ["conjecture", "scan", "--id", "log_span", "--box", "0..2", "--max-size", "0"],
     ["conjecture", "scan", "--id", "log_span", "--box", "0..2", "--max-size", "-4"],

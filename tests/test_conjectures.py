@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -262,3 +266,31 @@ class TestMatroid:
         V = PointSet.of(ctx2, [(0, 0), (0, 0)])  # degenerate target
         with pytest.raises(ValueError):
             MatroidMap(U, V, ((0, 0), (1, 1)))  # sizes differ after dedup
+
+
+# beta_estimate patched to report a ratio below |V|^2 that its witness does
+# not replay to: the scan must refuse to write the disproof
+FORGED_REPORT = """
+import dataclasses, sys
+from fractions import Fraction
+from sumsetlab import conjectures
+from sumsetlab.search import SearchConfig
+
+real = conjectures.beta_estimate
+conjectures.beta_estimate = lambda V, cfg: dataclasses.replace(real(V, cfg), value_exact=Fraction(1, 2))
+try:
+    conjectures.scan_log_span(1, 3, 3, SearchConfig(box=((-2, 3),), max_cardinality=3))
+except AssertionError as err:
+    print(sys.flags.optimize, err)
+"""
+
+
+def test_witness_replay_runs_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_REPORT],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("1 witness of V = "), done.stdout

@@ -14,6 +14,7 @@ from sumsetlab.laws import (
     check_independence_beta,
     check_petridis_instance,
     check_plunnecke,
+    check_prekopa_discrete,
     check_quasicube_beta,
     check_trivial_lower_bounds,
     check_two_point,
@@ -185,6 +186,14 @@ class TestBetaIsGamma:
         # a float p reaches SearchConfig as given, not as its exact Fraction
         with pytest.raises(ValueError, match="1.3"):
             check_beta_is_gamma(ps(Z1, [(0,), (1,)]), 1.3, SearchConfig(box=((0, 1),), max_cardinality=2))
+
+
+class TestPrekopaDiscrete:
+    def test_irrational_p_rejected_before_the_scan(self):
+        # 2**0.5 limited to denominator 10^6 is 665857/470832: SearchConfig
+        # refuses it before any comparison raises to 665857
+        with pytest.raises(ValueError, match="numerator or denominator"):
+            check_prekopa_discrete(ps(Z1, [(0,), (1,)]), 2**0.5, SearchConfig(box=((0, 3),), max_cardinality=3))
 
 
 class TestFreiman:

@@ -147,6 +147,15 @@ class TestBetaEstimate:
         with pytest.raises(ValueError, match="1.3"):
             SearchConfig(box=((0, 1),), max_cardinality=1, p=1.3)
 
+    def test_p_with_large_terms_rejected(self):
+        # exactly Fraction(1.3): a comparison would raise to its numerator
+        p = Fraction(5854679515581645, 4503599627370496)
+        with pytest.raises(ValueError, match=str(p)):
+            SearchConfig(box=((0, 1),), max_cardinality=1, p=p)
+        with pytest.raises(ValueError, match="1001/1000"):
+            SearchConfig(box=((0, 1),), max_cardinality=1, p=Fraction(1001, 1000))
+        SearchConfig(box=((0, 1),), max_cardinality=1, p=Fraction(1000, 999))
+
     def test_int_p_accepted(self):
         cfg = SearchConfig(box=((0, 1),), max_cardinality=1, p=2)
         assert cfg.echo()["p"] == "2/1"
