@@ -24,6 +24,8 @@ The build's screen uses the collinear bound at v = MAX_V, the weakest
 certificate of any V the scan serves, so one set of survivors serves every
 V.  It then lists, once per (v, dim) class of `CLASSES`, the survivors whose
 certificate for that class fails, and a V rechecks only its class's list.
+The class (MAX_V, 1) fails for every survivor, since its certificate is the
+screen, so its list is not stored.
 
 Grid packing: point (x, y) of the box maps to bit y*stride + x with stride
 2*w-1 (w the box width), so all sums A+B stay in distinct rows; A fits one
@@ -56,6 +58,7 @@ MAX_V = 4  # the largest |V| the certificate of build_scan covers
 # the (|V|, dim V) classes a scan lists failing survivors for; a V of one
 # point is always certified, and two points are collinear
 CLASSES = tuple((v, k) for v in range(2, MAX_V + 1) for k in (1, 2) if k < v)
+SCREEN_CLASS = CLASSES.index((MAX_V, 1))  # the class whose certificate build_scan screens with
 _BLOCK_CELLS = 1 << 16  # about this many (i, j) cells per numpy call of the build
 
 
@@ -81,13 +84,17 @@ class ExhaustiveBetaScan:
     surv_lo: np.ndarray  # bits 0-63 of the packed A+B of each surviving pair
     surv_hi: np.ndarray  # bits 64-127
     # the survivors, ascending, whose certificate for CLASSES[k] fails are
-    # class_rows[class_bounds[k]:class_bounds[k + 1]] (`flagged(k)`)
+    # class_rows[class_bounds[k]:class_bounds[k + 1]] (`flagged(k)`), except
+    # for SCREEN_CLASS, whose certificate is the build's screen: it fails for
+    # every survivor, so that class is not stored
     class_rows: np.ndarray
     class_bounds: np.ndarray
     pair_count: int
 
     def flagged(self, k: int) -> np.ndarray:
         """Indices of the survivors whose certificate for CLASSES[k] fails."""
+        if k == SCREEN_CLASS:
+            return np.arange(len(self.surv_i))
         return self.class_rows[self.class_bounds[k]:self.class_bounds[k + 1]]
 
 
@@ -175,8 +182,8 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     surv_ab = sizes[surv_i] * sizes[surv_j]
     rows = [
         np.flatnonzero(certified_size(surv_pop, v, k) ** 2 < v * v * surv_ab)
-        if k <= d else np.zeros(0, dtype=np.intp)
-        for v, k in CLASSES
+        if k <= d and c != SCREEN_CLASS else np.zeros(0, dtype=np.intp)
+        for c, (v, k) in enumerate(CLASSES)
     ]
     class_bounds = np.cumsum([0] + [len(r) for r in rows])
     pair_count = n * (n + 1) // 2

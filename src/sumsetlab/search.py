@@ -523,6 +523,94 @@ def fixed_support_gamma(
     return evaluate
 
 
+_BRENT_XATOL = 1e-5  # SciPy's defaults for minimize_scalar(method="bounded")
+_BRENT_MAXITER = 500
+
+
+def _bounded_minimum(func: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """(x, func(x)) where Brent's bounded minimization of func on [lo, hi]
+    stops (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5): golden-section steps, parabolic where a parabola through
+    the last three points is acceptable.
+
+    A line-for-line port of SciPy's bounded method (_minimize_scalar_bounded)
+    at its defaults, in the same float operations in the same order, so it
+    calls func at the same x's in the same order and returns the same pair
+    as minimize_scalar(func, bounds=(lo, hi), method="bounded")."""
+
+    def sign(r: float) -> float:  # numpy's sign(r) + (r == 0): 1 at 0, NaN at NaN
+        return 1.0 if r >= 0 else -1.0 if r < 0 else math.nan
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # inf values of func make these terms NaN, and NaN fails every test
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * sign(xm - xf)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        step = abs(rat)
+        if not (step >= tol1 or step != step):  # numpy's maximum: NaN if either is
+            step = tol1
+        x = xf + sign(rat) * step
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXITER:
+            break
+    return xf, fx
+
+
 def refine_weights_coordinate_descent(
     f: WeightedFunction,
     support_g: Sequence[Vec],
@@ -539,9 +627,10 @@ def refine_weights_coordinate_descent(
     The sumset structure of the supports is built once per descent
     (fixed_support_gamma), and each evaluation is bit-identical to
     gamma_ratio on the functions the weights define, so the descent takes
-    the same path as one that rebuilds them on every call."""
-    from scipy.optimize import minimize_scalar
-
+    the same path as one that rebuilds them on every call.  Each
+    single-weight step is Brent's bounded minimization on [0, 4]
+    (_bounded_minimum, bit-identical to SciPy's), so the descent needs
+    numpy only."""
     evaluate = fixed_support_gamma(f, support_g, support_h, p)
     gw = [float(x) for x in (init_g if init_g is not None else [1.0] * len(support_g))]
     hw = [float(x) for x in (init_h if init_h is not None else [1.0] * len(support_h))]
@@ -557,10 +646,10 @@ def refine_weights_coordinate_descent(
                     ws[idx] = max(x, 0.0)
                     return evaluate(gw, hw)
 
-                res = minimize_scalar(one, bounds=(0.0, 4.0), method="bounded")
-                if res.fun < cur:
-                    ws[idx] = max(float(res.x), 0.0)
-                    cur = float(res.fun)
+                x, fun = _bounded_minimum(one, 0.0, 4.0)
+                if fun < cur:
+                    ws[idx] = max(x, 0.0)
+                    cur = fun
                 else:
                     ws[idx] = saved
         if start - cur < 1e-10 * max(abs(start), 1.0):

@@ -241,6 +241,16 @@ def test_recheck_streams_rows():
     assert peak < 20 * 2**20, peak
 
 
+def test_screen_class_is_not_stored():
+    # (MAX_V, 1)'s certificate is the build's screen, so its class is every
+    # survivor; the scan keeps no list for it (1.75 MB of int64 on 5x4)
+    scan = scan_5x4()
+    k = bitscan.SCREEN_CLASS
+    assert bitscan.CLASSES[k] == (bitscan.MAX_V, 1)
+    assert scan.class_bounds[k + 1] == scan.class_bounds[k]
+    assert np.array_equal(scan.flagged(k), np.arange(len(scan.surv_i)))
+
+
 def test_square_recheck_count():
     # of the 3,206,778 pairs of the 5x4 window, Ruzsa's bound leaves 5,175
     # unproved for the unit square (the collinear bound leaves all 228,851

@@ -3,9 +3,14 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +20,7 @@ from sumsetlab.functional import WeightedFunction, gamma_ratio, l1_norm, max_con
 from sumsetlab.groups import GroupContext, PointSet, sumset
 from sumsetlab.search import (
     SearchConfig,
+    _bounded_minimum,
     alpha_estimate,
     beta_estimate,
     box_points,
@@ -604,3 +610,80 @@ def test_descent_matches_rebuild_on_gamma_witness():
     refined = refine_weights_coordinate_descent(f, w.witness_a, w.witness_b, cfg.p)
     assert refined == descent_by_rebuild(f, w.witness_a, w.witness_b, cfg.p)
     assert refined == gamma_estimate(f, cfg).value_float
+
+
+def bounded_objectives():
+    """Seeded objectives on [0, 4]: smooth, kinked, inf on a sub-interval (its
+    parabola terms go NaN), plateaus, and fixed-support gamma evaluators."""
+    rng = random.Random(7)
+    objs = []
+    for _ in range(100):
+        c, s = rng.uniform(-1.0, 5.0), rng.uniform(0.1, 3.0)
+        objs += [
+            lambda x, c=c, s=s: s * (x - c) ** 2 + math.sin(3.0 * x),
+            lambda x, c=c, s=s: s * abs(x - c),
+            lambda x, c=c, s=s: math.inf if x < c else s * (x - c - 0.5) ** 2,
+            lambda x, c=c: math.inf if abs(x - c) < 1.0 else abs(x - c),
+            lambda x, s=s: float(round(s * x)),
+            lambda x, c=c, s=s: min(abs(x - c), s),  # ties where the kink is cut off
+        ]
+    f = WeightedFunction.of(Z1, [((0,), 1.0), ((1,), 0.5)])
+    supp = [(i,) for i in range(3)]
+    evaluate = fixed_support_gamma(f, supp, supp, 1.5)
+    for _ in range(20):
+        gw = [rng.uniform(0.0, 1.0) for _ in supp]
+        hw = [rng.uniform(0.0, 1.0) for _ in supp]
+        k = rng.randrange(len(supp))
+
+        def one(x, gw=gw, hw=hw, k=k):
+            return evaluate(gw[:k] + [max(x, 0.0)] + gw[k + 1:], hw)
+
+        objs.append(one)
+    return objs
+
+
+def test_bounded_minimum_matches_scipy():
+    # the port calls the objective at the same x's, in the same order, and
+    # returns the same (x, fun) as the scipy routine it ports
+    from scipy.optimize import minimize_scalar
+
+    for obj in bounded_objectives():
+        ours, theirs = [], []
+        x, fun = _bounded_minimum(lambda x: ours.append(x) or obj(x), 0.0, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in its parabola
+            res = minimize_scalar(lambda x: theirs.append(x) or obj(x),
+                                  bounds=(0.0, 4.0), method="bounded")
+        assert ours == theirs
+        assert (x, fun) == (res.x, res.fun)
+
+
+SCIPY_FREE = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from fractions import Fraction as F
+from sumsetlab import laws, search
+from sumsetlab.functional import WeightedFunction
+from sumsetlab.groups import GroupContext
+
+assert laws.check_two_point([0.5], [1.5]).holds
+f = WeightedFunction.of(GroupContext(1), [((-1,), F(1)), ((0,), F(3, 4)), ((1,), F(1, 2))])
+cfg = search.SearchConfig(box=((-1, 1),), max_cardinality=3)
+print(repr(search.gamma_estimate(f, cfg).value_float))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None))
+"""
+
+
+@pytest.mark.parametrize("scipy", ["blocked", "importable"])
+def test_descent_runs_without_scipy(scipy):
+    # blocked: the descent needs no scipy; importable: nothing imports it
+    # anyway, as a lazy import with a fallback would
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, scipy],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["1.8341996954988742", "[]"], done.stdout
