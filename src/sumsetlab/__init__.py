@@ -1,7 +1,7 @@
 """sumsetlab: exact sumset calculus, tripling estimation, and law checking
 on finitely generated commutative groups."""
 
-from .groups import GroupContext, PointSet, Homomorphism, sumset, iterated_sumset, dimension
+from .groups import GroupContext, PointSet, sumset, iterated_sumset, dimension
 from .functional import WeightedFunction, max_convolve, gamma_ratio
 from .search import SearchConfig, EstimateReport, beta_estimate, alpha_estimate, gamma_estimate
 
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupContext",
     "PointSet",
-    "Homomorphism",
     "sumset",
     "iterated_sumset",
     "dimension",

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from . import __version__
 from . import io_formats, laws
 from .conjectures import scan_doubling_tripling, scan_log_span
-from .groups import Homomorphism, compress
+from .groups import compress
 from .quasicube import format_spec, is_quasicube, make_quasicube, random_spec
 from .search import (
     SearchConfig,
@@ -176,7 +176,7 @@ def _cmd_quasicube(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_compress(args: argparse.Namespace, started: float) -> int:
     A = io_formats.parse_point_set(_read(args.set))
-    C = compress(A, Homomorphism.drop_free_coordinate(A.context, args.coord))
+    C = compress(A, args.coord)
     _write(args.out, io_formats.format_point_set(C))
     return EXIT_OK
 

@@ -8,8 +8,7 @@ single JSON file written atomically at shard boundaries, and resuming from
 it reproduces the identical report stream.
 
 A disproof record is conclusive only when it re-verifies by direct exact
-recomputation of the witness ratio; estimate reversals (matroid pairs) are
-evidence, not disproofs, since estimates bound the infima from above.
+recomputation of the witness ratio.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .groups import GroupContext, PointSet, Vec, dimension, sumset
+from .groups import GroupContext, PointSet, Vec, sumset
 from .quasicube import log_span_check
 from .search import (
     SearchConfig,
@@ -281,55 +280,6 @@ def scan_log_span(
 
     return _run_shards("log_span", d, side, max_size, cfg, check,
                        checkpoint_path, out_path, shard_size, max_shards)
-
-
-@dataclass(frozen=True)
-class MatroidMap:
-    source: PointSet
-    target: PointSet
-    pairing: tuple[tuple[int, int], ...]  # (source index, target index)
-
-    def __post_init__(self) -> None:
-        if len(self.source) != len(self.target):
-            raise ValueError("matroid map needs equal cardinalities")
-        src = [i for i, _ in self.pairing]
-        tgt = [j for _, j in self.pairing]
-        if sorted(src) != list(range(len(self.source))) or sorted(tgt) != list(
-            range(len(self.target))
-        ):
-            raise ValueError("pairing must be a bijection on indices")
-
-
-def check_matroid_pair(m: MatroidMap, cfg: SearchConfig) -> dict:
-    """If the map weakly drops dimension on every subset, compare matched
-    exhaustive tripling estimates; a strict exact reversal on complete
-    windows is evidence against the conjecture (never conclusive)."""
-    U, V = m.source, m.target
-    if len(U) > 8:
-        raise ValueError("subset dimension enumeration capped at |U| <= 8")
-    img = dict(m.pairing)
-    for r in range(1, len(U) + 1):
-        for I in itertools.combinations(range(len(U)), r):
-            sub_u = PointSet.of(U.context, [U.points[i] for i in I])
-            sub_v = PointSet.of(V.context, [V.points[img[i]] for i in I])
-            if dimension(sub_v) > dimension(sub_u):
-                return {
-                    "applicable": False,
-                    "reason": f"dimension increases on subset {list(I)}",
-                }
-    ru = beta_estimate(U, cfg)
-    rv = beta_estimate(V, cfg)
-    reversal = (
-        ru.complete and rv.complete and rv.value_exact is not None
-        and rv.value_exact > ru.value_exact
-    )
-    return {
-        "applicable": True,
-        "beta_sq_source": frac_str(ru.value_exact),
-        "beta_sq_target": frac_str(rv.value_exact),
-        "evidence_against": reversal,
-        "conclusive": False,
-    }
 
 
 def scan_doubling_tripling(

@@ -130,50 +130,6 @@ def lp_norm(f: WeightedFunction, p: Fraction | float) -> float:
     return sum(float(w) ** pf for _, w in f.entries) ** (1.0 / pf)
 
 
-def lp_norm_pth_power(f: WeightedFunction, p: int) -> Fraction:
-    """Exact sum of p-th powers of the weights (exact mode, integer p > 1)."""
-    if not f.exact:
-        raise ValueError("exact norm power needs an exact-mode function")
-    if p <= 1:
-        raise ValueError("requires integer p > 1")
-    return sum((Fraction(w) ** p for _, w in f.entries), Fraction(0))
-
-
-def level_set(f: WeightedFunction, t: Weight) -> PointSet:
-    """{x : f(x) >= t} for a positive threshold t."""
-    if t <= 0:
-        raise ValueError("threshold must be positive")
-    pts = [p for p, w in f.entries if w >= t]
-    return PointSet.of(f.context, pts)
-
-
-@dataclass(frozen=True)
-class LevelProfile:
-    """Distribution function sampled at the distinct values of f.
-
-    Thresholds strictly decrease; cardinalities (points with f >= t) strictly
-    increase along the list.
-    """
-
-    levels: tuple[tuple[Weight, int], ...]
-
-
-def distribution(f: WeightedFunction) -> LevelProfile:
-    if not f.entries:
-        raise ValueError("empty support")
-    values = sorted({w for _, w in f.entries}, reverse=True)
-    out = []
-    for t in values:
-        out.append((t, sum(1 for _, w in f.entries if w >= t)))
-    return LevelProfile(tuple(out))
-
-
-def identically_distributed(f: WeightedFunction, g: WeightedFunction) -> bool:
-    if f.exact != g.exact:
-        raise ValueError("exact and numeric modes cannot mix")
-    return distribution(f) == distribution(g)
-
-
 def holder_conjugate(p: Fraction | float) -> Fraction | float:
     if isinstance(p, Fraction):
         if p <= 1:
@@ -191,17 +147,6 @@ def gamma_ratio(
     q = holder_conjugate(p)
     num = float(l1_norm(max_convolve(max_convolve(f, g), h)))
     return num / (lp_norm(g, p) * lp_norm(h, q))
-
-
-def gamma_ratio_squared_exact(
-    f: WeightedFunction, g: WeightedFunction, h: WeightedFunction
-) -> Fraction:
-    """Exact square of the p=2 ratio: ||f*g*h||_1^2 / (sum g^2 * sum h^2)."""
-    for fn in (f, g, h):
-        if not fn.exact:
-            raise ValueError("exact ratio needs exact-mode functions")
-    num = Fraction(l1_norm(max_convolve(max_convolve(f, g), h)))
-    return num * num / (lp_norm_pth_power(g, 2) * lp_norm_pth_power(h, 2))
 
 
 # --- rearrangements on Z ---------------------------------------------------

@@ -27,7 +27,6 @@ from .functional import (
 )
 from .groups import (
     GroupContext,
-    Homomorphism,
     PointSet,
     Vec,
     compress,
@@ -237,10 +236,10 @@ def check_plunnecke(X: PointSet, Y: PointSet, k: int) -> Verdict:
     )
 
 
-def check_compression_shrinks(A: PointSet, B: PointSet, h: Homomorphism) -> Verdict:
+def check_compression_shrinks(A: PointSet, B: PointSet, coord: int) -> Verdict:
     """C(A)+C(B) is contained in C(A+B), and |C(A)| = |A|."""
-    CA, CB = compress(A, h), compress(B, h)
-    CAB = compress(sumset(A, B), h)
+    CA, CB = compress(A, coord), compress(B, coord)
+    CAB = compress(sumset(A, B), coord)
     lhs = sumset(CA, CB)
     holds = lhs.is_subset(CAB) and len(CA) == len(A) and len(CB) == len(B)
     return Verdict(
@@ -577,8 +576,7 @@ def suite_compression(seed: int = 0) -> list[Verdict]:
     for i in range(500):
         A = _random_set(rng, ctx, 4, rng.randint(1, 6))
         B = _random_set(rng, ctx, 4, rng.randint(1, 6))
-        h = Homomorphism.drop_free_coordinate(ctx, i % 2)
-        v = check_compression_shrinks(A, B, h)
+        v = check_compression_shrinks(A, B, i % 2)
         out.append(replace(v, inputs={**v.inputs, "instance": i, "axis": i % 2}))
     return out
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -224,43 +223,3 @@ def format_spec(spec: QuasicubeSpec) -> str:
         str(x) for x in spec.shift
     ) + "])"
 
-
-_TOKEN = re.compile(r"[()\[\]]|-?\d+")
-
-
-def parse_spec(text: str) -> QuasicubeSpec:
-    tokens = _TOKEN.findall(text)
-    pos = 0
-
-    def take(expect: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("truncated quasicube spec")
-        tok = tokens[pos]
-        pos += 1
-        if expect is not None and tok != expect:
-            raise ValueError(f"expected {expect!r}, got {tok!r}")
-        return tok
-
-    def parse_vec() -> Vec:
-        take("[")
-        out = []
-        while tokens[pos] != "]":
-            out.append(int(take()))
-        take("]")
-        return tuple(out)
-
-    def parse_node() -> QuasicubeSpec:
-        if tokens[pos] == "[":
-            return Leaf(parse_vec())
-        take("(")
-        left = parse_node()
-        right = parse_node()
-        shift = parse_vec()
-        take(")")
-        return Node(left, right, shift)
-
-    spec = parse_node()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in quasicube spec")
-    return spec

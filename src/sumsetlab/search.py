@@ -753,14 +753,6 @@ def two_point_constant(delta: float, p: float) -> float:
     return ((1 - delta**p) ** (1.0 / p) * (1 - delta**q) ** (1.0 / q)) / (1 - delta)
 
 
-def two_point_constant_exact(delta: Fraction) -> Fraction:
-    """c_delta at p=2, exactly: 1 + delta."""
-    d = Fraction(delta)
-    if not 0 <= d <= 1:
-        raise ValueError("delta must lie in [0, 1]")
-    return 1 + d
-
-
 def c_p_constant(p: float | Fraction) -> float:
     """c_p = p^(1/p) q^(1/q) / 2 <= 1, with equality exactly at p = 2."""
     pf = float(p)

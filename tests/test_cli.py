@@ -200,15 +200,24 @@ class TestQuasicubeCommand:
     ["two-point", "--delta", "0.5", "--r-max", "-1"],
     ["conjecture", "scan", "--id", "log_span", "--box", "0..2", "--max-size", "0"],
     ["conjecture", "scan", "--id", "log_span", "--box", "0..2", "--max-size", "-4"],
+    ["compress", "--set", "Z2", "--coord", "2"],
+    ["compress", "--set", "Z2", "--coord", "-1"],
+    ["compress", "--set", "TORSION3", "--coord", "0"],
 ])
 def test_rejected_input_exits_64_with_one_line(argv, u01, tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_bytes(b"group 1\n\xff\xfe\n")
-    argv = [{"NOT_UTF8": str(raw), "U01": u01}.get(a, a) for a in argv]
-    assert cli.main(argv) == 64
+    z2 = tmp_path / "z2.txt"
+    z2.write_text("group 2\n0 0\n1 0\n")
+    torsion3 = tmp_path / "torsion3.txt"
+    torsion3.write_text("group 0 mod 3\n0\n1\n")
+    files = {"NOT_UTF8": str(raw), "U01": u01, "Z2": str(z2), "TORSION3": str(torsion3)}
+    assert cli.main([files.get(a, a) for a in argv]) == 64
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+    if argv[2] in ("Z2", "TORSION3"):
+        assert captured.err == f"error: no free coordinate {argv[-1]}\n"
 
 
 class TestCompressCommand:

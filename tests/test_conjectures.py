@@ -13,17 +13,15 @@ import pytest
 
 from sumsetlab import cli, conjectures
 from sumsetlab.conjectures import (
-    MatroidMap,
     ScanState,
     canonical_form,
-    check_matroid_pair,
     enumerate_canonical,
     load_state,
     save_state,
     scan_doubling_tripling,
     scan_log_span,
 )
-from sumsetlab.groups import GroupContext, PointSet
+from sumsetlab.groups import GroupContext
 from sumsetlab.search import SearchConfig, canonical_subsets
 
 F = Fraction
@@ -240,32 +238,6 @@ def test_resume_after_crash_between_writes(scan, crash_at, tmp_path, monkeypatch
     assert st.cursor == st.total
     assert part.read_bytes() == full.read_bytes()
     assert ckpt.read_bytes() == full_ckpt.read_bytes()
-
-
-class TestMatroid:
-    def test_pairing_validation(self):
-        U = PointSet.of(Z1, [(0,), (1,)])
-        V = PointSet.of(Z1, [(0,), (2,)])
-        with pytest.raises(ValueError):
-            MatroidMap(U, V, ((0, 0), (0, 1)))
-
-    def test_dilation_pair(self):
-        U = PointSet.of(Z1, [(0,), (1,)])
-        V = PointSet.of(Z1, [(0,), (2,)])
-        m = MatroidMap(U, V, ((0, 0), (1, 1)))
-        cfg = SearchConfig(box=((-2, 3),), max_cardinality=4)
-        res = check_matroid_pair(m, cfg)
-        assert res["applicable"]
-        assert res["beta_sq_source"] == res["beta_sq_target"] == "4/1"
-        assert not res["evidence_against"]
-        assert res["conclusive"] is False
-
-    def test_dimension_increase_inapplicable(self):
-        ctx2 = GroupContext(2)
-        U = PointSet.of(ctx2, [(0, 0), (1, 0)])
-        V = PointSet.of(ctx2, [(0, 0), (0, 0)])  # degenerate target
-        with pytest.raises(ValueError):
-            MatroidMap(U, V, ((0, 0), (1, 1)))  # sizes differ after dedup
 
 
 # beta_estimate patched to report a ratio below |V|^2 that its witness does

@@ -1,4 +1,4 @@
-"""Max-convolution calculus, norms, level sets, rearrangements."""
+"""Max-convolution calculus, norms, rearrangements."""
 
 import math
 import random
@@ -10,15 +10,10 @@ from hypothesis import strategies as st
 
 from sumsetlab.functional import (
     WeightedFunction,
-    distribution,
     gamma_ratio,
-    gamma_ratio_squared_exact,
     holder_conjugate,
-    identically_distributed,
     l1_norm,
-    level_set,
     lp_norm,
-    lp_norm_pth_power,
     max_convolve,
     min_over_permutations,
     rearrange_nonincreasing,
@@ -70,10 +65,6 @@ class TestNorms:
     def test_l2_float(self):
         assert lp_norm(line(F(1), F(1, 2)), 2) == pytest.approx(math.sqrt(5) / 2)
 
-    def test_exact_power_sum(self):
-        # (1 - delta^(p(r+1))) / (1 - delta^p) at delta=1/2, r=1, p=2
-        assert lp_norm_pth_power(line(F(1), F(1, 2)), 2) == F(5, 4)
-
     def test_p_validation(self):
         with pytest.raises(ValueError):
             lp_norm(line(F(1)), 1)
@@ -84,25 +75,6 @@ class TestNorms:
         assert holder_conjugate(Fraction(2)) == 2
         assert holder_conjugate(Fraction(3, 2)) == 3
         assert holder_conjugate(4.0) == pytest.approx(4 / 3)
-
-
-class TestLevels:
-    def test_level_set(self):
-        f = line(F(1), F(1, 2), F(1, 4))
-        assert set(level_set(f, F(3, 10)).points) == {(0,), (1,)}
-        with pytest.raises(ValueError):
-            level_set(f, 0)
-
-    def test_distribution_shape(self):
-        prof = distribution(line(F(1), F(1, 2), F(1, 2))).levels
-        assert prof == ((F(1), 1), (F(1, 2), 3))
-
-    def test_identically_distributed(self):
-        f = line(F(1), F(1, 2))
-        assert identically_distributed(f, f)
-        assert identically_distributed(f, line(F(1, 2), F(1)))
-        assert identically_distributed(f, f.translate((9,)))
-        assert not identically_distributed(f, line(F(1), F(1, 3)))
 
 
 class TestGammaRatio:
@@ -117,7 +89,6 @@ class TestGammaRatio:
 
     def test_two_point_family_value(self):
         f = line(F(1), F(1, 2))
-        assert gamma_ratio_squared_exact(f, f, f) == F(9, 4)
         assert gamma_ratio(f, f, f, 2.0) == pytest.approx(1.5)
         # numerator 15/8 over norm product 5/4
         assert l1_norm(max_convolve(max_convolve(f, f), f)) == F(15, 8)

@@ -1,4 +1,4 @@
-"""Group arithmetic, sumsets, dimension, homomorphisms, compression."""
+"""Group arithmetic, sumsets, dimension, compression along a free coordinate."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from sumsetlab.groups import (
     GroupContext,
-    Homomorphism,
     PointSet,
-    apply_hom,
     compress,
     dimension,
-    fibers,
     iterated_sumset,
     sumset,
 )
@@ -76,69 +73,24 @@ class TestDimension:
         assert dimension(ps(ctx, [(0, 0), (1, 2)])) == 0
 
 
-class TestHomomorphisms:
-    def test_identity(self):
-        A = ps(Z1, [(0,), (3,)])
-        assert apply_hom(Homomorphism.identity(Z1), A) == A
-
-    def test_projection_collapse(self):
-        A = ps(Z2, [(0, 0), (0, 5), (1, 1)])
-        h = Homomorphism.projection(Z2, keep_free=[0])
-        assert pts_of(apply_hom(h, A)) == {(0,), (1,)}
-
-    def test_mod_reduction(self):
-        A = ps(Z1, [(0,), (1,), (2,)])
-        h = Homomorphism.mod_reduction(Z1, 0, 2)
-        assert pts_of(apply_hom(h, A)) == {(0,), (1,)}
-
-    def test_fibers_projection(self):
-        A = ps(Z2, [(0, 0), (0, 5), (1, 1)])
-        h = Homomorphism.projection(Z2, keep_free=[0])
-        fb = fibers(A, h)
-        assert pts_of(fb[(0,)]) == {(0,), (5,)}
-        assert pts_of(fb[(1,)]) == {(1,)}
-
-    def test_fibers_of_square(self):
-        A = ps(Z2, [(x, y) for x in (0, 1) for y in (0, 1)])
-        h = Homomorphism.projection(Z2, keep_free=[0])
-        fb = fibers(A, h)
-        assert all(pts_of(f) == {(0,), (1,)} for f in fb.values())
-
-    def test_fibers_injective(self):
-        A = ps(Z1, [(0,), (7,)])
-        fb = fibers(A, Homomorphism.identity(Z1))
-        assert all(len(f) == 1 for f in fb.values())
-        assert len(fb) == 2
-
-    def test_bad_torsion_coefficient(self):
-        with pytest.raises(ValueError):
-            Homomorphism(
-                GroupContext(0, (2,)), GroupContext(0, (3,)),
-                free_matrix=(), torsion_free_matrix=((),), torsion_matrix=((1,),),
-            )
-
-
 class TestCompression:
     def test_two_fibers(self):
         A = ps(Z2, [(0, 0), (0, 3), (1, 7)])
-        h = Homomorphism.drop_free_coordinate(Z2, 1)
-        assert pts_of(compress(A, h)) == {(0, 0), (0, 1), (1, 0)}
+        assert pts_of(compress(A, 1)) == {(0, 0), (0, 1), (1, 0)}
 
     def test_forced_example(self):
         A = ps(Z2, [(0, 2), (1, 2), (1, 9)])
-        h = Homomorphism.drop_free_coordinate(Z2, 1)
-        assert pts_of(compress(A, h)) == {(0, 0), (1, 0), (1, 1)}
+        assert pts_of(compress(A, 1)) == {(0, 0), (1, 0), (1, 1)}
 
     def test_idempotence(self):
-        h = Homomorphism.drop_free_coordinate(Z2, 1)
         A = ps(Z2, [(0, 0), (0, 1), (1, 0)])
-        assert compress(A, h) == A
-        assert compress(compress(A, h), h) == compress(A, h)
+        assert compress(A, 1) == A
+        assert compress(compress(A, 1), 1) == compress(A, 1)
 
     def test_unsupported_kernel(self):
-        h = Homomorphism.projection(Z2, keep_free=[])
-        with pytest.raises(ValueError):
-            compress(ps(Z2, [(0, 0)]), h)
+        for ctx, coord in ((Z2, 2), (Z2, -1), (GroupContext(0, (3,)), 0)):
+            with pytest.raises(ValueError, match="no free coordinate"):
+                compress(ps(ctx, [ctx.zero()]), coord)
 
 
 small_sets = st.sets(
@@ -184,17 +136,53 @@ def test_dimension_translation_invariant(a, t):
 @given(small_sets, st.integers(0, 1))
 @settings(max_examples=150)
 def test_compression_preserves_cardinality_and_shrinks(a, axis):
-    h = Homomorphism.drop_free_coordinate(Z2, axis)
     A = ps(Z2, a)
-    CA = compress(A, h)
+    CA = compress(A, axis)
     assert len(CA) == len(A)
     # shrinkage: C(A)+C(A) inside C(A+A)
-    assert sumset(CA, CA).is_subset(compress(sumset(A, A), h))
+    assert sumset(CA, CA).is_subset(compress(sumset(A, A), axis))
 
 
 @given(small_sets, small_sets, st.integers(0, 1))
 @settings(max_examples=150)
 def test_compression_shrinks_pairs(a, b, axis):
-    h = Homomorphism.drop_free_coordinate(Z2, axis)
     A, B = ps(Z2, a), ps(Z2, b)
-    assert sumset(compress(A, h), compress(B, h)).is_subset(compress(sumset(A, B), h))
+    assert sumset(compress(A, axis), compress(B, axis)).is_subset(
+        compress(sumset(A, B), axis)
+    )
+
+
+# (context, free coordinate) for every valid coordinate of Z^3, Z x Z_2 and Z^2 x Z_3
+COMPRESS_CASES = [
+    (GroupContext(3), 0), (GroupContext(3), 1), (GroupContext(3), 2),
+    (GroupContext(1, (2,)), 0),
+    (GroupContext(2, (3,)), 0), (GroupContext(2, (3,)), 1),
+]
+
+
+def point_in(ctx):
+    free = [st.integers(-2, 3)] * ctx.free_rank
+    tors = [st.integers(0, m - 1) for m in ctx.torsion_moduli]
+    return st.tuples(*free, *tors)
+
+
+@pytest.mark.parametrize(
+    "ctx,coord", COMPRESS_CASES, ids=["Z3-0", "Z3-1", "Z3-2", "ZxZ2-0", "Z2xZ3-0", "Z2xZ3-1"]
+)
+@given(data=st.data())
+@settings(max_examples=100)
+def test_compress_matches_definition(ctx, coord, data):
+    A = ps(ctx, data.draw(st.sets(point_in(ctx), min_size=1, max_size=8)))
+    # the definition: points that agree off `coord` form a fiber, and a
+    # fiber of n points becomes 0..n-1 on `coord`
+    fiber_sizes = {}
+    for p in A.points:
+        rest = tuple(x for k, x in enumerate(p) if k != coord)
+        fiber_sizes[rest] = fiber_sizes.get(rest, 0) + 1
+    expected = set()
+    for rest, n in fiber_sizes.items():
+        for i in range(n):
+            q = list(rest)
+            q.insert(coord, i)
+            expected.add(tuple(q))
+    assert pts_of(compress(A, coord)) == expected

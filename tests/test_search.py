@@ -36,7 +36,6 @@ from sumsetlab.search import (
     ratio_float,
     refine_weights_coordinate_descent,
     two_point_constant,
-    two_point_constant_exact,
 )
 
 Z1 = GroupContext(1)
@@ -310,7 +309,6 @@ def test_estimate_rejects_strategy_it_does_not_run(estimate, strategy):
 class TestTwoPointClosedForms:
     def test_p2_is_one_plus_delta(self):
         assert two_point_constant(0.5, 2.0) == pytest.approx(1.5)
-        assert two_point_constant_exact(F(1, 2)) == F(3, 2)
         assert two_point_constant(1.0, 2.0) == pytest.approx(2.0)
         assert two_point_constant(0.0, 3.0) == 1.0
 
