@@ -6,10 +6,13 @@ the witness and are replayable: the reported value is recomputable from the
 witness alone.  Exhaustive enumeration runs over canonical representatives
 modulo translation (every target ratio is translation invariant), anchoring
 the min-corner of each set at the box origin.  Every scan is one sequential
-pass over rows in i-major order: row i evaluates A_i against all of its
-paired B_j at once, for beta and alpha on one numpy grid kernel (sets as
-boolean grids, A+B+U as an OR of shifts and torsion rolls).  Ties break to
-the first minimising pair, so reports are deterministic.
+pass over the pairs in i-major order, evaluated in blocks of about
+_BLOCK_PAIRS pairs.  Beta and alpha share one numpy kernel: once per scan,
+every B+U is built on a boolean grid (torsion axes wrap by rolls), translated
+by every offset a set uses and packed into uint64 words, so |A+B+U| of a
+pair is the popcount of an OR of table rows.  A float log-ratio screens each
+block, and only the pairs near its minimum reach the exact comparison.  Ties
+break to the first minimising pair, so reports are deterministic.
 
 Ratio comparisons at rational p = pa/pb are exact: with normalizer
 |A|^(1/p) |B|^(1-1/p), compare s1^pa a2^pb b2^(pa-pb) against
@@ -44,6 +47,10 @@ VARIANTS = ("unrestricted", "isometric", "isomeric")
 STRATEGIES = ("exhaustive", "hill_climb", "geometric_family")
 HILL_CLIMB_RESTARTS = 20
 MAX_P_TERM = 1000  # the largest numerator or denominator of p a scan accepts
+_BLOCK_PAIRS = 1 << 12  # about this many pairs per eval_pairs call of a scan
+# a pair whose float log-ratio lies this far above the running minimum cannot
+# be a first exact minimum; float rounding of a log-ratio is ~1e-14
+_LOG_SLACK = 1e-9
 
 
 def node_ceiling_default() -> int:
@@ -210,52 +217,62 @@ def _first_minimum(
     sets: Sequence[tuple[Vec, ...]],
     cfg: SearchConfig,
     quantity: str,
-    eval_row: Callable[[int, np.ndarray], Sequence],
+    eval_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> EstimateReport:
-    """Scan the pairs of `sets` row by row in i-major order, up to the node
-    ceiling, and report the first strict minimum of the ratio key
-    (numerator, |A|, |B|).
+    """Scan the pairs of `sets` in i-major order, up to the node ceiling, and
+    report the first strict minimum of the ratio key (numerator, |A|, |B|).
 
     Row i pairs A_i with every B_j, with B_i alone (isomeric) or with the
-    B_j of equal size (isometric); eval_row(i, js) returns the numerators of
-    the pairs (i, j), j in js.  |A| is fixed within a row, so only the first
-    j of each distinct (numerator, |B|) can become a new minimum, and only
-    those are compared.  complete is False exactly when a pair beyond the
-    ceiling was left unevaluated.  A float numerator (numeric-mode gamma)
-    has no exact value."""
+    B_j of equal size (isometric).  The stream of rows is cut at the ceiling,
+    mid-row if need be, and complete is False exactly when a pair beyond it
+    was left unevaluated.  The stream is evaluated in blocks of about
+    _BLOCK_PAIRS pairs: eval_pairs(I, J) returns the numerators of the pairs
+    (I[k], J[k]) as an array (int counts, floats for numeric-mode gamma,
+    Fractions as objects).  A float log-ratio screens each block: only the
+    pairs within _LOG_SLACK of the lower of the block's minimum and the best
+    so far go, in stream order, through the exact compare_ratios, which
+    keeps the first strict minimum.  The first exact minimum of the whole
+    stream always passes the screen, so it is the pair reported.  A float
+    numerator has no exact value."""
     p = Fraction(cfg.p)
-    ceiling = cfg.effective_node_ceiling
+    n = len(sets)
     sizes = np.array([len(s) for s in sets])
-    every = np.arange(len(sets))
-    of_size = {k: np.flatnonzero(sizes == k) for k in set(sizes.tolist())}
+    # row i pairs A_i with B_j for j in members[base[i]:base[i] + length[i]]
+    if cfg.variant == "isometric":
+        members = np.argsort(sizes, kind="stable")  # by size, then index
+        base = np.searchsorted(sizes[members], sizes, "left")
+        length = np.bincount(sizes)[sizes]
+    elif cfg.variant == "isomeric":
+        members, base, length = np.arange(n), np.arange(n), np.ones(n, dtype=np.intp)
+    else:
+        members, base, length = np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, n)
+    row_end = np.cumsum(length)
+    # the pair at stream position t of row i is (i, members[t + to_member[i]])
+    to_member = base - (row_end - length)
+    total = int(row_end[-1])
+    nodes = min(total, cfg.effective_node_ceiling)
+    invp = 1.0 / float(p)
+    log_size = np.log(sizes)
+    size_of = sizes.tolist()
     best = None
     best_ij = (0, 0)
-    nodes = 0
-    complete = True
-    for i in range(len(sets)):
-        if cfg.variant == "isomeric":
-            js = every[i : i + 1]
-        elif cfg.variant == "isometric":
-            js = of_size[len(sets[i])]
-        else:
-            js = every
-        if nodes + len(js) > ceiling:
-            js = js[: ceiling - nodes]
-            complete = False
-        nodes += len(js)
-        first: dict = {}  # (numerator, |B|) -> its first j in the row
-        for j, s, b in zip(js.tolist(), eval_row(i, js), sizes[js].tolist()):
-            first.setdefault((s, b), j)
-        a = len(sets[i])
-        for (s, b), j in first.items():
-            if best is None or compare_ratios(s, a, b, *best, p) < 0:
-                best = (s, a, b)
-                best_ij = (i, j)
-        if not complete:
-            break
+    best_r = math.inf
+    for t0 in range(0, nodes, _BLOCK_PAIRS):
+        t = np.arange(t0, min(t0 + _BLOCK_PAIRS, nodes))
+        I = np.searchsorted(row_end, t, "right")
+        J = members[t + to_member[I]]
+        nums = eval_pairs(I, J)
+        r = np.log(nums.astype(float)) - log_size[I] * invp - log_size[J] * (1.0 - invp)
+        cand = np.flatnonzero(r <= min(float(r.min()), best_r) + _LOG_SLACK)
+        picked = zip(cand.tolist(), nums[cand].tolist(), I[cand].tolist(), J[cand].tolist())
+        for k, s, i, j in picked:
+            key = (s, size_of[i], size_of[j])
+            # an equal key never compares strictly less
+            if best is None or (key != best and compare_ratios(*key, *best, p) < 0):
+                best, best_ij, best_r = key, (i, j), float(r[k])
     assert best is not None
     i, j = best_ij
-    return _report(quantity, cfg, best, sets[i], sets[j], nodes, complete)
+    return _report(quantity, cfg, best, sets[i], sets[j], nodes, total <= nodes)
 
 
 def _report(
@@ -292,9 +309,18 @@ def _scan_pairs(
     The sets lie on one boolean grid of shape (n, *free extents, *torsion
     moduli), each free axis ext + 1 cells wide from the sets' common min.
     Translating by a point shifts the free axes into a zero-padded wider
-    grid and rolls the torsion axes (the fold modulo m).  A+B is 2*ext + 1
-    cells wide per free axis and A+B+U 2*ext + ext(U) + 1, so sums never
-    wrap; a whole row of numerators is one count over the grid axes."""
+    grid and rolls the torsion axes (the fold modulo m).  B+U is
+    ext + ext(U) + 1 cells wide per free axis and A+B+U 2*ext + ext(U) + 1,
+    so sums never wrap.
+
+    A+B+U is the union over q in A of q + B + U.  So the scan builds one
+    table: every B_j + U translated by every offset q that a set uses, each
+    packed into W = ceil(cells(A+B+U) / 64) uint64 words, at row
+    (index of q) * n + j.  That is Q * n * W * 8 bytes for Q offsets.  Row i
+    of `slot` holds the row offsets of A_i's points, padded with its first
+    (OR-ing the same row twice changes nothing), so the numerator of (i, j)
+    is the popcount of the OR of table[slot[i] + j]: a block of pairs is a
+    few row gathers, ORs and one popcount."""
     d = ctx.free_rank
     upoints = U.points if U is not None else (ctx.zero(),)
 
@@ -308,13 +334,12 @@ def _scan_pairs(
     lo, ext = span([q for s in sets for q in s])
     ulo, uext = span(upoints)
     set_offsets = [offsets(s, lo) for s in sets]
-    u_offsets = offsets(upoints, ulo)
-    grid = np.zeros((len(sets), *(e + 1 for e in ext), *ctx.torsion_moduli), dtype=bool)
+    n = len(sets)
+    grid = np.zeros((n, *(e + 1 for e in ext), *ctx.torsion_moduli), dtype=bool)
     grid[tuple(np.array([(i, *q) for i, qs in enumerate(set_offsets) for q in qs]).T)] = True
-    ab_shape = [2 * e + 1 for e in ext] + list(ctx.torsion_moduli)
+    bu_shape = [e + ue + 1 for e, ue in zip(ext, uext)] + list(ctx.torsion_moduli)
     abu_shape = [2 * e + ue + 1 for e, ue in zip(ext, uext)] + list(ctx.torsion_moduli)
     torsion_axes = tuple(range(1 + d, 1 + ctx.arity))
-    count_axes = tuple(range(1, 1 + ctx.arity))
 
     def translate_into(out: np.ndarray, src: np.ndarray, q: Vec) -> None:
         """out |= src translated by q, which fits out's free axes."""
@@ -322,17 +347,30 @@ def _scan_pairs(
             src = np.roll(src, q[d:], axis=torsion_axes)
         out[(slice(None),) + tuple(slice(q[k], q[k] + src.shape[1 + k]) for k in range(d))] |= src
 
-    def eval_row(i: int, js: np.ndarray) -> list[int]:
-        B = grid[js]
-        ab = np.zeros((len(js), *ab_shape), dtype=bool)
-        for q in set_offsets[i]:
-            translate_into(ab, B, q)
-        abu = np.zeros((len(js), *abu_shape), dtype=bool)
-        for q in u_offsets:
-            translate_into(abu, ab, q)
-        return np.count_nonzero(abu, axis=count_axes).tolist()
+    bu = np.zeros((n, *bu_shape), dtype=bool)
+    for q in offsets(upoints, ulo):
+        translate_into(bu, grid, q)
+    shifts = sorted({q for qs in set_offsets for q in qs})
+    row_of = {q: k * n for k, q in enumerate(shifts)}
+    cells = math.prod(abu_shape)
+    table = np.zeros((len(shifts) * n, -(-cells // 64)), dtype=np.uint64)
+    packed = table.view(np.uint8).reshape(len(shifts), n, -1)
+    for k, q in enumerate(shifts):
+        abu = np.zeros((n, *abu_shape), dtype=bool)
+        translate_into(abu, bu, q)
+        packed[k, :, : -(-cells // 8)] = np.packbits(abu.reshape(n, cells), axis=1)
+    del grid, bu
+    width = max(len(qs) for qs in set_offsets)
+    slot = np.array([[row_of[q] for q in qs] + [row_of[qs[0]]] * (width - len(qs))
+                     for qs in set_offsets], dtype=np.intp)
 
-    return _first_minimum(sets, cfg, quantity, eval_row)
+    def eval_pairs(I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        acc = table[slot[I, 0] + J]
+        for k in range(1, width):
+            acc |= table[slot[I, k] + J]
+        return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
+
+    return _first_minimum(sets, cfg, quantity, eval_pairs)
 
 
 def _require_strategy(cfg: SearchConfig, quantity: str, runs: tuple[str, ...]) -> None:
@@ -450,15 +488,17 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     one = Fraction(1) if f.exact else 1.0
     indicators = [WeightedFunction.of(ctx, [(q, one) for q in s]) for s in sets]
 
-    def eval_row(i: int, js: np.ndarray) -> list:
-        fa = max_convolve(f, indicators[i])
+    def eval_pairs(I: np.ndarray, J: np.ndarray) -> np.ndarray:
         nums = []
-        for j in js.tolist():
+        last = -1
+        for i, j in zip(I.tolist(), J.tolist()):
+            if i != last:  # f*1_A serves the whole run of pairs with this A
+                fa, last = max_convolve(f, indicators[i]), i
             num = l1_norm(max_convolve(fa, indicators[j]))
             nums.append(Fraction(num) if f.exact else num)
-        return nums
+        return np.array(nums, dtype=object if f.exact else float)
 
-    return _first_minimum(sets, cfg, "gamma", eval_row)
+    return _first_minimum(sets, cfg, "gamma", eval_pairs)
 
 
 def fixed_support_gamma(

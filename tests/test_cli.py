@@ -1,5 +1,6 @@
 """Text formats and the command-line surface: exit codes, reports, manifests."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -263,6 +264,23 @@ class TestConjectureCommand:
         state = json.loads(ckpt.read_text())
         assert state["counterexample"] is None
         assert state["cursor"] == state["total"]
+
+    @pytest.mark.parametrize("args, lines, digest", [
+        (["log_span", "--max-size", "4", "--max-card", "4"], 28,
+         "6c8c30cdbebbb9cda1fdd3b9d7f7aa021e8e2fc3f2756de9588177cedbaaf29f"),
+        (["doubling_tripling", "--max-size", "3", "--max-card", "3"], 16,
+         "2c73a85a3e184ce5f042bbafb09ee2874cf7358619bb8fff94a997b7c8d29fa1"),
+    ], ids=["log_span", "doubling_tripling"])
+    def test_scan_records_are_byte_stable(self, args, lines, digest, tmp_path):
+        # digests pinned from the row-by-row pair scan: evaluating the pairs
+        # in blocks must not move a byte of the records
+        out = tmp_path / "r.jsonl"
+        code = cli.main(["conjecture", "scan", "--id", *args, "--box", "0..2,0..2",
+                         "--out", str(out)])
+        assert code == 0
+        data = out.read_bytes()
+        assert data.count(b"\n") == lines
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_noncubical_box_rejected(self):
         code = cli.main(["conjecture", "scan", "--id", "log_span", "--box", "0..1,0..2"])

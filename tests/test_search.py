@@ -12,10 +12,12 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sumsetlab import search
 from sumsetlab.functional import WeightedFunction, gamma_ratio, l1_norm, max_convolve
 from sumsetlab.groups import GroupContext, PointSet, sumset
 from sumsetlab.search import (
@@ -485,13 +487,16 @@ def test_gamma_matches_brute_force(case, exact, weights):
 CUT_SETS = canonical_subsets(Z1, ((-1, 2),), 3)
 
 
-@pytest.mark.parametrize("variant, ceiling, complete", [
+CUT_CASES = [
     ("unrestricted", len(CUT_SETS), False),  # exactly the first row
     ("unrestricted", len(CUT_SETS) ** 2, True),
     ("unrestricted", len(CUT_SETS) ** 2 - 1, False),
     ("isometric", 5, False),  # one pair into the third row
     ("isometric", 19, True),
-])
+]
+
+
+@pytest.mark.parametrize("variant, ceiling, complete", CUT_CASES)
 def test_node_ceiling_cuts_rows(variant, ceiling, complete):
     assert [len(s) for s in CUT_SETS] == [1, 2, 3, 3, 2, 3, 2]
     U = ps(Z1, [(0,), (2,)])
@@ -501,6 +506,75 @@ def test_node_ceiling_cuts_rows(variant, ceiling, complete):
     expected = brute_first_minimum(
         CUT_SETS, cfg, lambda A, B: len(sumset(sumset(ps(Z1, A), ps(Z1, B)), U)))
     assert report_fields(r) == expected
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_scans_match_brute_force_in_small_blocks(block, monkeypatch):
+    """Every window above fits one block of the default size; blocks of 1, 3
+    and 7 pairs put block edges mid-row, on the ceiling and between tied
+    minima."""
+    monkeypatch.setattr(search, "_BLOCK_PAIRS", block)
+    test_beta_alpha_match_brute_force()
+    test_gamma_matches_brute_force()
+    for case in CUT_CASES:
+        test_node_ceiling_cuts_rows(*case)
+
+
+def synthetic_scan(sizes, nums, p, dtype):
+    """_first_minimum over sets of the given sizes, with nums[i][j] the
+    numerator of the pair (i, j); returns the report and the sets."""
+    sets = [tuple((10 * i + k,) for k in range(size)) for i, size in enumerate(sizes)]
+    cfg = SearchConfig(box=((0, 0),), max_cardinality=1, p=p)
+
+    def eval_pairs(I, J):
+        return np.array([nums[i][j] for i, j in zip(I.tolist(), J.tolist())], dtype=dtype)
+
+    return search._first_minimum(sets, cfg, "beta", eval_pairs), sets
+
+
+BIG = 10**6  # a numerator that never competes
+
+
+@pytest.mark.parametrize("block", [4096, 2])
+@pytest.mark.parametrize("dtype", [np.int64, float])
+@pytest.mark.parametrize("order", [(1, 4), (4, 1)])
+def test_prescreen_keeps_earlier_of_equal_ratios(block, dtype, order, monkeypatch):
+    # A of size 2 against B of size 1 (numerator 2) and of size 4 (numerator
+    # 4): 2/sqrt(2 * 1) == 4/sqrt(2 * 4) exactly at p = 2.  Pairs (0, 1) and
+    # (0, 2) fall in one block of 4096 and in two blocks of 2.
+    monkeypatch.setattr(search, "_BLOCK_PAIRS", block)
+    sizes = (2, *order)
+    num_of = {1: 2, 4: 4}
+    nums = [[BIG] + [num_of[b] for b in order]] + [[BIG] * 3] * 2
+    r, sets = synthetic_scan(sizes, nums, F(2), dtype)
+    assert (r.witness_a, r.witness_b) == (sets[0], sets[1])
+    b = order[0]
+    assert r.value_float == ratio_float(num_of[b], 2, b, F(2))
+    assert r.value_exact == (F(2) if dtype is np.int64 else None)
+    assert (r.nodes, r.complete) == (9, True)
+
+
+@pytest.mark.parametrize("later_wins", [True, False])
+def test_prescreen_leaves_near_ties_to_exact_comparison(later_wins):
+    # at p = 999/500 the key (s2, 2, 1) of pair (1, 0) is within 1e-12
+    # (relative) of the key (s1, 1, 1) of the earlier pair (0, 0), on either
+    # side of it; at s2 ~ 1e17 consecutive s1 differ by less than a float's
+    # resolution, so only the exact comparison can order them
+    p = F(999, 500)
+    s2 = 10**17 + 7
+    s1 = int(s2 / 2 ** (500 / 999)) - 100
+    assert compare_ratios(s1, 1, 1, s2, 2, 1, p) < 0
+    while compare_ratios(s1 + 1, 1, 1, s2, 2, 1, p) < 0:
+        s1 += 1
+    # s1 is now the largest numerator whose ratio lies below the later pair's
+    assert compare_ratios(s1 + 1, 1, 1, s2, 2, 1, p) > 0
+    if later_wins:
+        s1 += 1
+    close = ratio_float(s1, 1, 1, p) / ratio_float(s2, 2, 1, p)
+    assert abs(close - 1) < 1e-12
+    nums = [[s1, 2 * s2], [s2, 2 * s2]]  # ratios about 1.4 s2 and s2
+    r, sets = synthetic_scan((1, 2), nums, p, np.int64)
+    assert (r.witness_a, r.witness_b) == ((sets[1], sets[0]) if later_wins else (sets[0], sets[0]))
 
 
 # --- gamma on fixed supports --------------------------------------------------
