@@ -97,6 +97,8 @@ class SearchConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.geometric_max_r < 0:  # else geometric_family reports inf on a witness that misses it
+            raise ValueError("geometric_max_r must be >= 0")
         if self.node_ceiling is None:
             node_ceiling_default()  # a bad SUMSETLAB_NODE_CEILING fails here, not mid-scan
         elif self.node_ceiling < 1:
@@ -189,26 +191,33 @@ def box_points(ctx: GroupContext, box: Sequence[tuple[int, int]]) -> list[Vec]:
     return sorted(pts, key=ctx.sort_key)
 
 
-def _anchored(points: Sequence[Vec], ctx: GroupContext, box: Sequence[tuple[int, int]]) -> bool:
-    d = ctx.free_rank
-    return all(
-        min(p[i] for p in points) == box[i][0] for i in range(d)
-    )
-
-
 def canonical_subsets(
     ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int
 ) -> list[tuple[Vec, ...]]:
     """Subsets of the box, min-corner anchored at the box origin, sorted.
 
-    These are representatives of box subsets modulo free translation.
-    """
+    These are representatives of box subsets modulo free translation.  Each
+    box point carries the bitmask of the free axes on which it sits at the
+    box's low end; a set is anchored iff the OR of its points' masks is full
+    (with free rank 0 every mask and the full mask are 0, so every set is).
+    The sets are built point by point in combination order, carrying the OR
+    of the prefix."""
     pts = box_points(ctx, box)
-    out = []
+    d = ctx.free_rank
+    full = (1 << d) - 1
+    low = [sum(1 << i for i in range(d) if q[i] == box[i][0]) for q in pts]
+    n = len(pts)
+    out: list[tuple[Vec, ...]] = []
+
+    def extend(prefix: tuple[Vec, ...], mask: int, start: int, k: int) -> None:
+        if k == 1:  # the last point: keep the sets whose mask is full
+            out.extend([prefix + (pts[j],) for j in range(start, n) if mask | low[j] == full])
+            return
+        for j in range(start, n - k + 1):
+            extend(prefix + (pts[j],), mask | low[j], j + 1, k - 1)
+
     for k in range(1, max_card + 1):
-        for combo in itertools.combinations(pts, k):
-            if ctx.free_rank == 0 or _anchored(combo, ctx, box):
-                out.append(combo)
+        extend((), 0, 0, k)
     out.sort()
     return out
 
@@ -501,66 +510,170 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     return _first_minimum(sets, cfg, "gamma", eval_pairs)
 
 
+def _max_products(
+    n: int, left: Sequence[float], right: Sequence[float], at: Sequence[Sequence[int]]
+) -> list[float]:
+    """out[at[l][k]] = the max over (k, l) of left[k] * right[l], over the
+    positive right[l]; 0.0 at an index no product reaches.  Max is exact, so
+    the order in which products arrive does not matter."""
+    out = [0.0] * n
+    for w, row in zip(right, at):
+        if w > 0:
+            for v, m in zip(left, row):
+                u = v * w
+                if u > out[m]:
+                    out[m] = u
+    return out
+
+
+class FixedSupportGamma:
+    """The gamma ratio on fixed supports, evaluate(gw, hw), as a function of
+    the weights listed along support_g and support_h; see fixed_support_gamma.
+
+    The sumset structure is built once: the canonical order of each support
+    and the term lists fg_at[b][a], the index of f_a + g_b in the sorted key
+    list of f*g, and fgh_at[l][k], the index of (f*g)_k + h_l in that of
+    f*g*h.  A full evaluation forms the products (f_a.g_b).h_l through them,
+    takes the max per key, and sums and normalises in canonical key order,
+    as max_convolve, l1_norm and lp_norm do.  line(gw, hw, side, i) reads
+    the same lists to give the ratio as a function of one weight alone."""
+
+    def __init__(
+        self,
+        f: WeightedFunction,
+        support_g: Sequence[Vec],
+        support_h: Sequence[Vec],
+        p: Fraction | float,
+    ) -> None:
+        ctx = f.context
+        self.exps = (float(p), holder_conjugate(float(p)))
+        self.fw = [float(w) for _, w in f.entries]
+
+        def canonical(support: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
+            keys = [ctx.reduce(x) for x in support]
+            order = sorted(range(len(keys)), key=lambda k: ctx.sort_key(keys[k]))
+            for a, b in zip(order, order[1:]):
+                if keys[a] == keys[b]:
+                    raise ValueError(f"duplicate support point {keys[a]}")
+            slot = [0] * len(keys)  # slot[i]: canonical position of the i-th listed point
+            for n, k in enumerate(order):
+                slot[k] = n
+            return [keys[k] for k in order], slot
+
+        def key_index(xs: Sequence[Vec], ys: Sequence[Vec]) -> tuple[list[Vec], list[list[int]]]:
+            keys = sorted({ctx.add(x, y) for x in xs for y in ys}, key=ctx.sort_key)
+            where = {k: n for n, k in enumerate(keys)}
+            return keys, [[where[ctx.add(x, y)] for x in xs] for y in ys]
+
+        gpts, gslot = canonical(support_g)
+        hpts, hslot = canonical(support_h)
+        self.slots = (gslot, hslot)
+        fg_keys, self.fg_at = key_index([x for x, _ in f.entries], gpts)
+        fgh_keys, self.fgh_at = key_index(fg_keys, hpts)
+        self.n_fg, self.n_fgh = len(fg_keys), len(fgh_keys)
+
+    def _canonical(self, side: int, ws: Sequence[float]) -> list[float]:
+        out = [0.0] * len(ws)
+        for s, w in zip(self.slots[side], ws):
+            w = float(w)
+            out[s] = w if w > 0 else 0.0  # a weight that is not positive drops its point
+        return out
+
+    def _norm(self, side: int, ws: Sequence[float]) -> float:
+        e = self.exps[side]
+        return sum([w**e for w in ws if w > 0]) ** (1.0 / e)
+
+    def _maxima(self, g: list[float], h: list[float]) -> tuple[list[float], list[float]]:
+        fg = _max_products(self.n_fg, self.fw, g, self.fg_at)
+        return fg, _max_products(self.n_fgh, fg, h, self.fgh_at)
+
+    def _ratio(self, fgh: list[float], g: list[float], h: list[float]) -> float:
+        if not any(g) or not any(h):
+            return math.inf
+        # Python's sum over Python floats, in key order, as l1_norm sums
+        num = sum([w for w in fgh if w > 0])
+        return num / (self._norm(0, g) * self._norm(1, h))
+
+    def __call__(self, gw: Sequence[float], hw: Sequence[float]) -> float:
+        g, h = self._canonical(0, gw), self._canonical(1, hw)
+        return self._ratio(self._maxima(g, h)[1], g, h)
+
+    def line(
+        self, gw: Sequence[float], hw: Sequence[float], side: int, i: int
+    ) -> Callable[[float], float]:
+        """x -> self(gw, hw) with the i-th weight of side 0 (g) or 1 (h)
+        set to x, bit for bit.
+
+        Built once per line: the maxima of f*g*h over every term that does
+        not involve the moving point, the other side's norm, and the value
+        with the point dropped (x <= 0).  A call forms only the touched
+        terms (c.x).s into their keys: (f_a.x).h_l for side 0, and
+        (fg_k.x).1.0 == fg_k.x for side 1.  For side 0 the fixed maxima
+        already hold fg_k.h_l with fg_k the max without the moving point;
+        rounding is monotone, so max(fg_k, f_a.x).h_l == max(fg_k.h_l,
+        (f_a.x).h_l) and the full max per key comes out.
+
+        The numerator is one sum over the whole list of live keys in key
+        order, and the moving side's norm one sum over its whole power list,
+        never a stored partial sum plus a tail: from Python 3.12 a float sum
+        is compensated, so only the same full list in the same order gives
+        the same float.  A key no term reaches for any x stays off the list;
+        a term that underflows to 0.0 stays on it, and adding 0.0 leaves a
+        float sum, compensated or not, unchanged."""
+        g, h = self._canonical(0, gw), self._canonical(1, hw)
+        j = self.slots[side][i]
+        mine, theirs = (g, h) if side == 0 else (h, g)
+        mine[j] = 0.0
+        fg, base = self._maxima(g, h)
+        dropped = self._ratio(base, g, h)
+        if not any(theirs):
+            return lambda x: dropped  # inf: the other side keeps no point
+        other = self._norm(1 - side, theirs)
+        if side == 0:  # (m, c, s): key m gets (c.x).s
+            terms = [(self.fgh_at[l][k], c, s) for c, k in zip(self.fw, self.fg_at[j])
+                     for l, s in enumerate(h) if s > 0]
+        else:
+            terms = [(m, c, 1.0) for c, m in zip(fg, self.fgh_at[j]) if c > 0]
+        live = sorted({m for m, w in enumerate(base) if w > 0} | {m for m, _, _ in terms})
+        pos = {m: n for n, m in enumerate(live)}
+        terms = [(pos[m], c, s) for m, c, s in terms]
+        fixed = [base[m] for m in live]
+        e = self.exps[side]
+        inv_e = 1.0 / e
+        powers = [w**e for w in mine[:j] if w > 0] + [0.0] + [w**e for w in mine[j + 1:] if w > 0]
+        slot = sum(1 for w in mine[:j] if w > 0)
+
+        def at(x: float) -> float:
+            if not x > 0:
+                return dropped
+            vals = fixed[:]
+            for n, c, s in terms:
+                u = c * x * s
+                if u > vals[n]:
+                    vals[n] = u
+            powers[slot] = x**e
+            return sum(vals) / (sum(powers) ** inv_e * other)
+
+        return at
+
+
 def fixed_support_gamma(
     f: WeightedFunction,
     support_g: Sequence[Vec],
     support_h: Sequence[Vec],
     p: Fraction | float,
-) -> Callable[[Sequence[float], Sequence[float]], float]:
+) -> FixedSupportGamma:
     """The gamma ratio on fixed supports as a function evaluate(gw, hw) of
-    the weights listed along support_g and support_h.
+    the weights listed along support_g and support_h, with evaluate.line for
+    the ratio along one weight (FixedSupportGamma).
 
     evaluate(gw, hw) == gamma_ratio(ff, g, h, float(p)) bit for bit, where
     ff is f in float mode and g, h keep the positive weights (math.inf when
-    either keeps none).  The sumset structure is built once: the canonical
-    order of each support and, for every f+g and (f*g)+h sum, the index of
-    its key in the sorted key list of f*g and f*g*h.  An evaluation forms
-    the products (f.g).h, takes the max per key, and sums and normalises in
-    canonical key order, as max_convolve, l1_norm and lp_norm do."""
-    ctx = f.context
-    pf = float(p)
-    qf = holder_conjugate(pf)
-    fw = np.array([float(w) for _, w in f.entries])
-
-    def canonical(support: Sequence[Vec]) -> tuple[list[Vec], np.ndarray]:
-        keys = [ctx.reduce(x) for x in support]
-        order = sorted(range(len(keys)), key=lambda k: ctx.sort_key(keys[k]))
-        for a, b in zip(order, order[1:]):
-            if keys[a] == keys[b]:
-                raise ValueError(f"duplicate support point {keys[a]}")
-        return [keys[k] for k in order], np.array(order, dtype=np.intp)
-
-    def key_index(xs: Sequence[Vec], ys: Sequence[Vec]) -> tuple[list[Vec], np.ndarray]:
-        sums = [ctx.add(x, y) for x in xs for y in ys]
-        keys = sorted(set(sums), key=ctx.sort_key)
-        where = {k: n for n, k in enumerate(keys)}
-        return keys, np.array([where[s] for s in sums], dtype=np.intp)
-
-    gpts, gorder = canonical(support_g)
-    hpts, horder = canonical(support_h)
-    fg_keys, fg_index = key_index([x for x, _ in f.entries], gpts)
-    fgh_keys, fgh_index = key_index(fg_keys, hpts)
-
-    def evaluate(gw: Sequence[float], hw: Sequence[float]) -> float:
-        g = np.asarray(gw, dtype=float)[gorder]
-        h = np.asarray(hw, dtype=float)[horder]
-        g = np.where(g > 0, g, 0.0)  # a weight that is not positive drops its point
-        h = np.where(h > 0, h, 0.0)
-        gpos = [w for w in g.tolist() if w > 0]
-        hpos = [w for w in h.tolist() if w > 0]
-        if not gpos or not hpos:
-            return math.inf
-        fg = np.zeros(len(fg_keys))
-        np.maximum.at(fg, fg_index, np.multiply.outer(fw, g).ravel())
-        fgh = np.zeros(len(fgh_keys))
-        np.maximum.at(fgh, fgh_index, np.multiply.outer(fg, h).ravel())
-        # Python's sum over Python floats, in key order, as l1_norm sums
-        num = float(sum([w for w in fgh.tolist() if w > 0]))
-        gnorm = sum([w**pf for w in gpos]) ** (1.0 / pf)
-        hnorm = sum([w**qf for w in hpos]) ** (1.0 / qf)
-        return num / (gnorm * hnorm)
-
-    return evaluate
+    either keeps none), and so is evaluate.line(gw, hw, side, i)(x) with
+    the one weight set to x.  The term lists are built once; an evaluation
+    keeps the products' association (f_a.g_b).h_l and sums in canonical key
+    order, as max_convolve, l1_norm and lp_norm do."""
+    return FixedSupportGamma(f, support_g, support_h, p)
 
 
 _BRENT_XATOL = 1e-5  # SciPy's defaults for minimize_scalar(method="bounded")
@@ -661,16 +774,17 @@ def refine_weights_coordinate_descent(
     max_sweeps: int = 200,
 ) -> float:
     """The gamma ratio reached by cyclic single-weight optimization on fixed
-    supports; stops when a full sweep improves by less than 1e-10
-    (relative).
+    supports; stops after a sweep that lowers it by less than 1e-10
+    (relative), or not at all (an inf that stays inf).
 
     The sumset structure of the supports is built once per descent
-    (fixed_support_gamma), and each evaluation is bit-identical to
+    (fixed_support_gamma).  Each single-weight step is Brent's bounded
+    minimization on [0, 4] (_bounded_minimum, bit-identical to SciPy's) of
+    the line function evaluate.line, which precomputes what the moving
+    weight does not touch; each of its values is bit-identical to
     gamma_ratio on the functions the weights define, so the descent takes
-    the same path as one that rebuilds them on every call.  Each
-    single-weight step is Brent's bounded minimization on [0, 4]
-    (_bounded_minimum, bit-identical to SciPy's), so the descent needs
-    numpy only."""
+    the same path as one that rebuilds them on every call.  The coordinates
+    are swept in the order of support_g, then of support_h."""
     evaluate = fixed_support_gamma(f, support_g, support_h, p)
     gw = [float(x) for x in (init_g if init_g is not None else [1.0] * len(support_g))]
     hw = [float(x) for x in (init_h if init_h is not None else [1.0] * len(support_h))]
@@ -678,21 +792,14 @@ def refine_weights_coordinate_descent(
     cur = evaluate(gw, hw)
     for _ in range(max_sweeps):
         start = cur
-        for ws in (gw, hw):
-            for idx in range(len(ws)):
-                saved = ws[idx]
-
-                def one(x: float, idx=idx, ws=ws) -> float:
-                    ws[idx] = max(x, 0.0)
-                    return evaluate(gw, hw)
-
-                x, fun = _bounded_minimum(one, 0.0, 4.0)
+        for side, ws in enumerate((gw, hw)):
+            for i in range(len(ws)):
+                x, fun = _bounded_minimum(evaluate.line(gw, hw, side, i), 0.0, 4.0)
                 if fun < cur:
-                    ws[idx] = max(x, 0.0)
+                    ws[i] = max(x, 0.0)
                     cur = fun
-                else:
-                    ws[idx] = saved
-        if start - cur < 1e-10 * max(abs(start), 1.0):
+        # written so that NaN (inf - inf: no finite value yet) also stops
+        if not start - cur >= 1e-10 * max(abs(start), 1.0):
             break
     return cur
 

@@ -66,6 +66,22 @@ class TestCanonicalEnumeration:
         shapes = {tuple(sorted(p[0] - min(q[0] for q in s) for p in s)) for s in sets}
         assert shapes == {(0,), (0, 1), (0, 2)}
 
+    @pytest.mark.parametrize("ctx, box, k", [
+        (Z1, ((-2, 3),), 4),
+        (Z2, ((0, 3), (-1, 1)), 3),
+        (GroupContext(1, (2,)), ((-1, 2),), 3),
+        (GroupContext(0, (3,)), (), 4),  # free rank 0: every set, none of 4 points
+    ], ids=["Z", "Z2", "ZxZ2", "Z3"])
+    def test_matches_definition(self, ctx, box, k):
+        # written out: every set of at most k box points whose min on each
+        # free axis is the box's low end
+        pts = box_points(ctx, box)
+        want = sorted(
+            c for r in range(1, k + 1) for c in itertools.combinations(pts, r)
+            if all(min(q[i] for q in c) == box[i][0] for i in range(ctx.free_rank))
+        )
+        assert canonical_subsets(ctx, box, k) == want
+
 
 class TestBetaEstimate:
     def test_two_point_set(self):
@@ -166,6 +182,15 @@ class TestBetaEstimate:
     def test_int_p_accepted(self):
         cfg = SearchConfig(box=((0, 1),), max_cardinality=1, p=2)
         assert cfg.echo()["p"] == "2/1"
+
+    def test_negative_geometric_max_r_rejected(self):
+        # r = -1 would leave geometric_family with no family to try: it
+        # reported inf on the witness ((0,),), which does not attain it
+        with pytest.raises(ValueError, match="geometric_max_r"):
+            SearchConfig(box=((0, 1),), max_cardinality=1, geometric_max_r=-1)
+        f = WeightedFunction.of(Z1, [((0,), F(1)), ((1,), F(1, 2))])
+        cfg = SearchConfig(box=((0, 1),), max_cardinality=2, strategy="geometric_family", geometric_max_r=0)
+        assert gamma_estimate(f, cfg).value_float == pytest.approx(1.5)  # r = 0: g = h = 1_{0}
 
     @pytest.mark.parametrize("ceiling", [0, -1])
     def test_node_ceiling_below_one_rejected(self, ceiling):
@@ -629,6 +654,49 @@ def test_fixed_support_gamma_rejects_duplicate_point():
         fixed_support_gamma(f, [(0, 1), (0, 4)], [(0, 0)], 2.0)  # 4 = 1 mod 3
 
 
+@pytest.mark.parametrize("ctx", [Z1, Z2, ZT3, Z2T], ids=["Z", "Z2", "ZxZ3", "Z2xZ2"])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, F(2)])
+def test_line_equals_gamma_ratio(ctx, exact, p):
+    # evaluate.line(gw, hw, side, i)(x) is gamma_ratio with that one weight
+    # set to x: for every coordinate of either side, at x <= 0 (the point
+    # drops), in (0, 4] and at 4, from weights with zeros on the moving side,
+    # on the other side, or everywhere but the moving point
+    rng = random.Random(f"line{ctx}{exact}{p}")
+    xs = [-1.0, -0.0, 0.0, 1e-6, 0.25, 0.5, 1.0, 3.999, 4.0] + [rng.uniform(0.0, 4.0) for _ in range(4)]
+
+    def support(k):
+        pts = {}
+        while len(pts) < k:
+            x = tuple(rng.randint(-2, 4) for _ in range(ctx.arity))
+            pts[ctx.reduce(x)] = x
+        out = list(pts.values())
+        rng.shuffle(out)
+        return out
+
+    for _ in range(3):
+        f = WeightedFunction.of(ctx, [
+            (x, F(rng.randint(1, 9), rng.randint(1, 9)) if exact else rng.uniform(0.05, 3.0))
+            for x in support(rng.randint(1, 3))])
+        sg, sh = support(rng.randint(1, 4)), support(rng.randint(1, 4))
+        evaluate = fixed_support_gamma(f, sg, sh, p)
+        cases = [([rng.uniform(0.1, 2.0) for _ in sg], [rng.uniform(0.1, 2.0) for _ in sh]),
+                 ([rng.choice([0.0, rng.uniform(0.1, 2.0)]) for _ in sg],
+                  [rng.choice([0.0, rng.uniform(0.1, 2.0)]) for _ in sh]),
+                 ([0.0] * len(sg), [rng.uniform(0.1, 2.0) for _ in sh]),
+                 ([rng.uniform(0.1, 2.0) for _ in sg], [0.0] * len(sh))]
+        for gw, hw in cases:
+            before = (gw[:], hw[:])
+            for side, ws in enumerate((gw, hw)):
+                for i in range(len(ws)):
+                    line = evaluate.line(gw, hw, side, i)
+                    for x in xs:
+                        moved = ws[:i] + [x] + ws[i + 1:]
+                        g, h = (moved, hw) if side == 0 else (gw, moved)
+                        assert line(x) == gamma_by_rebuild(f, sg, sh, p, g, h) == evaluate(g, h)
+            assert (gw, hw) == before  # a line leaves the weights it was built from alone
+
+
 def descent_by_rebuild(f, support_g, support_h, p, init_g=None, init_h=None, max_sweeps=200):
     """The coordinate descent with its objective rebuilt through gamma_ratio
     on every call, as the reference for the fixed-support one."""
@@ -682,6 +750,36 @@ def test_descent_matches_rebuild_on_gamma_witness():
     refined = refine_weights_coordinate_descent(f, w.witness_a, w.witness_b, cfg.p)
     assert refined == descent_by_rebuild(f, w.witness_a, w.witness_b, cfg.p)
     assert refined == gamma_estimate(f, cfg).value_float
+
+
+def test_descent_matches_rebuild_on_torsion_supports():
+    # Z x Z_3 supports listed out of canonical order, one with an unreduced residue
+    f = WeightedFunction.of(ZT3, [((0, 0), F(1)), ((1, 1), F(1, 2)), ((0, 2), F(2, 3))])
+    sg = [(1, 0), (0, 0), (0, 4), (-1, 2)]
+    sh = [(0, 2), (1, 1), (0, 0)]
+    rng = random.Random(3)
+    init_g = [rng.uniform(0.1, 1.0) for _ in sg]
+    init_h = [rng.uniform(0.1, 1.0) for _ in sh]
+    args = (f, sg, sh, 1.5, init_g, init_h, 8)
+    assert refine_weights_coordinate_descent(*args) == descent_by_rebuild(*args)
+    assert refine_weights_coordinate_descent(f, sg, sh, F(2)) == descent_by_rebuild(f, sg, sh, F(2))
+
+
+def test_all_nonpositive_start_stops_after_one_sweep(monkeypatch):
+    # no line can lower inf while the other side keeps no point; inf - inf
+    # is NaN, and a NaN improvement must stop the descent, not run every sweep
+    f = WeightedFunction.of(Z1, [((0,), 1.0), ((1,), 0.5)])
+    supp = [(i,) for i in range(5)]
+    calls = []
+    real = search._bounded_minimum
+
+    def counted(func, lo, hi):
+        calls.append(lo)
+        return real(func, lo, hi)
+
+    monkeypatch.setattr(search, "_bounded_minimum", counted)
+    assert refine_weights_coordinate_descent(f, supp, supp, 1.5, [0.0] * 5, [0.0] * 5) == math.inf
+    assert len(calls) == 2 * len(supp)  # one sweep: every g weight, then every h weight
 
 
 def bounded_objectives():
