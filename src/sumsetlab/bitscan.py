@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,6 +98,25 @@ class ExhaustiveBetaScan:
         return self.class_rows[self.class_bounds[k]:self.class_bounds[k + 1]]
 
 
+def unsupported(dims: Sequence[int], v_points: Sequence[Pt] = ()) -> Optional[str]:
+    """Why the bit scan cannot decide V, given by its points normalized to
+    min 0 per axis, in a box of these dims; None when it can.  With no
+    points, why it cannot scan the box at all.  build_scan and
+    verify_subset_beta refuse with this reason, and callers route around it."""
+    d = len(dims)
+    if d not in (1, 2):
+        return "bit scan supports dimensions 1 and 2 only"
+    corner = dims[0] - 1 if d == 1 else (dims[1] - 1) * (2 * dims[0] - 1) + dims[0] - 1
+    if 2 * corner > 127:  # the bit of the far corner of A+B, in two words
+        return "box too large for the two-word bit scan"
+    v = len(set(v_points))
+    if v > MAX_V:
+        return f"|V| = {v} above the scan's certificate bound {MAX_V}"
+    if v_points and max(p[0] for p in v_points) + 2 * (dims[0] - 1) >= 64:
+        return "V too wide for the exact recheck stride"
+    return None
+
+
 def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]:
     """Nonempty box subsets with min coordinate 0 in every axis, sorted.
 
@@ -118,18 +137,14 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     2-D V is never below it, so no pair any V needs is dropped.  Screening
     on Ruzsa's bound instead would drop pairs that collinear V's need."""
     dims = tuple(dims)
+    reason = unsupported(dims)
+    if reason is not None:
+        raise ValueError(reason)
     d = len(dims)
-    if d not in (1, 2):
-        raise ValueError("bit scan supports dimensions 1 and 2 only")
     stride = 1 if d == 1 else 2 * dims[0] - 1
 
     def idx(p: Pt) -> int:
         return p[0] if d == 1 else p[1] * stride + p[0]
-
-    max_pt = idx(tuple(n - 1 for n in dims))
-    max_sum = idx(tuple(2 * (n - 1) for n in dims))
-    if max_pt > 63 or max_sum > 127:
-        raise ValueError("box too large for the two-word bit scan")
 
     sets = anchored_subsets(dims, max_card)
     n = len(sets)
@@ -177,11 +192,14 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
                       lo.ravel()[k], hi.ravel()[k]))
         i0 = i1
 
-    surv_i, surv_j, surv_pop, surv_lo, surv_hi = map(np.concatenate, zip(*found))
-    del found
+    # join column by column, each column's blocks freed once joined, so not all are alive at once
+    found = [list(col) for col in zip(*found)]
+    surv_i, surv_j, surv_pop, surv_lo, surv_hi = (np.concatenate(found.pop(0)) for _ in range(5))
     surv_ab = sizes[surv_i] * sizes[surv_j]
+    # each class's certificate as a table over (|A+B|, |A||B|): no survivor-sized temporaries
+    pop_ax, ab_ax = np.arange(129)[:, None], np.arange(width * width + 1)
     rows = [
-        np.flatnonzero(certified_size(surv_pop, v, k) ** 2 < v * v * surv_ab)
+        np.flatnonzero((certified_size(pop_ax, v, k) ** 2 < v * v * ab_ax)[surv_pop, surv_ab])
         if k <= d and c != SCREEN_CLASS else np.zeros(0, dtype=np.intp)
         for c, (v, k) in enumerate(CLASSES)
     ]
@@ -211,11 +229,10 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     for i in range(d):
         if min(p[i] for p in vpts) != 0:
             raise ValueError("V must be normalized to min coordinate 0")
+    reason = unsupported(scan.dims, vpts)
+    if reason is not None:
+        raise ValueError(reason)
     v = len(vpts)
-    if v > scan.max_v:
-        raise ValueError(f"|V| = {v} above the scan's certificate bound {scan.max_v}")
-    if max(p[0] for p in vpts) + 2 * (scan.dims[0] - 1) >= 64:
-        raise ValueError("V too wide for the exact recheck stride")
 
     # survivors whose certificate fails for V's class (none at v = 1, where
     # s >= a+b-1 >= sqrt(ab))

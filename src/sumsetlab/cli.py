@@ -4,8 +4,13 @@ Exit codes: 0 success, 2 a proved-law verdict came back false, 3 a
 conjecture disproof was found, 64 flag/validation errors, 74 I/O errors.
 Every artifact embeds a run manifest (flags, input digests, tool version,
 wall clock); reports are byte-identical across reruns apart from the
-wall-clock field.  Scans are sequential: --threads is recorded in the
-manifest and the config echo but does not change the work.
+wall-clock field.  Scans are sequential: --threads is validated and
+recorded in the manifest only, and changes neither the work nor any
+report.  Conjecture scans are exhaustive and read no seed, so their config
+echo (and so their checkpoints) carry neither --threads nor --seed, and a
+checkpoint resumes under any value of either.  SUMSETLAB_NODE_CEILING, the
+pair ceiling of a scan, is read when a config is built, so a bad value
+exits 64 before any work.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .conjectures import scan_doubling_tripling, scan_log_span
 from .groups import compress
 from .quasicube import format_spec, is_quasicube, make_quasicube, random_spec
 from .search import (
+    STRATEGIES,
+    VARIANTS,
     SearchConfig,
     alpha_estimate,
     beta_estimate,
@@ -140,7 +147,6 @@ def _cmd_estimate(args: argparse.Namespace, started: float) -> int:
         variant=args.variant,
         strategy=args.strategy,
         seed=args.seed,
-        parallelism=args.threads,
     )
     if args.quantity in ("alpha", "beta"):
         if not args.set:
@@ -201,10 +207,9 @@ def _cmd_conjecture(args: argparse.Namespace, started: float) -> int:
     side = box[0][1] - box[0][0] + 1
     if any(hi - lo + 1 != side for lo, hi in box):
         raise CliError("conjecture scans use a cubical box", EXIT_USAGE)
-    cfg = SearchConfig(
-        box=box, max_cardinality=args.max_card, seed=args.seed,
-        parallelism=args.threads,
-    )
+    # exhaustive scans read no seed, so neither --seed nor --threads enters the
+    # config echo and a checkpoint resumes under any of their values
+    cfg = SearchConfig(box=box, max_cardinality=args.max_card)
     scan = scan_log_span if args.id == "log_span" else scan_doubling_tripling
     state = scan(
         d, side, args.max_size, cfg,
@@ -249,12 +254,10 @@ def build_parser() -> _Parser:
     est.add_argument("--set", default=None)
     est.add_argument("--fn", default=None)
     est.add_argument("--p", default="2/1")
-    est.add_argument("--variant", default="unrestricted",
-                     choices=["unrestricted", "isometric", "isomeric"])
+    est.add_argument("--variant", default="unrestricted", choices=VARIANTS)
     est.add_argument("--box", required=True)
     est.add_argument("--max-card", type=int, required=True)
-    est.add_argument("--strategy", default="exhaustive",
-                     choices=["exhaustive", "hill_climb", "geometric_family"])
+    est.add_argument("--strategy", default="exhaustive", choices=STRATEGIES)
     add_common(est)
     est.set_defaults(func=_cmd_estimate)
 

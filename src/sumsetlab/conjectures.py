@@ -17,7 +17,7 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +30,7 @@ from .search import (
     canonical_subsets,
     frac_str,
     json_value,
+    variant_estimates,
 )
 
 NEAR_LEDGER_SIZE = 100
@@ -108,13 +109,6 @@ def save_state(state: ScanState, path: str) -> None:
 def load_state(path: str) -> ScanState:
     with open(path) as fh:
         return ScanState.from_json_dict(json.load(fh))
-
-
-def _work_config(config: dict) -> dict:
-    """A scan config without `search.parallelism`, which does not change the
-    work, so a scan may resume under a different thread count."""
-    search = {k: v for k, v in config.get("search", {}).items() if k != "parallelism"}
-    return {**config, "search": search}
 
 
 # --- canonical enumeration modulo translation and signed permutations -------
@@ -199,7 +193,7 @@ def _run_shards(
         state = load_state(checkpoint_path)
         if state.conjecture != conjecture:
             raise ValueError(f"checkpoint belongs to a {state.conjecture} scan, not {conjecture}")
-        if _work_config(state.config) != _work_config(config_echo):
+        if state.config != config_echo:
             raise ValueError("checkpoint was created with a different configuration")
         if state.total != len(candidates):
             raise ValueError(f"checkpoint counts {state.total} candidates, "
@@ -303,15 +297,10 @@ def scan_doubling_tripling(
         if not set(U.points) <= box_pts:
             state.skipped += 1
             return None
-        est = {}
-        for variant in ("unrestricted", "isometric", "isomeric"):
-            cfgv = replace(cfg, variant=variant)
-            est[("beta", variant)] = beta_estimate(U, cfgv).value_exact
-            est[("alpha", variant)] = alpha_estimate(
-                U, replace(cfgv, max_cardinality=max(cfg.max_cardinality, len(U)))
-            ).value_exact
-        b = [est[("beta", v)] for v in ("unrestricted", "isometric", "isomeric")]
-        a = [est[("alpha", v)] for v in ("unrestricted", "isometric", "isomeric")]
+        betas, alphas = variant_estimates(U, cfg, max(cfg.max_cardinality, len(U)),
+                                          beta_estimate, alpha_estimate)
+        b = [r.value_exact for r in betas]
+        a = [r.value_exact for r in alphas]
         if not (b[0] <= b[1] <= b[2] and a[0] <= a[1] <= a[2]):
             # proved chain violated: implementation bug, stop the scan
             state.counterexample = {

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .groups import GroupContext, PointSet, Vec
 
@@ -143,10 +143,12 @@ def holder_conjugate(p: Fraction | float) -> Fraction | float:
 def gamma_ratio(
     f: WeightedFunction, g: WeightedFunction, h: WeightedFunction, p: Fraction | float
 ) -> float:
-    """||f*g*h||_1 / (||g||_p ||h||_q) with q the Hölder conjugate of p."""
+    """||f*g*h||_1 / (||g||_p ||h||_q) with q the Hölder conjugate of p;
+    math.inf when the denominator underflows to 0.0."""
     q = holder_conjugate(p)
     num = float(l1_norm(max_convolve(max_convolve(f, g), h)))
-    return num / (lp_norm(g, p) * lp_norm(h, q))
+    den = lp_norm(g, p) * lp_norm(h, q)
+    return num / den if den else math.inf  # a positive weight's power may underflow to 0.0
 
 
 # --- rearrangements on Z ---------------------------------------------------
@@ -174,18 +176,11 @@ def _int_weights(f: WeightedFunction) -> tuple[list[int], int]:
     return [int(Fraction(w) * lcm) for _, w in f.entries], lcm
 
 
-def _triple_l1_int(fw: Sequence[int], fpos: Sequence[int], ghw: dict[int, int]) -> int:
-    out: dict[int, int] = {}
-    for w, x in zip(fw, fpos):
-        for y, v in ghw.items():
-            key = x + y
-            prod = w * v
-            if prod > out.get(key, -1):
-                out[key] = prod
-    return sum(out.values())
-
-
-def _pair_conv_int(gw: Sequence[int], gpos: Sequence[int], hw: Sequence[int], hpos: Sequence[int]) -> dict[int, int]:
+def _pair_conv_int(
+    gw: Collection[int], gpos: Collection[int], hw: Collection[int], hpos: Collection[int]
+) -> dict[int, int]:
+    """The max-convolution of integer weights gw at positions gpos with hw at
+    hpos, as {position: weight}."""
     out: dict[int, int] = {}
     for w, x in zip(gw, gpos):
         for v, y in zip(hw, hpos):
@@ -228,7 +223,7 @@ def min_over_permutations(
         for rho in perms[2]:
             gh = _pair_conv_int(tau, positions[1], rho, positions[2])
             for sigma in perms[0]:
-                val = _triple_l1_int(sigma, positions[0], gh)
+                val = sum(_pair_conv_int(sigma, positions[0], gh.values(), gh.keys()).values())
                 if best is None or val < best:
                     best = val
                     best_arr = (sigma, tau, rho)

@@ -45,6 +45,7 @@ from .search import (
     geometric_family_ratio,
     refine_weights_coordinate_descent,
     two_point_constant,
+    variant_estimates,
     frac_str,
     json_value,
 )
@@ -98,15 +99,20 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     ratio is therefore exactly |V|^2.  The margin is that minimum less
     |V|^2, and a counterexample names the A, B and V that attain it.
 
-    `threads` is kept for compatibility and has no effect: the scan is
-    sequential."""
+    Inputs the bit scan refuses go to beta_estimate, which raises ValueError
+    when cut at the node ceiling.  `threads` is kept for compatibility and
+    has no effect: the scan is sequential."""
     if cfg.strategy != "exhaustive" or Fraction(cfg.p) != 2:
         raise ValueError("requires an exhaustive p=2 configuration")
+    if not V.points:
+        raise ValueError("V must be nonempty")
     ctx = V.context
-    if ctx.is_torsion_free and ctx.free_rank == len(cfg.box) and ctx.free_rank in (1, 2):
-        dims = tuple(hi - lo + 1 for lo, hi in cfg.box)
+    dims = tuple(hi - lo + 1 for lo, hi in cfg.box)
+    v_free = _normalized_free(V)
+    # beta_estimate decides what the bit scan cannot: torsion, other ranks, wide boxes or V's
+    if ctx.is_torsion_free and ctx.free_rank == len(dims) and bitscan.unsupported(dims, v_free) is None:
         scan = _get_scan(dims, cfg.max_cardinality)
-        res = bitscan.verify_subset_beta(scan, _normalized_free(V))
+        res = bitscan.verify_subset_beta(scan, v_free)
         holds = res["holds"]
         if holds:
             margin = Fraction(0)
@@ -116,6 +122,8 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
         note = f"pairs={res['pair_count']} rechecked={res['checked_pairs']}"
     else:
         report = beta_estimate(V, cfg)
+        if not report.complete:  # a window cut at the node ceiling proves nothing
+            raise ValueError(f"beta scan cut at the node ceiling of {cfg.node_ceiling} pairs")
         A, B, V_ce = report.witness_a, report.witness_b, V
         margin = report.value_exact - len(V) ** 2
         holds = margin == 0
@@ -417,15 +425,9 @@ def check_basic_chains(U: PointSet, cfg: SearchConfig) -> Verdict:
     if Fraction(cfg.p) != 2:
         raise ValueError("exact chains require p = 2")
     d = dimension(U)
-    ests = {}
-    for variant in ("unrestricted", "isometric", "isomeric"):
-        cfgv = replace(cfg, variant=variant)
-        ests[("beta", variant)] = beta_estimate(U, cfgv)
-        ests[("alpha", variant)] = alpha_estimate(
-            U, replace(cfgv, max_cardinality=max(cfg.max_cardinality, len(U) + 2))
-        )
-    bx = [ests[("beta", v)].value_exact for v in ("unrestricted", "isometric", "isomeric")]
-    ax = [ests[("alpha", v)].value_exact for v in ("unrestricted", "isometric", "isomeric")]
+    betas, alphas = variant_estimates(U, cfg, max(cfg.max_cardinality, len(U) + 2))
+    bx = [r.value_exact for r in betas]
+    ax = [r.value_exact for r in alphas]
     chain_ok = bx[0] <= bx[1] <= bx[2] and ax[0] <= ax[1] <= ax[2]
     upper_ok = bx[2] <= Fraction(len(U) ** 2)
     lower_ok = bx[0] >= Fraction((d + 1) ** 2)

@@ -25,7 +25,7 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import InitVar, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -46,6 +46,7 @@ NODE_CEILING_ENV = "SUMSETLAB_NODE_CEILING"
 VARIANTS = ("unrestricted", "isometric", "isomeric")
 STRATEGIES = ("exhaustive", "hill_climb", "geometric_family")
 HILL_CLIMB_RESTARTS = 20
+GEOMETRIC_MAX_R = 8  # geometric_family tries g = h = (1, delta, ..., delta^r), r <= this
 MAX_P_TERM = 1000  # the largest numerator or denominator of p a scan accepts
 _BLOCK_PAIRS = 1 << 12  # about this many pairs per eval_pairs call of a scan
 # a pair whose float log-ratio lies this far above the running minimum cannot
@@ -74,12 +75,13 @@ class SearchConfig:
     variant: str = "unrestricted"
     strategy: str = "exhaustive"
     seed: int = 0
-    # kept for compatibility: validated and echoed, but scans are sequential
-    parallelism: int = 1
-    node_ceiling: int | None = None
-    geometric_max_r: int = 8
+    # read from SUMSETLAB_NODE_CEILING once, here, unless given
+    node_ceiling: int = field(default_factory=node_ceiling_default)
+    # accepted for compatibility and validated, but neither stored nor
+    # echoed: scans are sequential
+    parallelism: InitVar[int] = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, parallelism: int) -> None:
         if self.max_cardinality < 1:
             raise ValueError("max_cardinality must be >= 1")
         if any(lo > hi for lo, hi in self.box):
@@ -95,26 +97,13 @@ class SearchConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.parallelism < 1:
+        if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.geometric_max_r < 0:  # else geometric_family reports inf on a witness that misses it
-            raise ValueError("geometric_max_r must be >= 0")
-        if self.node_ceiling is None:
-            node_ceiling_default()  # a bad SUMSETLAB_NODE_CEILING fails here, not mid-scan
-        elif self.node_ceiling < 1:
+        if self.node_ceiling < 1:
             raise ValueError("node_ceiling must be >= 1")
 
-    @property
-    def effective_node_ceiling(self) -> int:
-        return self.node_ceiling if self.node_ceiling is not None else node_ceiling_default()
-
     def echo(self) -> dict:
-        # p may be an int; node_ceiling None means the environment's ceiling
-        return {
-            **json_value(self),
-            "p": frac_str(self.p),
-            "node_ceiling": self.effective_node_ceiling,
-        }
+        return {**json_value(self), "p": frac_str(self.p)}  # p may be an int
 
 
 def frac_str(x: Fraction | int) -> str:
@@ -259,7 +248,7 @@ def _first_minimum(
     # the pair at stream position t of row i is (i, members[t + to_member[i]])
     to_member = base - (row_end - length)
     total = int(row_end[-1])
-    nodes = min(total, cfg.effective_node_ceiling)
+    nodes = min(total, cfg.node_ceiling)
     invp = 1.0 / float(p)
     log_size = np.log(sizes)
     size_of = sizes.tolist()
@@ -424,6 +413,21 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     return _scan_pairs(sets, None, ctx, cfg, "alpha")
 
 
+def variant_estimates(
+    U: PointSet, cfg: SearchConfig, alpha_cardinality: int,
+    beta: Callable = beta_estimate, alpha: Callable = alpha_estimate,
+) -> tuple[list[EstimateReport], list[EstimateReport]]:
+    """The beta and the alpha estimate of U under each of VARIANTS, in that
+    order, alpha's sets of up to alpha_cardinality points.  conjectures passes
+    its own bindings of the estimators, which perfbench rebinds to time them."""
+    betas, alphas = [], []
+    for variant in VARIANTS:
+        cfgv = replace(cfg, variant=variant)
+        betas.append(beta(U, cfgv))
+        alphas.append(alpha(U, replace(cfgv, max_cardinality=alpha_cardinality)))
+    return betas, alphas
+
+
 def _beta_hill_climb(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     """Seeded local search from HILL_CLIMB_RESTARTS random starts: add or
     remove one point of A or B, accept a strict ratio decrease.
@@ -528,7 +532,13 @@ def _max_products(
 
 class FixedSupportGamma:
     """The gamma ratio on fixed supports, evaluate(gw, hw), as a function of
-    the weights listed along support_g and support_h; see fixed_support_gamma.
+    the weights listed along support_g and support_h, with evaluate.line for
+    the ratio along one weight.
+
+    evaluate(gw, hw) == gamma_ratio(ff, g, h, float(p)) bit for bit, where
+    ff is f in float mode and g, h keep the positive weights (math.inf when
+    either keeps none, or when the norms' product underflows to 0.0), and so
+    is evaluate.line(gw, hw, side, i)(x) with the one weight set to x.
 
     The sumset structure is built once: the canonical order of each support
     and the term lists fg_at[b][a], the index of f_a + g_b in the sorted key
@@ -592,7 +602,8 @@ class FixedSupportGamma:
             return math.inf
         # Python's sum over Python floats, in key order, as l1_norm sums
         num = sum([w for w in fgh if w > 0])
-        return num / (self._norm(0, g) * self._norm(1, h))
+        den = self._norm(0, g) * self._norm(1, h)
+        return num / den if den else math.inf  # 0.0 when a norm underflows, as in gamma_ratio
 
     def __call__(self, gw: Sequence[float], hw: Sequence[float]) -> float:
         g, h = self._canonical(0, gw), self._canonical(1, hw)
@@ -652,28 +663,10 @@ class FixedSupportGamma:
                 if u > vals[n]:
                     vals[n] = u
             powers[slot] = x**e
-            return sum(vals) / (sum(powers) ** inv_e * other)
+            den = sum(powers) ** inv_e * other
+            return sum(vals) / den if den else math.inf
 
         return at
-
-
-def fixed_support_gamma(
-    f: WeightedFunction,
-    support_g: Sequence[Vec],
-    support_h: Sequence[Vec],
-    p: Fraction | float,
-) -> FixedSupportGamma:
-    """The gamma ratio on fixed supports as a function evaluate(gw, hw) of
-    the weights listed along support_g and support_h, with evaluate.line for
-    the ratio along one weight (FixedSupportGamma).
-
-    evaluate(gw, hw) == gamma_ratio(ff, g, h, float(p)) bit for bit, where
-    ff is f in float mode and g, h keep the positive weights (math.inf when
-    either keeps none), and so is evaluate.line(gw, hw, side, i)(x) with
-    the one weight set to x.  The term lists are built once; an evaluation
-    keeps the products' association (f_a.g_b).h_l and sums in canonical key
-    order, as max_convolve, l1_norm and lp_norm do."""
-    return FixedSupportGamma(f, support_g, support_h, p)
 
 
 _BRENT_XATOL = 1e-5  # SciPy's defaults for minimize_scalar(method="bounded")
@@ -778,14 +771,14 @@ def refine_weights_coordinate_descent(
     (relative), or not at all (an inf that stays inf).
 
     The sumset structure of the supports is built once per descent
-    (fixed_support_gamma).  Each single-weight step is Brent's bounded
+    (FixedSupportGamma).  Each single-weight step is Brent's bounded
     minimization on [0, 4] (_bounded_minimum, bit-identical to SciPy's) of
     the line function evaluate.line, which precomputes what the moving
     weight does not touch; each of its values is bit-identical to
     gamma_ratio on the functions the weights define, so the descent takes
     the same path as one that rebuilds them on every call.  The coordinates
     are swept in the order of support_g, then of support_h."""
-    evaluate = fixed_support_gamma(f, support_g, support_h, p)
+    evaluate = FixedSupportGamma(f, support_g, support_h, p)
     gw = [float(x) for x in (init_g if init_g is not None else [1.0] * len(support_g))]
     hw = [float(x) for x in (init_h if init_h is not None else [1.0] * len(support_h))]
 
@@ -834,7 +827,7 @@ def _gamma_geometric(f: WeightedFunction, cfg: SearchConfig) -> EstimateReport:
     delta = _two_point_delta(f)
     best = math.inf
     best_r = 0
-    for r in range(cfg.geometric_max_r + 1):
+    for r in range(GEOMETRIC_MAX_R + 1):
         val = geometric_family_ratio(float(delta), float(cfg.p), r, r)
         if val < best:
             best = val
@@ -848,7 +841,7 @@ def _gamma_geometric(f: WeightedFunction, cfg: SearchConfig) -> EstimateReport:
         value_exact=None,
         witness_a=witness,
         witness_b=witness,
-        nodes=cfg.geometric_max_r + 1,
+        nodes=GEOMETRIC_MAX_R + 1,
         complete=False,
         config=cfg.echo(),
     )

@@ -1,12 +1,13 @@
 """Text formats and the command-line surface: exit codes, reports, manifests."""
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from sumsetlab import cli, io_formats
+from sumsetlab import cli, conjectures, io_formats
 from sumsetlab.functional import WeightedFunction
 from sumsetlab.groups import GroupContext, PointSet
 
@@ -322,6 +323,43 @@ class TestConjectureCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and err.count("\n") == 1
         assert (ckpt.read_bytes(), out.exists() and out.read_bytes()) == before
+
+    @pytest.mark.parametrize("scan", ["log_span", "doubling_tripling"])
+    def test_resume_under_other_seed_and_threads(self, scan, tmp_path, monkeypatch):
+        # an exhaustive scan reads neither --seed nor --threads, so a scan
+        # begun at one pair of values resumes at another, with the bytes of
+        # one uninterrupted run
+        argv = ["conjecture", "scan", "--id", scan, "--box", "0..2,0..2",
+                "--max-size", "3", "--max-card", "3"]
+        full, full_ckpt = tmp_path / "full.jsonl", tmp_path / "full.json"
+        assert cli.main(argv + ["--checkpoint", str(full_ckpt), "--out", str(full)]) == 0
+        part, ckpt = tmp_path / "part.jsonl", tmp_path / "state.json"
+        files = ["--checkpoint", str(ckpt), "--out", str(part)]
+        name = f"scan_{scan}"
+        monkeypatch.setattr(cli, name, functools.partial(getattr(conjectures, name),
+                                                         shard_size=2, max_shards=1))
+        assert cli.main(argv + ["--seed", "1", "--threads", "1"] + files) == 0
+        assert 0 < json.loads(ckpt.read_text())["cursor"] < json.loads(full_ckpt.read_text())["total"]
+        monkeypatch.undo()
+        assert cli.main(argv + ["--seed", "2", "--threads", "4"] + files) == 0
+        assert part.read_bytes() == full.read_bytes()
+        assert ckpt.read_bytes() == full_ckpt.read_bytes()
+
+    def test_checkpoint_with_inert_config_keys_refused(self, tmp_path, capsys):
+        # checkpoints written before the config echo lost `parallelism` and
+        # `geometric_max_r` carry both keys; such a file is refused, unchanged
+        out, ckpt = tmp_path / "r.jsonl", tmp_path / "s.json"
+        files = ["--id", "log_span", "--checkpoint", str(ckpt), "--out", str(out)]
+        assert cli.main(self.SCAN + files) == 0
+        state = json.loads(ckpt.read_text())
+        state["config"]["search"].update(parallelism=1, geometric_max_r=8)
+        ckpt.write_text(json.dumps(state, sort_keys=True) + "\n")
+        before = ckpt.read_bytes(), out.read_bytes()
+        capsys.readouterr()
+        assert cli.main(self.SCAN + files) == 64
+        err = capsys.readouterr().err
+        assert err == "error: checkpoint was created with a different configuration\n"
+        assert (ckpt.read_bytes(), out.read_bytes()) == before
 
     def test_checkpoint_in_missing_directory(self, tmp_path, capsys):
         ckpt = tmp_path / "no" / "dir" / "c.json"

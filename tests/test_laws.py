@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from sumsetlab import bitscan
 from sumsetlab.groups import GroupContext, PointSet
 from sumsetlab.laws import (
     InstanceRejected,
+    _normalized_free,
     check_beta_is_gamma,
     check_bm_corollary,
     check_compression_shrinks,
@@ -21,7 +23,7 @@ from sumsetlab.laws import (
     petridis_qualify,
     run_suite,
 )
-from sumsetlab.search import SearchConfig
+from sumsetlab.search import DEFAULT_NODE_CEILING, SearchConfig, beta_estimate
 
 Z1 = GroupContext(1)
 Z2 = GroupContext(2)
@@ -85,6 +87,29 @@ class TestQuasicubeBeta:
         assert line.counterexample == {"A": pts, "B": pts, "V": pts[:3]}
         first_axis = {k: [q[:1] for q in qs] for k, qs in space.counterexample.items()}
         assert first_axis == line.counterexample
+
+    @pytest.mark.parametrize("ctx, pts, box, card, reason", [
+        (Z1, [(0,), (1,)], ((0, 70),), 2, "box too large"),
+        (Z2, [(0, 0), (62, 0)], ((0, 1), (0, 1)), 4, "V too wide"),
+        (Z1, [(0,), (1,), (3,), (7,), (15,)], ((0, 2),), 3, "certificate bound"),
+    ], ids=["wide_box", "wide_V", "five_points"])
+    def test_bit_scan_refusals_go_to_beta_estimate(self, ctx, pts, box, card, reason):
+        # the bit scan refuses these inputs, which beta_estimate decides
+        V = ps(ctx, pts)
+        dims = tuple(hi - lo + 1 for lo, hi in box)
+        assert reason in bitscan.unsupported(dims, _normalized_free(V))
+        v = check_quasicube_beta(V, SearchConfig(box=box, max_cardinality=card))
+        assert v.holds and v.margin == 0 and v.note == ""
+        assert beta_estimate(V, SearchConfig(box=box, max_cardinality=card)).value_exact == len(V) ** 2
+
+    def test_cut_beta_estimate_is_refused(self):
+        # the same wide box at cardinality 3 holds 6.18M pairs, above the
+        # default ceiling: a cut scan is no proof, so no verdict
+        V = ps(Z1, [(0,), (1,)])
+        cfg = SearchConfig(box=((0, 70),), max_cardinality=3, node_ceiling=DEFAULT_NODE_CEILING)
+        assert not beta_estimate(V, cfg).complete
+        with pytest.raises(ValueError, match="node ceiling"):
+            check_quasicube_beta(V, cfg)
 
     def test_requires_exact_config(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Estimation of the doubling/tripling functionals and two-point closed forms."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from sumsetlab import search
 from sumsetlab.functional import WeightedFunction, gamma_ratio, l1_norm, max_convolve
 from sumsetlab.groups import GroupContext, PointSet, sumset
 from sumsetlab.search import (
+    FixedSupportGamma,
     SearchConfig,
     _bounded_minimum,
     alpha_estimate,
@@ -29,7 +31,6 @@ from sumsetlab.search import (
     c_p_constant,
     canonical_subsets,
     compare_ratios,
-    fixed_support_gamma,
     gamma_estimate,
     gamma_indicator_estimate,
     geometric_family_ratio,
@@ -154,7 +155,19 @@ class TestBetaEstimate:
     def test_node_ceiling_env(self, monkeypatch):
         monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "7")
         cfg = SearchConfig(box=((0, 1),), max_cardinality=1)
-        assert cfg.effective_node_ceiling == 7
+        assert cfg.node_ceiling == 7
+        # read once, at construction: a later change reaches no built config
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "0")
+        assert beta_estimate(ps(Z1, [(0,)]), cfg).config["node_ceiling"] == 7
+
+    def test_config_holds_only_what_a_scan_reads(self):
+        names = [f.name for f in dataclasses.fields(SearchConfig)]
+        assert names == ["box", "max_cardinality", "p", "variant", "strategy", "seed", "node_ceiling"]
+        cfg = SearchConfig(box=((0, 1),), max_cardinality=1, parallelism=4)
+        assert cfg == SearchConfig(box=((0, 1),), max_cardinality=1)
+        assert sorted(cfg.echo()) == sorted(names)
+        with pytest.raises(ValueError, match="parallelism"):
+            SearchConfig(box=((0, 1),), max_cardinality=1, parallelism=0)
 
     @pytest.mark.parametrize("env", ["0", "-3", "abc", "1.5"])
     def test_node_ceiling_env_rejected(self, monkeypatch, env):
@@ -182,15 +195,6 @@ class TestBetaEstimate:
     def test_int_p_accepted(self):
         cfg = SearchConfig(box=((0, 1),), max_cardinality=1, p=2)
         assert cfg.echo()["p"] == "2/1"
-
-    def test_negative_geometric_max_r_rejected(self):
-        # r = -1 would leave geometric_family with no family to try: it
-        # reported inf on the witness ((0,),), which does not attain it
-        with pytest.raises(ValueError, match="geometric_max_r"):
-            SearchConfig(box=((0, 1),), max_cardinality=1, geometric_max_r=-1)
-        f = WeightedFunction.of(Z1, [((0,), F(1)), ((1,), F(1, 2))])
-        cfg = SearchConfig(box=((0, 1),), max_cardinality=2, strategy="geometric_family", geometric_max_r=0)
-        assert gamma_estimate(f, cfg).value_float == pytest.approx(1.5)  # r = 0: g = h = 1_{0}
 
     @pytest.mark.parametrize("ceiling", [0, -1])
     def test_node_ceiling_below_one_rejected(self, ceiling):
@@ -419,7 +423,7 @@ def brute_first_minimum(sets, cfg, num):
         if (cfg.variant != "isomeric" or i == j)
         and (cfg.variant != "isometric" or len(sets[i]) == len(sets[j]))
     ]
-    ceiling = cfg.effective_node_ceiling
+    ceiling = cfg.node_ceiling
     best = None
     for i, j in pairs[:ceiling]:
         key = (num(sets[i], sets[j]), len(sets[i]), len(sets[j]))
@@ -639,7 +643,7 @@ def test_fixed_support_gamma_equals_gamma_ratio(ctx, exact, p):
             (x, F(rng.randint(1, 9), rng.randint(1, 9)) if exact else rng.uniform(0.05, 3.0))
             for x in support(rng.randint(1, 3))])
         sg, sh = support(rng.randint(1, 5)), support(rng.randint(1, 5))
-        evaluate = fixed_support_gamma(f, sg, sh, p)
+        evaluate = FixedSupportGamma(f, sg, sh, p)
         cases = [([0.0] * len(sg), [1.0] * len(sh)), ([1.0] * len(sg), [0.0] * len(sh))]
         cases += [([rng.choice([0.0, rng.uniform(0.0, 4.0)]) for _ in sg],
                    [rng.choice([0.0, rng.uniform(0.0, 4.0)]) for _ in sh]) for _ in range(30)]
@@ -651,7 +655,16 @@ def test_fixed_support_gamma_equals_gamma_ratio(ctx, exact, p):
 def test_fixed_support_gamma_rejects_duplicate_point():
     f = WeightedFunction.of(ZT3, [((0, 0), 1.0)])
     with pytest.raises(ValueError, match="duplicate support point"):
-        fixed_support_gamma(f, [(0, 1), (0, 4)], [(0, 0)], 2.0)  # 4 = 1 mod 3
+        FixedSupportGamma(f, [(0, 1), (0, 4)], [(0, 0)], 2.0)  # 4 = 1 mod 3
+
+
+def test_underflowing_norm_gives_inf():
+    # 1e-300 ** 1.5 underflows to 0.0, so ||g||_p is 0.0 and the ratio inf
+    f = WeightedFunction.of(Z1, [((0,), 1.0)])
+    evaluate = FixedSupportGamma(f, [(0,)], [(0,)], 1.5)
+    g, h = (WeightedFunction.of(Z1, [((0,), w)]) for w in (1e-300, 1.0))
+    assert evaluate([1e-300], [1.0]) == evaluate.line([1.0], [1.0], 0, 0)(1e-300) == math.inf
+    assert gamma_ratio(f, g, h, 1.5) == math.inf
 
 
 @pytest.mark.parametrize("ctx", [Z1, Z2, ZT3, Z2T], ids=["Z", "Z2", "ZxZ3", "Z2xZ2"])
@@ -660,10 +673,11 @@ def test_fixed_support_gamma_rejects_duplicate_point():
 def test_line_equals_gamma_ratio(ctx, exact, p):
     # evaluate.line(gw, hw, side, i)(x) is gamma_ratio with that one weight
     # set to x: for every coordinate of either side, at x <= 0 (the point
-    # drops), in (0, 4] and at 4, from weights with zeros on the moving side,
-    # on the other side, or everywhere but the moving point
+    # drops), at 1e-300 (whose power underflows, so a lone point's norm is
+    # 0.0 and the ratio inf), in (0, 4] and at 4, from weights with zeros on
+    # the moving side, on the other side, or everywhere but the moving point
     rng = random.Random(f"line{ctx}{exact}{p}")
-    xs = [-1.0, -0.0, 0.0, 1e-6, 0.25, 0.5, 1.0, 3.999, 4.0] + [rng.uniform(0.0, 4.0) for _ in range(4)]
+    xs = [-1.0, -0.0, 0.0, 1e-300, 1e-6, 0.25, 0.5, 1.0, 3.999, 4.0] + [rng.uniform(0.0, 4.0) for _ in range(4)]
 
     def support(k):
         pts = {}
@@ -679,7 +693,7 @@ def test_line_equals_gamma_ratio(ctx, exact, p):
             (x, F(rng.randint(1, 9), rng.randint(1, 9)) if exact else rng.uniform(0.05, 3.0))
             for x in support(rng.randint(1, 3))])
         sg, sh = support(rng.randint(1, 4)), support(rng.randint(1, 4))
-        evaluate = fixed_support_gamma(f, sg, sh, p)
+        evaluate = FixedSupportGamma(f, sg, sh, p)
         cases = [([rng.uniform(0.1, 2.0) for _ in sg], [rng.uniform(0.1, 2.0) for _ in sh]),
                  ([rng.choice([0.0, rng.uniform(0.1, 2.0)]) for _ in sg],
                   [rng.choice([0.0, rng.uniform(0.1, 2.0)]) for _ in sh]),
@@ -799,7 +813,7 @@ def bounded_objectives():
         ]
     f = WeightedFunction.of(Z1, [((0,), 1.0), ((1,), 0.5)])
     supp = [(i,) for i in range(3)]
-    evaluate = fixed_support_gamma(f, supp, supp, 1.5)
+    evaluate = FixedSupportGamma(f, supp, supp, 1.5)
     for _ in range(20):
         gw = [rng.uniform(0.0, 1.0) for _ in supp]
         hw = [rng.uniform(0.0, 1.0) for _ in supp]
