@@ -27,9 +27,11 @@ certificate for that class fails, and a V rechecks only its class's list.
 The class (MAX_V, 1) fails for every survivor, since its certificate is the
 screen, so its list is not stored.
 
-Grid packing: point (x, y) of the box maps to bit y*stride + x with stride
-2*w-1 (w the box width), so all sums A+B stay in distinct rows; A fits one
-uint64 word and A+B fits two; the recheck builds each row of A+B+V in one.
+Grid packing: a point's bit is its search.bit_index on the grid of A+B,
+2k-1 cells along an axis k wide (`sum_shape`), first axis fastest: (x, y)
+maps to bit y*(2w-1) + x, so all sums A+B stay in distinct rows.  A fits
+one uint64 word and A+B fits two; the recheck builds each row of A+B+V in
+one.
 
 The build is one sequential pass over blocks of consecutive rows i0 <= i < i1,
 sized so that a block holds about _BLOCK_CELLS pairs.  A block forms A_i+B_j
@@ -44,13 +46,13 @@ records, and so every verdict, depend only on the box and the cardinality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .groups import GroupContext, PointSet, dimension
-from .search import canonical_subsets
+from .search import bit_index, canonical_subsets, padded_points
 
 Pt = tuple[int, ...]
 
@@ -98,6 +100,11 @@ class ExhaustiveBetaScan:
         return self.class_rows[self.class_bounds[k]:self.class_bounds[k + 1]]
 
 
+def sum_shape(dims: Sequence[int]) -> list[int]:
+    """The grid A+B lies on for a box of these dims."""
+    return [2 * k - 1 for k in dims]
+
+
 def unsupported(dims: Sequence[int], v_points: Sequence[Pt] = ()) -> Optional[str]:
     """Why the bit scan cannot decide V, given by its points normalized to
     min 0 per axis, in a box of these dims; None when it can.  With no
@@ -106,13 +113,13 @@ def unsupported(dims: Sequence[int], v_points: Sequence[Pt] = ()) -> Optional[st
     d = len(dims)
     if d not in (1, 2):
         return "bit scan supports dimensions 1 and 2 only"
-    corner = dims[0] - 1 if d == 1 else (dims[1] - 1) * (2 * dims[0] - 1) + dims[0] - 1
-    if 2 * corner > 127:  # the bit of the far corner of A+B, in two words
+    shape = sum_shape(dims)
+    if bit_index(np.array(shape) - 1, shape, d) > 127:  # the far corner of A+B, in two words
         return "box too large for the two-word bit scan"
     v = len(set(v_points))
     if v > MAX_V:
         return f"|V| = {v} above the scan's certificate bound {MAX_V}"
-    if v_points and max(p[0] for p in v_points) + 2 * (dims[0] - 1) >= 64:
+    if v_points and max(p[0] for p in v_points) + shape[0] > 64:  # a row of A+B+V in one word
         return "V too wide for the exact recheck stride"
     return None
 
@@ -141,21 +148,13 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     if reason is not None:
         raise ValueError(reason)
     d = len(dims)
-    stride = 1 if d == 1 else 2 * dims[0] - 1
-
-    def idx(p: Pt) -> int:
-        return p[0] if d == 1 else p[1] * stride + p[0]
-
     sets = anchored_subsets(dims, max_card)
     n = len(sets)
     sizes = np.array([len(s) for s in sets], dtype=np.int64)
-    masks = np.array([sum(1 << idx(p) for p in s) for s in sets], dtype=np.uint64)
-
-    # each set's bit offsets, padded to one width with its first offset
-    # (OR-ing the same shifted word twice changes nothing)
-    width = int(sizes.max())
-    shifts = np.array([[idx(p) for p in s] + [idx(s[0])] * (width - len(s)) for s in sets],
-                      dtype=np.uint64)
+    # each set's bits, padded to one width with its first
+    shifts = bit_index(padded_points(sets), sum_shape(dims), d).astype(np.uint64)
+    masks = np.bitwise_or.reduce(np.uint64(1) << shifts, axis=1)
+    width = shifts.shape[1]
     # The screen fails iff (|A+B| + MAX_V - 1)^2 < MAX_V^2 |A||B|, that is iff
     # |A+B| < ceil(MAX_V sqrt(|A||B|)) - MAX_V + 1 =: lim[|A| - 1, j] for B =
     # sets[j] (exact integer roots).  |A+B| <= 128 and |A|, |B| <= 64, so the
@@ -248,8 +247,8 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     # of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, and fits one
     # uint64 by the width check.  Building one output row at a time keeps only
     # a few candidate-sized arrays live.
-    width = 2 * scan.dims[0] - 1
-    rows = 2 * scan.dims[1] - 1 if d > 1 else 1
+    width, *higher = sum_shape(scan.dims)
+    rows = prod(higher)
     row_mask = np.uint64((1 << width) - 1)
     lo, hi = scan.surv_lo[cand], scan.surv_hi[cand]
 

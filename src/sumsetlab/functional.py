@@ -40,6 +40,8 @@ class WeightedFunction:
         exact = True
         for p, w in items:
             if isinstance(w, float):
+                if not math.isfinite(w):
+                    raise ValueError(f"weights must be finite, got {w!r}")
                 exact = False
             elif isinstance(w, (int, Fraction)):
                 w = Fraction(w)

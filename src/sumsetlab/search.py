@@ -8,11 +8,11 @@ modulo translation (every target ratio is translation invariant), anchoring
 the min-corner of each set at the box origin.  Every scan is one sequential
 pass over the pairs in i-major order, evaluated in blocks of about
 _BLOCK_PAIRS pairs.  Beta and alpha share one numpy kernel: once per scan,
-every B+U is built on a boolean grid (torsion axes wrap by rolls), translated
-by every offset a set uses and packed into uint64 words, so |A+B+U| of a
-pair is the popcount of an OR of table rows.  A float log-ratio screens each
-block, and only the pairs near its minimum reach the exact comparison.  Ties
-break to the first minimising pair, so reports are deterministic.
+every B+U, translated by every point a set uses, is packed into uint64 words
+at the bits bit_index gives (torsion axes wrap), so |A+B+U| of a pair is the
+popcount of an OR of table rows.  A float log-ratio screens each block, and
+only the pairs near its minimum reach the exact comparison.  Ties break to
+the first minimising pair, so reports are deterministic.
 
 Ratio comparisons at rational p = pa/pb are exact: with normalizer
 |A|^(1/p) |B|^(1-1/p), compare s1^pa a2^pb b2^(pa-pb) against
@@ -294,6 +294,25 @@ def _report(
     )
 
 
+def padded_points(sets: Sequence[Sequence[Vec]]) -> np.ndarray:
+    """The (n, width, arity) int64 array of the points of n sets, each set
+    padded to the width of the largest with its first point (OR-ing the
+    same bit twice changes nothing)."""
+    width = max(len(s) for s in sets)
+    return np.array([list(s) + [s[0]] * (width - len(s)) for s in sets], dtype=np.int64)
+
+
+def bit_index(points: np.ndarray, shape: Sequence[int], free_rank: int) -> np.ndarray:
+    """The bit of each point (the last axis of `points`) on a grid of this
+    shape, first axis fastest.  A free axis must hold the point, so a sum
+    that would wrap raises ValueError; a torsion axis wraps modulo its
+    extent."""
+    modes = ("raise",) * free_rank + ("wrap",) * (len(shape) - free_rank)
+    coords = tuple(points[..., k] for k in range(len(shape)))
+    index = np.ravel_multi_index(coords, shape, mode=modes, order="F")
+    return np.broadcast_to(index, points.shape[:-1])  # at arity 0 every point is bit 0
+
+
 def _scan_pairs(
     sets: list[tuple[Vec, ...]],
     U: Optional[PointSet],
@@ -304,63 +323,37 @@ def _scan_pairs(
     """Shared exhaustive pair scan for alpha (U folded into the candidate
     sets already, so A+B+{0} is scanned) and beta (U added to every pair sum).
 
-    The sets lie on one boolean grid of shape (n, *free extents, *torsion
-    moduli), each free axis ext + 1 cells wide from the sets' common min.
-    Translating by a point shifts the free axes into a zero-padded wider
-    grid and rolls the torsion axes (the fold modulo m).  B+U is
-    ext + ext(U) + 1 cells wide per free axis and A+B+U 2*ext + ext(U) + 1,
-    so sums never wrap.
+    A+B+U lies on one grid, translated to its min: along a free axis the
+    sets' extent ext twice plus U's, 2 ext + ext(U) + 1 cells, so sums never
+    wrap, and along a torsion axis its modulus.  A point's bit is its
+    bit_index on that grid.
 
     A+B+U is the union over q in A of q + B + U.  So the scan builds one
-    table: every B_j + U translated by every offset q that a set uses, each
-    packed into W = ceil(cells(A+B+U) / 64) uint64 words, at row
-    (index of q) * n + j.  That is Q * n * W * 8 bytes for Q offsets.  Row i
-    of `slot` holds the row offsets of A_i's points, padded with its first
-    (OR-ing the same row twice changes nothing), so the numerator of (i, j)
-    is the popcount of the OR of table[slot[i] + j]: a block of pairs is a
-    few row gathers, ORs and one popcount."""
+    table: every B_j + U translated by every point q that a set uses, each
+    packed into W = ceil(cells / 64) uint64 words, at row (index of q) * n
+    + j.  That is Q * n * W * 8 bytes for Q distinct points.  Row i of
+    `slot` holds the rows of A_i's points, padded with its first, so the
+    numerator of (i, j) is the popcount of the OR of table[slot[i] + j]: a
+    block of pairs is a few row gathers, ORs and one popcount."""
     d = ctx.free_rank
-    upoints = U.points if U is not None else (ctx.zero(),)
-
-    def span(points: Sequence[Vec]) -> tuple[list[int], list[int]]:
-        lo = [min(q[k] for q in points) for k in range(d)]
-        return lo, [max(q[k] for q in points) - lo[k] for k in range(d)]
-
-    def offsets(points: Sequence[Vec], lo: Sequence[int]) -> list[Vec]:
-        return [tuple(q[k] - lo[k] for k in range(d)) + q[d:] for q in points]
-
-    lo, ext = span([q for s in sets for q in s])
-    ulo, uext = span(upoints)
-    set_offsets = [offsets(s, lo) for s in sets]
-    n = len(sets)
-    grid = np.zeros((n, *(e + 1 for e in ext), *ctx.torsion_moduli), dtype=bool)
-    grid[tuple(np.array([(i, *q) for i, qs in enumerate(set_offsets) for q in qs]).T)] = True
-    bu_shape = [e + ue + 1 for e, ue in zip(ext, uext)] + list(ctx.torsion_moduli)
-    abu_shape = [2 * e + ue + 1 for e, ue in zip(ext, uext)] + list(ctx.torsion_moduli)
-    torsion_axes = tuple(range(1 + d, 1 + ctx.arity))
-
-    def translate_into(out: np.ndarray, src: np.ndarray, q: Vec) -> None:
-        """out |= src translated by q, which fits out's free axes."""
-        if any(q[d:]):
-            src = np.roll(src, q[d:], axis=torsion_axes)
-        out[(slice(None),) + tuple(slice(q[k], q[k] + src.shape[1 + k]) for k in range(d))] |= src
-
-    bu = np.zeros((n, *bu_shape), dtype=bool)
-    for q in offsets(upoints, ulo):
-        translate_into(bu, grid, q)
-    shifts = sorted({q for qs in set_offsets for q in qs})
-    row_of = {q: k * n for k, q in enumerate(shifts)}
-    cells = math.prod(abu_shape)
+    points = padded_points(sets)
+    n, width, arity = points.shape
+    upoints = np.array(U.points if U is not None else [ctx.zero()], dtype=np.int64)
+    lo, ulo = points.min(axis=(0, 1)), upoints.min(axis=0)
+    ext = points.max(axis=(0, 1)) - lo
+    shape = [*(2 * ext + upoints.max(axis=0) - ulo + 1)[:d], *ctx.torsion_moduli]
+    cells = math.prod(shape)
+    # B_j + U less the min of A+B+U, so that q + bu[j] is q + B_j + U on the grid
+    bu = (points[:, :, None] + (upoints - ulo - 2 * lo)).reshape(n, width * len(upoints), arity)
+    shifts, inverse = np.unique(points.reshape(n * width, arity), axis=0, return_inverse=True)
+    slot = inverse.reshape(n, width) * n
     table = np.zeros((len(shifts) * n, -(-cells // 64)), dtype=np.uint64)
     packed = table.view(np.uint8).reshape(len(shifts), n, -1)
     for k, q in enumerate(shifts):
-        abu = np.zeros((n, *abu_shape), dtype=bool)
-        translate_into(abu, bu, q)
-        packed[k, :, : -(-cells // 8)] = np.packbits(abu.reshape(n, cells), axis=1)
-    del grid, bu
-    width = max(len(qs) for qs in set_offsets)
-    slot = np.array([[row_of[q] for q in qs] + [row_of[qs[0]]] * (width - len(qs))
-                     for qs in set_offsets], dtype=np.intp)
+        abu = np.zeros((n, cells), dtype=bool)
+        abu[np.arange(n)[:, None], bit_index(q + bu, shape, d)] = True
+        packed[k, :, : -(-cells // 8)] = np.packbits(abu, axis=1)
+    del bu, abu
 
     def eval_pairs(I: np.ndarray, J: np.ndarray) -> np.ndarray:
         acc = table[slot[I, 0] + J]

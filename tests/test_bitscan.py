@@ -251,6 +251,19 @@ def test_screen_class_is_not_stored():
     assert np.array_equal(scan.flagged(k), np.arange(len(scan.surv_i)))
 
 
+@pytest.mark.parametrize("dims, scanned", [
+    ((6, 6), True), ((7, 5), True), ((9, 4), True), ((64,), True),
+    ((6, 7), False), ((7, 6), False), ((10, 4), False), ((65,), False),
+])
+def test_two_word_boundary(dims, scanned):
+    # the far corner of A+B, bit (2w-2) + (2h-2)(2w-1), must lie in bits 0-127
+    too_large = "box too large for the two-word bit scan"
+    assert bitscan.unsupported(dims) == (None if scanned else too_large)
+    if not scanned:
+        with pytest.raises(ValueError, match=too_large):
+            bitscan.build_scan(dims, 1)
+
+
 def test_square_recheck_count():
     # of the 3,206,778 pairs of the 5x4 window, Ruzsa's bound leaves 5,175
     # unproved for the unit square (the collinear bound leaves all 228,851

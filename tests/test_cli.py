@@ -122,6 +122,16 @@ class TestEstimateCommand:
         )
         assert code == 0 and doc["quantity"] == "gamma"
 
+    def test_infinite_weight_exits_64(self, tmp_path, capsys):
+        # 1e400 parses as the float inf, which a JSON report cannot hold
+        fn = tmp_path / "f.txt"
+        fn.write_text("group 1\n0 1e400\n1 0.5\n")
+        out = tmp_path / "r.json"
+        argv = ["estimate", "gamma", "--fn", str(fn), "--box", "-1..1", "--max-card", "2"]
+        assert cli.main(argv + ["--out", str(out)]) == 64
+        assert capsys.readouterr().err == "error: weights must be finite, got inf\n"
+        assert not out.exists()
+
     def test_p_validation(self, u01):
         code = cli.main(
             ["estimate", "beta", "--set", u01, "--p", "1/2", "--box", "0..1", "--max-card", "2"]

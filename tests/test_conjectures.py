@@ -91,7 +91,8 @@ class TestLogSpanScan:
         assert state.cursor == state.total
         # {0,1,2} fails the log-span precondition and is skipped
         assert state.skipped == 1
-        records = [json.loads(l) for l in open(out)]
+        with open(out) as fh:
+            records = [json.loads(l) for l in fh]
         assert all(r["type"] == "margin" for r in records)
         assert len(records) == state.examined
 
@@ -107,7 +108,8 @@ class TestLogSpanScan:
         st2 = scan_log_span(1, 3, 3, self.CFG, checkpoint_path=ckpt,
                             out_path=part, shard_size=2)
         assert st2.cursor == st2.total
-        assert open(part).read() == open(full).read()
+        with open(part) as got, open(full) as want:
+            assert got.read() == want.read()
 
     def test_checkpoint_config_mismatch(self, tmp_path):
         ckpt = str(tmp_path / "state.json")
@@ -130,7 +132,8 @@ class TestDoublingTriplingScan:
         out = str(tmp_path / "dt.jsonl")
         state = scan_doubling_tripling(1, 2, 2, cfg, out_path=out)
         assert state.counterexample is None
-        records = [json.loads(l) for l in open(out)]
+        with open(out) as fh:
+            records = [json.loads(l) for l in fh]
         by_u = {tuple(tuple(p) for p in r["U"]): r for r in records}
         # U = {0,1}: beta_sq = 4, alpha_sq = 9/4, margin (9/4)^2 - 4 = 17/16
         assert by_u[((0,), (1,))]["doubling_tripling"] == "17/16"

@@ -57,6 +57,11 @@ class TestMaxConvolve:
         f = fn([((0,), F(1)), ((1,), F(0))])
         assert len(f) == 1
 
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_non_finite_weights_rejected(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            fn([((0,), 1.0), ((1,), w)])
+
 
 class TestNorms:
     def test_l1_indicator(self):

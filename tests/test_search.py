@@ -410,6 +410,9 @@ WINDOWS = (  # (group, box, points U and f may use, largest cardinality)
     (Z2T, ((0, 1), (0, 1)), [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)], 3),
     (Z1, ((-1, 2),), [(0,), (7,), (-5,)], 3),  # U far outside the box
     (Z1, ((0, 40),), [(0,), (1,), (40,)], 2),  # A+B+U up to 121 cells wide
+    (GroupContext(0), (), [()], 3),  # the trivial group: arity 0, one set
+    (GroupContext(0, (3,)), (), [(0,), (1,), (2,)], 3),  # torsion only
+    (GroupContext(0, (2, 2)), (), [(0, 0), (0, 1), (1, 0), (1, 1)], 3),
 )
 
 
@@ -438,6 +441,39 @@ def brute_first_minimum(sets, cfg, num):
         "nodes": min(len(pairs), ceiling),
         "complete": len(pairs) <= ceiling,
     }
+
+
+@pytest.mark.parametrize("ctx, pts, beta_nodes, alpha_nodes", [
+    (GroupContext(0), [()], 1, 1),
+    (GroupContext(0, (3,)), [(0,), (1,)], 49, 4),
+    (GroupContext(0, (2, 2)), [(0, 0), (0, 1)], 196, 9),
+], ids=["trivial", "Z3", "Z2xZ2"])
+def test_rank_zero_contexts(ctx, pts, beta_nodes, alpha_nodes):
+    # no free axis: the box is (), and the whole group is one of the sets
+    U = ps(ctx, pts)
+    cfg = SearchConfig(box=(), max_cardinality=3)
+    beta, alpha = beta_estimate(U, cfg), alpha_estimate(U, cfg)
+    assert (beta.value_exact, beta.nodes, beta.complete) == (1, beta_nodes, True)
+    assert (alpha.value_exact, alpha.nodes, alpha.complete) == (1, alpha_nodes, True)
+
+    def beta_num(A, B):
+        return len(sumset(sumset(ps(ctx, A), ps(ctx, B)), U))
+
+    sets = canonical_subsets(ctx, (), 3)
+    for variant in search.VARIANTS:
+        cfgv = dataclasses.replace(cfg, variant=variant)
+        assert report_fields(beta_estimate(U, cfgv)) == brute_first_minimum(sets, cfgv, beta_num)
+
+
+def test_bit_index_layout():
+    pts = search.padded_points([((0, 1), (2, 0)), ((1, 2),)])
+    assert pts.shape == (2, 2, 2) and pts[1].tolist() == [[1, 2], [1, 2]]
+    # first axis fastest; the second, a torsion axis, wraps modulo 3
+    assert search.bit_index(pts, (3, 3), 1).tolist() == [[3, 2], [7, 7]]
+    assert search.bit_index(np.array([1, 4]), (3, 3), 1) == 4
+    with pytest.raises(ValueError):  # a free coordinate off the grid
+        search.bit_index(np.array([3, 0]), (3, 3), 1)
+    assert search.bit_index(search.padded_points([((),), ((), ())]), (), 0).tolist() == [[0, 0]] * 2
 
 
 def report_fields(r):
