@@ -36,6 +36,7 @@ from .groups import (
 )
 from .quasicube import make_quasicube, random_spec
 from .search import (
+    EstimateReport,
     SearchConfig,
     beta_estimate,
     alpha_estimate,
@@ -43,6 +44,7 @@ from .search import (
     canonical_subsets,
     gamma_indicator_estimate,
     geometric_family_ratio,
+    ratio_float,
     refine_weights_coordinate_descent,
     two_point_constant,
     variant_estimates,
@@ -261,17 +263,39 @@ def check_compression_shrinks(A: PointSet, B: PointSet, coord: int) -> Verdict:
     )
 
 
+def _replays(r: EstimateReport, num: Fraction | int) -> bool:
+    """The report's values are those of its witness pair with this
+    numerator, recomputed by an oracle."""
+    a, b = len(r.witness_a), len(r.witness_b)
+    if r.value_exact is not None and r.value_exact != Fraction(num) * num / (a * b):
+        return False
+    return r.value_float == ratio_float(num, a, b, r.p)
+
+
 def check_beta_is_gamma(U: PointSet, p: Fraction, cfg: SearchConfig) -> Verdict:
-    """beta and gamma estimates agree exactly on matched indicator windows."""
+    """beta and gamma estimates agree exactly on matched indicator windows,
+    and each report replays exactly from its witness through its own oracle:
+    beta's through groups.sumset, gamma's through functional.max_convolve.
+    Both scans run on the one pair kernel, so without the replays the law
+    would compare that kernel with itself."""
     cfgp = replace(cfg, p=p)  # SearchConfig rejects a float p
+    f = WeightedFunction.indicator(U)
     rb = beta_estimate(U, cfgp)
-    rg = gamma_indicator_estimate(WeightedFunction.indicator(U), cfgp)
+    rg = gamma_indicator_estimate(f, cfgp)
     if Fraction(p) == 2:
-        holds = rb.value_exact == rg.value_exact
+        agree = rb.value_exact == rg.value_exact
         margin = rg.value_exact - rb.value_exact
     else:
         margin = rg.value_float - rb.value_float
-        holds = abs(margin) <= FLOAT_TOL
+        agree = abs(margin) <= FLOAT_TOL
+    ctx = U.context
+    A, B = PointSet.of(ctx, rb.witness_a), PointSet.of(ctx, rb.witness_b)
+    ga, gb = (WeightedFunction.indicator(PointSet.of(ctx, w)) for w in (rg.witness_a, rg.witness_b))
+    replayed = {
+        "beta": _replays(rb, len(sumset(sumset(A, B), U))),
+        "gamma": _replays(rg, l1_norm(max_convolve(max_convolve(f, ga), gb))),
+    }
+    holds = agree and all(replayed.values())
     return Verdict(
         law="beta_is_gamma",
         holds=holds,
@@ -280,6 +304,7 @@ def check_beta_is_gamma(U: PointSet, p: Fraction, cfg: SearchConfig) -> Verdict:
         counterexample=None if holds else {
             "beta_witness": [_pts(rb.witness_a), _pts(rb.witness_b)],
             "gamma_witness": [_pts(rg.witness_a), _pts(rg.witness_b)],
+            "replayed": replayed,
         },
     )
 

@@ -7,12 +7,14 @@ witness alone.  Exhaustive enumeration runs over canonical representatives
 modulo translation (every target ratio is translation invariant), anchoring
 the min-corner of each set at the box origin.  Every scan is one sequential
 pass over the pairs in i-major order, evaluated in blocks of about
-_BLOCK_PAIRS pairs.  Beta and alpha share one numpy kernel: once per scan,
-every B+U, translated by every point a set uses, is packed into uint64 words
-at the bits bit_index gives (torsion axes wrap), so |A+B+U| of a pair is the
-popcount of an OR of table rows.  A float log-ratio screens each block, and
-only the pairs near its minimum reach the exact comparison.  Ties break to
-the first minimising pair, so reports are deterministic.
+_BLOCK_PAIRS pairs.  Beta, alpha and the gamma indicator scan share one
+numpy kernel (_pair_counts): once per scan, every B+U, translated by every
+point a set uses, is packed into uint64 words at the bits bit_index gives
+(torsion axes wrap), so |A+B+U| of a pair is the popcount of an OR of table
+rows.  Gamma runs it with the level sets of f as its U's and sums the counts
+with integer weights (the layer-cake identity).  A float log-ratio screens
+each block, and only the pairs near its minimum reach the exact comparison.
+Ties break to the first minimising pair, so reports are deterministic.
 
 Ratio comparisons at rational p = pa/pb are exact: with normalizer
 |A|^(1/p) |B|^(1-1/p), compare s1^pa a2^pb b2^(pa-pb) against
@@ -31,12 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .functional import (
-    WeightedFunction,
-    holder_conjugate,
-    l1_norm,
-    max_convolve,
-)
+from .functional import WeightedFunction, _int_weights, holder_conjugate
 from .groups import GroupContext, PointSet, Vec, sumset
 
 TOOL_VERSION = "0.1.0"
@@ -52,6 +49,7 @@ _BLOCK_PAIRS = 1 << 12  # about this many pairs per eval_pairs call of a scan
 # a pair whose float log-ratio lies this far above the running minimum cannot
 # be a first exact minimum; float rounding of a log-ratio is ~1e-14
 _LOG_SLACK = 1e-9
+_TABLE_LIMIT = 1 << 30  # bytes: the largest pair table a scan allocates
 
 
 def node_ceiling_default() -> int:
@@ -225,13 +223,15 @@ def _first_minimum(
     mid-row if need be, and complete is False exactly when a pair beyond it
     was left unevaluated.  The stream is evaluated in blocks of about
     _BLOCK_PAIRS pairs: eval_pairs(I, J) returns the numerators of the pairs
-    (I[k], J[k]) as an array (int counts, floats for numeric-mode gamma,
-    Fractions as objects).  A float log-ratio screens each block: only the
-    pairs within _LOG_SLACK of the lower of the block's minimum and the best
-    so far go, in stream order, through the exact compare_ratios, which
-    keeps the first strict minimum.  The first exact minimum of the whole
-    stream always passes the screen, so it is the pair reported.  A float
-    numerator has no exact value."""
+    (I[k], J[k]) as an array.  For beta and alpha they are the int counts of
+    _pair_counts; for gamma, weighted sums of such counts over one
+    denominator: Fractions as objects in exact mode (ints when every weight
+    is an integer) and correctly rounded floats in float mode.  A float
+    log-ratio screens each block: only the pairs within _LOG_SLACK of the
+    lower of the block's minimum and the best so far go, in stream order,
+    through the exact compare_ratios, which keeps the first strict minimum.
+    The first exact minimum of the whole stream always passes the screen, so
+    it is the pair reported.  A float numerator has no exact value."""
     p = Fraction(cfg.p)
     n = len(sets)
     sizes = np.array([len(s) for s in sets])
@@ -313,55 +313,67 @@ def bit_index(points: np.ndarray, shape: Sequence[int], free_rank: int) -> np.nd
     return np.broadcast_to(index, points.shape[:-1])  # at arity 0 every point is bit 0
 
 
-def _scan_pairs(
-    sets: list[tuple[Vec, ...]],
-    U: Optional[PointSet],
-    ctx: GroupContext,
-    cfg: SearchConfig,
-    quantity: str,
-) -> EstimateReport:
-    """Shared exhaustive pair scan for alpha (U folded into the candidate
-    sets already, so A+B+{0} is scanned) and beta (U added to every pair sum).
+def _pair_counts(
+    sets: Sequence[tuple[Vec, ...]], addends: Sequence[Sequence[Vec]], ctx: GroupContext
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The table kernel of every exhaustive pair scan: eval_pairs(I, J), whose
+    row k is the int64 array of |A + B + U_k| over the pairs (A_I[t], B_J[t]),
+    for the K sets U_k of `addends`.  Beta passes [U], alpha [{0}] (U is
+    folded into its candidate sets) and gamma the level sets of f.
 
-    A+B+U lies on one grid, translated to its min: along a free axis the
-    sets' extent ext twice plus U's, 2 ext + ext(U) + 1 cells, so sums never
-    wrap, and along a torsion axis its modulus.  A point's bit is its
-    bit_index on that grid.
+    Every A+B+U_k lies on one grid, translated to its min: along a free axis
+    the sets' extent ext twice plus that of the union of the U_k, 2 ext +
+    ext(U) + 1 cells, so sums never wrap, and along a torsion axis its
+    modulus.  A point's bit is its bit_index on that grid.
 
-    A+B+U is the union over q in A of q + B + U.  So the scan builds one
-    table: every B_j + U translated by every point q that a set uses, each
-    packed into W = ceil(cells / 64) uint64 words, at row (index of q) * n
-    + j.  That is Q * n * W * 8 bytes for Q distinct points.  Row i of
-    `slot` holds the rows of A_i's points, padded with its first, so the
-    numerator of (i, j) is the popcount of the OR of table[slot[i] + j]: a
-    block of pairs is a few row gathers, ORs and one popcount."""
+    A+B+U is the union over q in A of q + B + U.  So the kernel builds one
+    table: every B_j + U_k translated by every point q that a set uses, each
+    packed into W = ceil(cells / 64) uint64 words, at row (k Q + index of q)
+    n + j.  That is K * Q * n * W * 8 bytes for Q distinct points, and a
+    table above _TABLE_LIMIT is refused with ValueError before it is
+    allocated.  The distinct q are found by their bit on the sets' own grid,
+    ext + 1 cells along a free axis.  Row i of `slot` holds the rows of A_i's
+    points, padded with its first, so the count of (i, j) under U_k is the
+    popcount of the OR of table[k Q n + slot[i] + j]: a block of pairs is a
+    few row gathers, ORs and one popcount."""
     d = ctx.free_rank
     points = padded_points(sets)
     n, width, arity = points.shape
-    upoints = np.array(U.points if U is not None else [ctx.zero()], dtype=np.int64)
-    lo, ulo = points.min(axis=(0, 1)), upoints.min(axis=0)
+    lo = points.min(axis=(0, 1))
     ext = points.max(axis=(0, 1)) - lo
-    shape = [*(2 * ext + upoints.max(axis=0) - ulo + 1)[:d], *ctx.torsion_moduli]
-    cells = math.prod(shape)
-    # B_j + U less the min of A+B+U, so that q + bu[j] is q + B_j + U on the grid
-    bu = (points[:, :, None] + (upoints - ulo - 2 * lo)).reshape(n, width * len(upoints), arity)
-    shifts, inverse = np.unique(points.reshape(n * width, arity), axis=0, return_inverse=True)
+    flat = points.reshape(n * width, arity)
+    own = bit_index(flat - lo, [*(ext + 1)[:d], *ctx.torsion_moduli], d)
+    _, first, inverse = np.unique(own, return_index=True, return_inverse=True)
+    shifts = flat[first]
     slot = inverse.reshape(n, width) * n
-    table = np.zeros((len(shifts) * n, -(-cells // 64)), dtype=np.uint64)
-    packed = table.view(np.uint8).reshape(len(shifts), n, -1)
-    for k, q in enumerate(shifts):
-        abu = np.zeros((n, cells), dtype=bool)
-        abu[np.arange(n)[:, None], bit_index(q + bu, shape, d)] = True
-        packed[k, :, : -(-cells // 8)] = np.packbits(abu, axis=1)
+    us = [np.array(u, dtype=np.int64).reshape(len(u), arity) for u in addends]
+    ulo, uhi = np.concatenate(us).min(axis=0), np.concatenate(us).max(axis=0)
+    shape = [*(2 * ext + uhi - ulo + 1)[:d], *ctx.torsion_moduli]
+    cells = math.prod(shape)
+    rows, words = len(us) * len(shifts) * n, -(-cells // 64)
+    if rows * words * 8 > _TABLE_LIMIT:
+        raise ValueError(
+            f"the pair table of this scan needs {rows * words * 8} bytes, above the "
+            f"limit of {_TABLE_LIMIT}; narrow the box or lower the cardinality")
+    table = np.zeros((rows, words), dtype=np.uint64)
+    packed = table.view(np.uint8).reshape(len(us), len(shifts), n, -1)
+    for level, u in zip(packed, us):
+        # B_j + U_k less the min of A+B+U, so that q + bu[j] is q + B_j + U_k on the grid
+        bu = (points[:, :, None] + (u - ulo - 2 * lo)).reshape(n, width * len(u), arity)
+        for k, q in enumerate(shifts):
+            abu = np.zeros((n, cells), dtype=bool)
+            abu[np.arange(n)[:, None], bit_index(q + bu, shape, d)] = True
+            level[k, :, : -(-cells // 8)] = np.packbits(abu, axis=1)
     del bu, abu
+    first_row = np.arange(len(us))[:, None] * (len(shifts) * n)  # of each U_k's rows
 
     def eval_pairs(I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        acc = table[slot[I, 0] + J]
+        acc = table[slot[I, 0] + J + first_row]
         for k in range(1, width):
-            acc |= table[slot[I, k] + J]
-        return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
+            acc |= table[slot[I, k] + J + first_row]
+        return np.bitwise_count(acc).sum(axis=2, dtype=np.int64)
 
-    return _first_minimum(sets, cfg, quantity, eval_pairs)
+    return eval_pairs
 
 
 def _require_strategy(cfg: SearchConfig, quantity: str, runs: tuple[str, ...]) -> None:
@@ -380,7 +392,8 @@ def beta_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     if cfg.strategy == "hill_climb":
         return _beta_hill_climb(U, cfg)
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
-    return _scan_pairs(sets, U, ctx, cfg, "beta")
+    counts = _pair_counts(sets, [U.points], ctx)
+    return _first_minimum(sets, cfg, "beta", lambda I, J: counts(I, J)[0])
 
 
 def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
@@ -403,7 +416,8 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
         for combo in itertools.combinations(extra, k):
             sets.append(tuple(sorted(U.points + combo)))
     sets.sort()
-    return _scan_pairs(sets, None, ctx, cfg, "alpha")
+    counts = _pair_counts(sets, [[ctx.zero()]], ctx)
+    return _first_minimum(sets, cfg, "alpha", lambda I, J: counts(I, J)[0])
 
 
 def variant_estimates(
@@ -486,25 +500,50 @@ def _beta_hill_climb(U: PointSet, cfg: SearchConfig) -> EstimateReport:
 
 def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> EstimateReport:
     """Min of ||f*1_A*1_B||_1 / (|A|^(1/p) |B|^(1/q)) over canonical box
-    subsets, evaluated through the max-convolution machinery."""
+    subsets, through the layer-cake identity.
+
+    (f*1_A*1_B)(x) is the max of f over x - A - B, so it is at least t
+    exactly when x lies in {f >= t} + A + B.  With f's distinct weights
+    t_1 > ... > t_K, t_(K+1) = 0 and the level sets L_k = {f >= t_k},
+        ||f*1_A*1_B||_1 = sum_k (t_k - t_(k+1)) |L_k + A + B|,
+    a weighted sum of the counts the beta kernel (_pair_counts) gives with
+    the L_k as its U's.  The weights are scaled to integers over one
+    denominator D, exactly (a float is a dyadic rational), and the integer
+    sum is formed in int64 where it provably fits, in Python ints otherwise.
+    A pair's numerator is that sum over D: a Fraction in exact mode (the int
+    itself when D = 1) and the correctly rounded float in float mode, so it
+    does not depend on the order of the keys or on how Python sums floats."""
     if not f.entries:
         raise ValueError("f must have nonempty support")
     ctx = f.context
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
-    one = Fraction(1) if f.exact else 1.0
-    indicators = [WeightedFunction.of(ctx, [(q, one) for q in s]) for s in sets]
+    weights, denom = _int_weights(f)
+    tops = sorted(set(weights), reverse=True)
+    levels = [[x for (x, _), w in zip(f.entries, weights) if w >= t] for t in tops]
+    counts = _pair_counts(sets, levels, ctx)
+    # a count is at most |A| |B| |L_k|, so a numerator is at most this
+    fits = tops[0] * cfg.max_cardinality**2 * len(f) < 1 << 63
+    steps = np.array([t - s for t, s in zip(tops, tops[1:] + [0])], dtype=np.int64 if fits else object)
 
     def eval_pairs(I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        nums = []
-        last = -1
-        for i, j in zip(I.tolist(), J.tolist()):
-            if i != last:  # f*1_A serves the whole run of pairs with this A
-                fa, last = max_convolve(f, indicators[i]), i
-            num = l1_norm(max_convolve(fa, indicators[j]))
-            nums.append(Fraction(num) if f.exact else num)
-        return np.array(nums, dtype=object if f.exact else float)
+        c = counts(I, J)
+        nums = steps @ (c if fits else c.astype(object))
+        if not f.exact:
+            return np.array([_quotient(s, denom) for s in nums.tolist()])
+        if denom == 1:
+            return nums
+        return np.array([Fraction(s, denom) for s in nums.tolist()], dtype=object)
 
     return _first_minimum(sets, cfg, "gamma", eval_pairs)
+
+
+def _quotient(s: int, d: int) -> float:
+    """s / d correctly rounded (int / int), and inf past the largest float,
+    as a float sum would give."""
+    try:
+        return s / d
+    except OverflowError:
+        return math.inf
 
 
 def _max_products(

@@ -3,8 +3,10 @@
 import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumsetlab import cli, conjectures, io_formats
@@ -131,6 +133,22 @@ class TestEstimateCommand:
         assert cli.main(argv + ["--out", str(out)]) == 64
         assert capsys.readouterr().err == "error: weights must be finite, got inf\n"
         assert not out.exists()
+
+    def test_table_above_limit_exits_64(self, u01, tmp_path, capsys, monkeypatch):
+        # the scan's pair table would take 6.3 GiB: refused before it is allocated
+        zeros = np.zeros
+
+        def guarded_zeros(shape, dtype=float):
+            assert math.prod(np.atleast_1d(shape)) * np.dtype(dtype).itemsize <= 1 << 30
+            return zeros(shape, dtype=dtype)
+
+        monkeypatch.setattr(np, "zeros", guarded_zeros)
+        out = tmp_path / "r.json"
+        argv = ["estimate", "beta", "--set", u01, "--box", "0..3000", "--max-card", "2"]
+        assert cli.main(argv + ["--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: the pair table of this scan needs 6772512752 bytes")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_p_validation(self, u01):
         code = cli.main(

@@ -1,10 +1,12 @@
 """Verdict checks for the proved inequalities, plus the seeded suites."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from sumsetlab import bitscan
+from sumsetlab import bitscan, laws
+from sumsetlab.functional import WeightedFunction
 from sumsetlab.groups import GroupContext, PointSet
 from sumsetlab.laws import (
     InstanceRejected,
@@ -17,7 +19,9 @@ from sumsetlab.laws import (
     check_petridis_instance,
     check_plunnecke,
     check_prekopa_discrete,
+    check_product_multiplicativity,
     check_quasicube_beta,
+    check_tensorization,
     check_trivial_lower_bounds,
     check_two_point,
     petridis_qualify,
@@ -210,6 +214,37 @@ class TestBetaIsGamma:
         # a float p reaches SearchConfig as given, not as its exact Fraction
         with pytest.raises(ValueError, match="1.3"):
             check_beta_is_gamma(ps(Z1, [(0,), (1,)]), 1.3, SearchConfig(box=((0, 1),), max_cardinality=2))
+
+    @pytest.mark.parametrize("p", [F(2), F(3, 2)])
+    def test_holds_and_replays(self, p):
+        v = check_beta_is_gamma(ps(Z2, [(0, 0), (1, 0), (0, 1)]), p, SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3))
+        assert v.holds and v.margin == 0 and v.counterexample is None
+
+    @pytest.mark.parametrize("estimate", ["beta_estimate", "gamma_indicator_estimate"])
+    def test_witness_that_does_not_replay_fails(self, estimate, monkeypatch):
+        # equal values, but one report names a pair whose ratio is not its value
+        real = getattr(laws, estimate)
+        monkeypatch.setattr(laws, estimate, lambda *a: replace(real(*a), witness_b=((0,), (1,))))
+        v = check_beta_is_gamma(ps(Z1, [(0,), (1,)]), F(2), SearchConfig(box=((-1, 2),), max_cardinality=3))
+        assert not v.holds and v.margin == 0
+        side = "beta" if estimate == "beta_estimate" else "gamma"
+        assert v.counterexample["replayed"] == {"beta": side != "beta", "gamma": side != "gamma"}
+
+
+class TestProductAndTensorization:
+    def test_product_multiplicativity_on_the_square(self):
+        # {0,1} x {0,1} on the box 0..2 at cardinality 2, so the square on
+        # 0..2 x 0..2 at cardinality 4
+        U = ps(Z1, [(0,), (1,)])
+        cfg = SearchConfig(box=((0, 2),), max_cardinality=2)
+        v = check_product_multiplicativity(U, U, cfg, cfg)
+        assert v.holds and v.margin == 0
+
+    def test_tensorization_of_the_square(self):
+        f = WeightedFunction.indicator(ps(Z2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+        line = SearchConfig(box=((0, 2),), max_cardinality=2)
+        v = check_tensorization(f, SearchConfig(box=((0, 2), (0, 2)), max_cardinality=4), line, line)
+        assert v.holds and v.margin == 0
 
 
 class TestPrekopaDiscrete:

@@ -482,9 +482,9 @@ def report_fields(r):
 
 
 @st.composite
-def scan_cases(draw):
+def scan_cases(draw, max_points=2):
     ctx, box, pool, top = draw(st.sampled_from(WINDOWS))
-    U = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+    U = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_points, unique=True))
     cfg = SearchConfig(
         box=box,
         max_cardinality=draw(st.integers(2, top)),
@@ -528,23 +528,86 @@ def test_beta_alpha_match_brute_force(case):
     assert report_fields(alpha_estimate(U, cfg)) == brute_first_minimum(alpha_sets, cfg, alpha_num)
 
 
-@given(scan_cases(), st.booleans(), st.lists(st.integers(1, 8), min_size=2, max_size=2))
+@given(scan_cases(max_points=3), st.booleans(), st.lists(st.integers(1, 4), min_size=3, max_size=3))
+@example((ZT3, [(0, 0), (0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)), True, [2, 4, 2])
+@example((Z2T, [(0, 0, 0), (1, 0, 1), (0, 1, 1)], SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3)),
+         False, [3, 1, 3])
 @settings(max_examples=30, deadline=None)
 def test_gamma_matches_brute_force(case, exact, weights):
+    # up to three support points with weights in {1/4, 1/2, 3/4, 1}: tied
+    # weights make one level set of two points
     ctx, pts, cfg = case
     ws = [F(w, 4) if exact else w / 4 for w in weights]
     f = WeightedFunction.of(ctx, list(zip(pts, ws)))
+    sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
+    expected = brute_first_minimum(sets, cfg, gamma_oracle(f))
+    assert report_fields(gamma_indicator_estimate(f, cfg)) == expected
+
+
+def gamma_oracle(f):
+    """The numerator ||f*1_A*1_B||_1 through functional.max_convolve."""
     one = F(1) if f.exact else 1.0
 
     def gamma_num(A, B):
-        ga = WeightedFunction.of(ctx, [(q, one) for q in A])
-        gb = WeightedFunction.of(ctx, [(q, one) for q in B])
+        ga = WeightedFunction.of(f.context, [(q, one) for q in A])
+        gb = WeightedFunction.of(f.context, [(q, one) for q in B])
         n = l1_norm(max_convolve(max_convolve(f, ga), gb))
         return F(n) if f.exact else n
 
-    sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
-    expected = brute_first_minimum(sets, cfg, gamma_num)
+    return gamma_num
+
+
+def test_gamma_float_numerator_is_correctly_rounded():
+    # 0.3 + 0.1 + 0.7 summed in key order is 1.1; the exact sum of the three
+    # doubles rounds to 1.0999999999999999
+    ws = (0.3, 0.1, 0.7)
+    f = WeightedFunction.of(Z1, [((0,), 0.3), ((1,), 0.1), ((2,), 0.7)])
+    cfg = SearchConfig(box=((-1, 1),), max_cardinality=3)
+    r = gamma_indicator_estimate(f, cfg)
+    a, b = len(r.witness_a), len(r.witness_b)
+    exact = gamma_oracle(WeightedFunction.of(Z1, [((x,), F(w)) for x, w in enumerate(ws)]))
+    oracle = gamma_oracle(f)
+    assert r.value_float == ratio_float(float(exact(r.witness_a, r.witness_b)), a, b, cfg.p)
+    assert r.value_float == pytest.approx(ratio_float(oracle(r.witness_a, r.witness_b), a, b, cfg.p), abs=1e-12)
+    assert (r.witness_a, r.witness_b, r.value_float) == (((-1,),), ((-1,),), 1.0999999999999999)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_gamma_weights_past_int64(exact):
+    # 1e-300 is m / 2^1049 for an odd m, so the weights scale to integers
+    # far past int64 and the levels are summed in Python ints
+    ws = [1.0, 1e-300, 1.0]
+    f = WeightedFunction.of(Z1, [((x,), F(w) if exact else w) for x, w in enumerate(ws)])
+    cfg = SearchConfig(box=((-1, 2),), max_cardinality=3)
+    expected = brute_first_minimum(canonical_subsets(Z1, cfg.box, 3), cfg, gamma_oracle(f))
     assert report_fields(gamma_indicator_estimate(f, cfg)) == expected
+
+
+def test_gamma_float_overflow_gives_inf():
+    # every f*1_A*1_B sums two weights of 1e308 or more: inf, as a float sum gives
+    f = WeightedFunction.of(Z1, [((0,), 1e308), ((1,), 1.5e308)])
+    r = gamma_indicator_estimate(f, SearchConfig(box=((0, 1),), max_cardinality=2))
+    assert r.value_float == math.inf and r.value_exact is None and r.complete
+
+
+def test_table_above_limit_is_refused_before_allocation(monkeypatch):
+    # 3001 sets times 3001 points times 94 words: 6.3 GiB, which the default
+    # 5M-pair ceiling would not have bounded
+    zeros = np.zeros
+
+    def guarded_zeros(shape, dtype=float):
+        assert math.prod(np.atleast_1d(shape)) * np.dtype(dtype).itemsize <= 1 << 30
+        return zeros(shape, dtype=dtype)
+
+    monkeypatch.setattr(np, "zeros", guarded_zeros)
+    U = ps(Z1, [(0,), (1,)])
+    with pytest.raises(ValueError, match=f"needs {3001 * 3001 * 94 * 8} bytes"):
+        beta_estimate(U, SearchConfig(box=((0, 3000),), max_cardinality=2))
+    # four distinct weights: four levels of 1501 * 1501 rows of 47 words,
+    # 847 MB each, 3.4 GB together
+    f = WeightedFunction.of(Z1, [((x,), F(x + 1)) for x in range(4)])
+    with pytest.raises(ValueError, match=f"needs {4 * 1501 * 1501 * 47 * 8} bytes"):
+        gamma_indicator_estimate(f, SearchConfig(box=((0, 1500),), max_cardinality=2))
 
 
 # rows of the window below: sizes 1, 2, 3, 3, 2, 3, 2, so 49 unrestricted
