@@ -44,8 +44,8 @@ from .search import (
     canonical_subsets,
     gamma_indicator_estimate,
     geometric_family_ratio,
-    ratio_float,
     refine_weights_coordinate_descent,
+    report_values,
     two_point_constant,
     variant_estimates,
     frac_str,
@@ -266,10 +266,7 @@ def check_compression_shrinks(A: PointSet, B: PointSet, coord: int) -> Verdict:
 def _replays(r: EstimateReport, num: Fraction | int) -> bool:
     """The report's values are those of its witness pair with this
     numerator, recomputed by an oracle."""
-    a, b = len(r.witness_a), len(r.witness_b)
-    if r.value_exact is not None and r.value_exact != Fraction(num) * num / (a * b):
-        return False
-    return r.value_float == ratio_float(num, a, b, r.p)
+    return (r.value_float, r.value_exact) == report_values(num, len(r.witness_a), len(r.witness_b), r.p)
 
 
 def check_beta_is_gamma(U: PointSet, p: Fraction, cfg: SearchConfig) -> Verdict:

@@ -282,16 +282,19 @@ def _report(
     nodes: int,
     complete: bool,
 ) -> EstimateReport:
-    """The report of a scan's best ratio key (numerator, |A|, |B|): the
-    squared ratio is exact at p = 2 unless the numerator is a float."""
-    s, a, b = key
+    """The report of a scan's best ratio key (numerator, |A|, |B|)."""
     p = Fraction(cfg.p)
-    exact = p == 2 and not isinstance(s, float)
     return EstimateReport(
-        quantity, p, cfg.variant, ratio_float(s, a, b, p),
-        Fraction(s) * s / (a * b) if exact else None,
+        quantity, p, cfg.variant, *report_values(*key, p),
         witness_a, witness_b, nodes, complete, cfg.echo(),
     )
+
+
+def report_values(s: Fraction | float, a: int, b: int, p: Fraction) -> tuple[float, Fraction | None]:
+    """A report's (value_float, value_exact) for numerator s at sizes a, b:
+    the squared ratio is exact at p = 2 unless the numerator is a float."""
+    exact = p == 2 and not isinstance(s, float)
+    return ratio_float(s, a, b, p), (Fraction(s) * s / (a * b) if exact else None)
 
 
 def padded_points(sets: Sequence[Sequence[Vec]]) -> np.ndarray:
@@ -509,7 +512,7 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     a weighted sum of the counts the beta kernel (_pair_counts) gives with
     the L_k as its U's.  The weights are scaled to integers over one
     denominator D, exactly (a float is a dyadic rational), and the integer
-    sum is formed in int64 where it provably fits, in Python ints otherwise.
+    sum is formed in Python ints, so it never wraps.
     A pair's numerator is that sum over D: a Fraction in exact mode (the int
     itself when D = 1) and the correctly rounded float in float mode, so it
     does not depend on the order of the keys or on how Python sums floats."""
@@ -521,13 +524,11 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     tops = sorted(set(weights), reverse=True)
     levels = [[x for (x, _), w in zip(f.entries, weights) if w >= t] for t in tops]
     counts = _pair_counts(sets, levels, ctx)
-    # a count is at most |A| |B| |L_k|, so a numerator is at most this
-    fits = tops[0] * cfg.max_cardinality**2 * len(f) < 1 << 63
-    steps = np.array([t - s for t, s in zip(tops, tops[1:] + [0])], dtype=np.int64 if fits else object)
+    # Python ints: a weight may scale far past int64 (1e-300 is m / 2^1049)
+    steps = np.array([t - s for t, s in zip(tops, tops[1:] + [0])], dtype=object)
 
     def eval_pairs(I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        c = counts(I, J)
-        nums = steps @ (c if fits else c.astype(object))
+        nums = steps @ counts(I, J).astype(object)
         if not f.exact:
             return np.array([_quotient(s, denom) for s in nums.tolist()])
         if denom == 1:

@@ -528,14 +528,18 @@ def test_beta_alpha_match_brute_force(case):
     assert report_fields(alpha_estimate(U, cfg)) == brute_first_minimum(alpha_sets, cfg, alpha_num)
 
 
-@given(scan_cases(max_points=3), st.booleans(), st.lists(st.integers(1, 4), min_size=3, max_size=3))
+@given(scan_cases(max_points=3), st.booleans(), st.lists(st.integers(1, 8), min_size=3, max_size=3))
 @example((ZT3, [(0, 0), (0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)), True, [2, 4, 2])
 @example((Z2T, [(0, 0, 0), (1, 0, 1), (0, 1, 1)], SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3)),
          False, [3, 1, 3])
+@example((ZT3, [(0, 0), (0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)), True, [8, 4, 8])
+@example((Z2T, [(0, 0, 0), (1, 0, 1), (0, 1, 1)], SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3)),
+         False, [8, 4, 4])
 @settings(max_examples=30, deadline=None)
 def test_gamma_matches_brute_force(case, exact, weights):
-    # up to three support points with weights in {1/4, 1/2, 3/4, 1}: tied
-    # weights make one level set of two points
+    # up to three support points with weights in {1/4, 1/2, ..., 2}: tied
+    # weights make one level set of two points, and integer weights (such
+    # as 2, 1, 2) scale over the denominator 1
     ctx, pts, cfg = case
     ws = [F(w, 4) if exact else w / 4 for w in weights]
     f = WeightedFunction.of(ctx, list(zip(pts, ws)))
