@@ -77,7 +77,6 @@ def certified_size(s, v: int, dim: int):
 @dataclass
 class ExhaustiveBetaScan:
     dims: tuple[int, ...]
-    max_v: int
     sets: list[tuple[Pt, ...]]
     surv_i: np.ndarray
     surv_j: np.ndarray
@@ -205,7 +204,7 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     class_bounds = np.cumsum([0] + [len(r) for r in rows])
     pair_count = n * (n + 1) // 2
     return ExhaustiveBetaScan(
-        dims, MAX_V, sets, surv_i, surv_j, surv_pop, surv_ab,
+        dims, sets, surv_i, surv_j, surv_pop, surv_ab,
         surv_lo, surv_hi, np.concatenate(rows), class_bounds, pair_count,
     )
 

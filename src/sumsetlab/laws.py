@@ -140,11 +140,12 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     )
 
 
-def check_prekopa_discrete(V: PointSet, p: Fraction | float, cfg: SearchConfig) -> Verdict:
-    """Scanned ratios at exponent p stay >= c_p^d |V| (float tolerance)."""
+def check_prekopa_discrete(V: PointSet, p: Fraction | int, cfg: SearchConfig) -> Verdict:
+    """Scanned ratios at exponent p stay >= c_p^d |V| (float tolerance).
+    p is an int or a Fraction, as SearchConfig takes it, so the scan and the
+    bound use one exponent."""
     d = dimension(V)
-    cfgp = replace(cfg, p=Fraction(p).limit_denominator(10**6) if not isinstance(p, Fraction) else p)
-    report = beta_estimate(V, cfgp)
+    report = beta_estimate(V, replace(cfg, p=p))
     bound = c_p_constant(float(p)) ** d * len(V)
     margin = report.value_float - bound
     return Verdict(

@@ -16,9 +16,12 @@ with integer weights (the layer-cake identity).  A float log-ratio screens
 each block, and only the pairs near its minimum reach the exact comparison.
 Ties break to the first minimising pair, so reports are deterministic.
 
-Ratio comparisons at rational p = pa/pb are exact: with normalizer
+Every scan keys its pairs on integer numerators: beta and alpha on the
+counts, gamma on its integer weighted sums, which share one denominator.
+Ratio comparisons at rational p = pa/pb are then exact: with normalizer
 |A|^(1/p) |B|^(1-1/p), compare s1^pa a2^pb b2^(pa-pb) against
-s2^pa a1^pb b1^(pa-pb) in big integers.
+s2^pa a1^pb b1^(pa-pb) in big integers.  Only the winner's numerator is
+divided, so a float-mode report rounds once.
 """
 
 from __future__ import annotations
@@ -145,10 +148,9 @@ class EstimateReport:
 # --- exact ratio ordering ---------------------------------------------------
 
 
-def compare_ratios(
-    s1: Fraction | float, a1: int, b1: int, s2: Fraction | float, a2: int, b2: int, p: Fraction
-) -> int:
-    """Sign of s1/(a1^(1/p) b1^(1/q)) - s2/(a2^(1/p) b2^(1/q)), exactly."""
+def compare_ratios(s1: int, a1: int, b1: int, s2: int, a2: int, b2: int, p: Fraction) -> int:
+    """Sign of s1/(a1^(1/p) b1^(1/q)) - s2/(a2^(1/p) b2^(1/q)), exactly, for
+    integer numerators (a scan's numerators share one denominator)."""
     p = Fraction(p)
     pa, pb = p.numerator, p.denominator
     lhs = s1**pa * a2**pb * b2 ** (pa - pb)
@@ -212,26 +214,24 @@ def canonical_subsets(
 def _first_minimum(
     sets: Sequence[tuple[Vec, ...]],
     cfg: SearchConfig,
-    quantity: str,
     eval_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> EstimateReport:
+) -> tuple[tuple[int, int, int], tuple[Vec, ...], tuple[Vec, ...], int, bool]:
     """Scan the pairs of `sets` in i-major order, up to the node ceiling, and
-    report the first strict minimum of the ratio key (numerator, |A|, |B|).
+    return (key, A, B, nodes, complete) for the first strict minimum of the
+    ratio key (numerator, |A|, |B|), the arguments of _report.
 
     Row i pairs A_i with every B_j, with B_i alone (isomeric) or with the
     B_j of equal size (isometric).  The stream of rows is cut at the ceiling,
     mid-row if need be, and complete is False exactly when a pair beyond it
     was left unevaluated.  The stream is evaluated in blocks of about
-    _BLOCK_PAIRS pairs: eval_pairs(I, J) returns the numerators of the pairs
-    (I[k], J[k]) as an array.  For beta and alpha they are the int counts of
-    _pair_counts; for gamma, weighted sums of such counts over one
-    denominator: Fractions as objects in exact mode (ints when every weight
-    is an integer) and correctly rounded floats in float mode.  A float
-    log-ratio screens each block: only the pairs within _LOG_SLACK of the
-    lower of the block's minimum and the best so far go, in stream order,
-    through the exact compare_ratios, which keeps the first strict minimum.
-    The first exact minimum of the whole stream always passes the screen, so
-    it is the pair reported.  A float numerator has no exact value."""
+    _BLOCK_PAIRS pairs: eval_pairs(I, J) returns the integer numerators of
+    the pairs (I[k], J[k]), an int64 array (the counts of beta and alpha) or
+    an object array of Python ints (gamma's weighted sums, which may pass the
+    float range).  A float log-ratio screens each block: only the pairs
+    within _LOG_SLACK of the lower of the block's minimum and the best so far
+    go, in stream order, through the exact compare_ratios, which keeps the
+    first strict minimum.  The first exact minimum of the whole stream always
+    passes the screen, so it is the pair returned."""
     p = Fraction(cfg.p)
     n = len(sets)
     sizes = np.array([len(s) for s in sets])
@@ -260,7 +260,9 @@ def _first_minimum(
         I = np.searchsorted(row_end, t, "right")
         J = members[t + to_member[I]]
         nums = eval_pairs(I, J)
-        r = np.log(nums.astype(float)) - log_size[I] * invp - log_size[J] * (1.0 - invp)
+        # math.log takes a Python int past the float range, where astype(float) overflows
+        logs = np.array([math.log(s) for s in nums.tolist()]) if nums.dtype == object else np.log(nums)
+        r = logs - log_size[I] * invp - log_size[J] * (1.0 - invp)
         cand = np.flatnonzero(r <= min(float(r.min()), best_r) + _LOG_SLACK)
         picked = zip(cand.tolist(), nums[cand].tolist(), I[cand].tolist(), J[cand].tolist())
         for k, s, i, j in picked:
@@ -270,7 +272,7 @@ def _first_minimum(
                 best, best_ij, best_r = key, (i, j), float(r[k])
     assert best is not None
     i, j = best_ij
-    return _report(quantity, cfg, best, sets[i], sets[j], nodes, total <= nodes)
+    return best, sets[i], sets[j], nodes, total <= nodes
 
 
 def _report(
@@ -396,7 +398,7 @@ def beta_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
         return _beta_hill_climb(U, cfg)
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
     counts = _pair_counts(sets, [U.points], ctx)
-    return _first_minimum(sets, cfg, "beta", lambda I, J: counts(I, J)[0])
+    return _report("beta", cfg, *_first_minimum(sets, cfg, lambda I, J: counts(I, J)[0]))
 
 
 def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
@@ -420,7 +422,7 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
             sets.append(tuple(sorted(U.points + combo)))
     sets.sort()
     counts = _pair_counts(sets, [[ctx.zero()]], ctx)
-    return _first_minimum(sets, cfg, "alpha", lambda I, J: counts(I, J)[0])
+    return _report("alpha", cfg, *_first_minimum(sets, cfg, lambda I, J: counts(I, J)[0]))
 
 
 def variant_estimates(
@@ -513,9 +515,11 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     the L_k as its U's.  The weights are scaled to integers over one
     denominator D, exactly (a float is a dyadic rational), and the integer
     sum is formed in Python ints, so it never wraps.
-    A pair's numerator is that sum over D: a Fraction in exact mode (the int
-    itself when D = 1) and the correctly rounded float in float mode, so it
-    does not depend on the order of the keys or on how Python sums floats."""
+    D is common to every pair, so the scan keys each pair on that integer
+    sum and picks the exact first minimum in either mode.  Only the winner's
+    sum is divided by D: Fraction(s, D) in exact mode and the correctly
+    rounded float in float mode, so the value does not depend on how Python
+    sums floats."""
     if not f.entries:
         raise ValueError("f must have nonempty support")
     ctx = f.context
@@ -526,16 +530,9 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     counts = _pair_counts(sets, levels, ctx)
     # Python ints: a weight may scale far past int64 (1e-300 is m / 2^1049)
     steps = np.array([t - s for t, s in zip(tops, tops[1:] + [0])], dtype=object)
-
-    def eval_pairs(I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        nums = steps @ counts(I, J).astype(object)
-        if not f.exact:
-            return np.array([_quotient(s, denom) for s in nums.tolist()])
-        if denom == 1:
-            return nums
-        return np.array([Fraction(s, denom) for s in nums.tolist()], dtype=object)
-
-    return _first_minimum(sets, cfg, "gamma", eval_pairs)
+    (s, a, b), *rest = _first_minimum(sets, cfg, lambda I, J: steps @ counts(I, J).astype(object))
+    num = Fraction(s, denom) if f.exact else _quotient(s, denom)
+    return _report("gamma", cfg, (num, a, b), *rest)
 
 
 def _quotient(s: int, d: int) -> float:

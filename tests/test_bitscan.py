@@ -77,13 +77,13 @@ def decode(dims, lo, hi):
 @pytest.mark.parametrize("dims", sorted(WINDOWS), ids=str)
 def test_build_matches_brute_force(dims):
     # survivors are the pairs, i-major, the collinear certificate leaves
-    # unproved at some v in [2, max_v]; each keeps |A+B| and the words of
+    # unproved at some v in [2, MAX_V]; each keeps |A+B| and the words of
     # A+B, and each (v, dim) class lists, ascending, the survivors whose
     # certificate fails, for dim <= d
     scan, _, pairs = window(dims)
     unsafe = [
         (i, j, ab, AB) for i, j, ab, AB in pairs
-        if any((len(AB) + v - 1) ** 2 < v * v * ab for v in range(2, scan.max_v + 1))
+        if any((len(AB) + v - 1) ** 2 < v * v * ab for v in range(2, bitscan.MAX_V + 1))
     ]
     assert list(zip(scan.surv_i.tolist(), scan.surv_j.tolist())) == [(i, j) for i, j, _, _ in unsafe]
     assert scan.surv_pop.tolist() == [len(AB) for _, _, _, AB in unsafe]

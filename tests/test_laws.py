@@ -249,9 +249,9 @@ class TestProductAndTensorization:
 
 class TestPrekopaDiscrete:
     def test_irrational_p_rejected_before_the_scan(self):
-        # 2**0.5 limited to denominator 10^6 is 665857/470832: SearchConfig
-        # refuses it before any comparison raises to 665857
-        with pytest.raises(ValueError, match="numerator or denominator"):
+        # p is taken as SearchConfig takes it: a float is refused before the
+        # scan, not rounded to a Fraction that the bound would not use
+        with pytest.raises(ValueError, match="p must be an int or a Fraction, not the float"):
             check_prekopa_discrete(ps(Z1, [(0,), (1,)]), 2**0.5, SearchConfig(box=((0, 3),), max_cardinality=3))
 
 

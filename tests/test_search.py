@@ -416,10 +416,16 @@ WINDOWS = (  # (group, box, points U and f may use, largest cardinality)
 )
 
 
-def brute_first_minimum(sets, cfg, num):
+def brute_first_minimum(sets, cfg, num, exact=True):
     """Every pair in i-major order, then the ceiling cut, then the first
-    strict minimum: the scan's contract spelled out with no streaming."""
+    strict minimum: the scan's contract spelled out with no streaming.
+
+    num gives each pair's exact numerator, and pairs are ordered on the
+    exact ratio to the power pa, n^pa / (a^pb b^(pa-pb)) at p = pa/pb.  With
+    exact=False (a float-mode function) only the winner's numerator is
+    rounded, to the float the report carries."""
     p = F(cfg.p)
+    pa, pb = p.numerator, p.denominator
     pairs = [
         (i, j)
         for i, j in itertools.product(range(len(sets)), repeat=2)
@@ -429,13 +435,16 @@ def brute_first_minimum(sets, cfg, num):
     ceiling = cfg.node_ceiling
     best = None
     for i, j in pairs[:ceiling]:
-        key = (num(sets[i], sets[j]), len(sets[i]), len(sets[j]))
-        if best is None or compare_ratios(*key, *best[0], p) < 0:
-            best = (key, sets[i], sets[j])
-    (n, a, b), wa, wb = best
+        n, a, b = num(sets[i], sets[j]), len(sets[i]), len(sets[j])
+        power = F(n) ** pa / (a**pb * b ** (pa - pb))
+        if best is None or power < best[0]:
+            best = (power, (n, a, b), sets[i], sets[j])
+    _, (n, a, b), wa, wb = best
+    if not exact:
+        n = float(n)  # Fraction to float: correctly rounded
     return {
         "value_float": ratio_float(n, a, b, p),
-        "value_exact": n * n / F(a * b) if p == 2 and not isinstance(n, float) else None,
+        "value_exact": n * n / F(a * b) if p == 2 and exact else None,
         "witness_a": wa,
         "witness_b": wb,
         "nodes": min(len(pairs), ceiling),
@@ -528,51 +537,102 @@ def test_beta_alpha_match_brute_force(case):
     assert report_fields(alpha_estimate(U, cfg)) == brute_first_minimum(alpha_sets, cfg, alpha_num)
 
 
-@given(scan_cases(max_points=3), st.booleans(), st.lists(st.integers(1, 8), min_size=3, max_size=3))
-@example((ZT3, [(0, 0), (0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)), True, [2, 4, 2])
+# w/4 for w in 1..8 sum exactly as floats; 5/3, 1/7 and 3/10 do not
+GAMMA_WEIGHTS = [F(w, 4) for w in range(1, 9)] + [F(5, 3), F(1, 7), F(3, 10)]
+
+
+@given(scan_cases(max_points=3), st.booleans(), st.lists(st.sampled_from(GAMMA_WEIGHTS), min_size=3, max_size=3))
+@example((ZT3, [(0, 0), (0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)), True,
+         [F(1, 2), F(1), F(1, 2)])
 @example((Z2T, [(0, 0, 0), (1, 0, 1), (0, 1, 1)], SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3)),
-         False, [3, 1, 3])
-@example((ZT3, [(0, 0), (0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)), True, [8, 4, 8])
+         False, [F(3, 4), F(1, 4), F(3, 4)])
+@example((ZT3, [(0, 0), (0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)), True,
+         [F(2), F(1), F(2)])
 @example((Z2T, [(0, 0, 0), (1, 0, 1), (0, 1, 1)], SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3)),
-         False, [8, 4, 4])
+         False, [F(2), F(1), F(1)])
+@example((ZT3, [(0, 0), (0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3, p=F(3, 2))), False,
+         [F(5, 3), F(1, 7), F(3, 10)])
 @settings(max_examples=30, deadline=None)
 def test_gamma_matches_brute_force(case, exact, weights):
-    # up to three support points with weights in {1/4, 1/2, ..., 2}: tied
-    # weights make one level set of two points, and integer weights (such
-    # as 2, 1, 2) scale over the denominator 1
+    # up to three support points with weights in GAMMA_WEIGHTS: tied
+    # weights make one level set of two points, integer weights (such as
+    # 2, 1, 2) scale over the denominator 1, and a float-mode function is
+    # keyed on the exact values of its doubles
     ctx, pts, cfg = case
-    ws = [F(w, 4) if exact else w / 4 for w in weights]
+    ws = [w if exact else float(w) for w in weights]
     f = WeightedFunction.of(ctx, list(zip(pts, ws)))
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
-    expected = brute_first_minimum(sets, cfg, gamma_oracle(f))
+    expected = brute_first_minimum(sets, cfg, gamma_oracle(f), f.exact)
     assert report_fields(gamma_indicator_estimate(f, cfg)) == expected
 
 
 def gamma_oracle(f):
-    """The numerator ||f*1_A*1_B||_1 through functional.max_convolve."""
-    one = F(1) if f.exact else 1.0
+    """The exact numerator ||f*1_A*1_B||_1 through functional.max_convolve,
+    a Fraction; a float weight is taken at its exact (dyadic) value."""
+    fx = WeightedFunction.of(f.context, [(q, F(w)) for q, w in f.entries])
 
     def gamma_num(A, B):
-        ga = WeightedFunction.of(f.context, [(q, one) for q in A])
-        gb = WeightedFunction.of(f.context, [(q, one) for q in B])
-        n = l1_norm(max_convolve(max_convolve(f, ga), gb))
-        return F(n) if f.exact else n
+        ga = WeightedFunction.of(f.context, [(q, F(1)) for q in A])
+        gb = WeightedFunction.of(f.context, [(q, F(1)) for q in B])
+        return l1_norm(max_convolve(max_convolve(fx, ga), gb))
 
     return gamma_num
+
+
+FLOAT_WEIGHTS = [5 / 3, 3 / 4, 1 / 7, 0.3, 0.1, 0.7, 1 / 3, 2 / 3, 1.0, 2.0]
+FLOAT_WINDOWS = ((Z1, ((-1, 2),)), (Z2, ((0, 1), (0, 2))), (ZT, ((0, 2),)), (ZT3, ((0, 1),)))
+
+
+@st.composite
+def float_gamma_cases(draw):
+    ctx, box = draw(st.sampled_from(FLOAT_WINDOWS))
+    coords = [st.integers(-1, 2)] * ctx.free_rank + [st.integers(0, m - 1) for m in ctx.torsion_moduli]
+    pts = draw(st.lists(st.tuples(*coords), min_size=1, max_size=3, unique=True))
+    ws = draw(st.lists(st.sampled_from(FLOAT_WEIGHTS), min_size=len(pts), max_size=len(pts)))
+    cfg = SearchConfig(
+        box=box,
+        max_cardinality=draw(st.integers(2, 3)),
+        p=draw(st.sampled_from([F(2), F(3, 2), F(3)])),
+        variant=draw(st.sampled_from(search.VARIANTS)),
+        node_ceiling=draw(st.sampled_from([50, 10**6])),
+    )
+    return ctx, list(zip(pts, ws)), cfg
+
+
+# the pairs ({(0, 0)}, {(0, 0)}) and (S, S), S = {(0, 0), (0, 1), (0, 2)},
+# tie exactly; keyed on rounded float sums, the later pair was named
+FLOAT_TIE = (ZT3, [((2, 0), 1.6666666666666667), ((-1, 2), 0.75), ((1, 2), 0.14285714285714285)],
+             SearchConfig(box=((0, 1),), max_cardinality=3, p=F(3, 2), variant="isometric", node_ceiling=50))
+
+
+@given(float_gamma_cases())
+@example(FLOAT_TIE)
+@settings(max_examples=60, deadline=None)
+def test_float_gamma_names_the_exact_first_minimum(case):
+    # a float weight is a dyadic rational: float mode scans the same exact
+    # keys as exact mode on those values and rounds only the winner's value
+    ctx, entries, cfg = case
+    f = WeightedFunction.of(ctx, entries)
+    r = gamma_indicator_estimate(f, cfg)
+    ex = gamma_indicator_estimate(WeightedFunction.of(ctx, [(q, F(w)) for q, w in entries]), cfg)
+    assert (r.witness_a, r.witness_b, r.nodes, r.complete) == (ex.witness_a, ex.witness_b, ex.nodes, ex.complete)
+    n = gamma_oracle(f)(r.witness_a, r.witness_b)
+    assert r.value_float == ratio_float(float(n), len(r.witness_a), len(r.witness_b), cfg.p)
+    assert r.value_exact is None
 
 
 def test_gamma_float_numerator_is_correctly_rounded():
     # 0.3 + 0.1 + 0.7 summed in key order is 1.1; the exact sum of the three
     # doubles rounds to 1.0999999999999999
-    ws = (0.3, 0.1, 0.7)
     f = WeightedFunction.of(Z1, [((0,), 0.3), ((1,), 0.1), ((2,), 0.7)])
     cfg = SearchConfig(box=((-1, 1),), max_cardinality=3)
     r = gamma_indicator_estimate(f, cfg)
     a, b = len(r.witness_a), len(r.witness_b)
-    exact = gamma_oracle(WeightedFunction.of(Z1, [((x,), F(w)) for x, w in enumerate(ws)]))
-    oracle = gamma_oracle(f)
-    assert r.value_float == ratio_float(float(exact(r.witness_a, r.witness_b)), a, b, cfg.p)
-    assert r.value_float == pytest.approx(ratio_float(oracle(r.witness_a, r.witness_b), a, b, cfg.p), abs=1e-12)
+    exact = gamma_oracle(f)(r.witness_a, r.witness_b)
+    ga, gb = (WeightedFunction.of(Z1, [(q, 1.0) for q in w]) for w in (r.witness_a, r.witness_b))
+    float_sum = l1_norm(max_convolve(max_convolve(f, ga), gb))
+    assert r.value_float == ratio_float(float(exact), a, b, cfg.p)
+    assert r.value_float == pytest.approx(ratio_float(float_sum, a, b, cfg.p), abs=1e-12)
     assert (r.witness_a, r.witness_b, r.value_float) == (((-1,),), ((-1,),), 1.0999999999999999)
 
 
@@ -583,7 +643,7 @@ def test_gamma_weights_past_int64(exact):
     ws = [1.0, 1e-300, 1.0]
     f = WeightedFunction.of(Z1, [((x,), F(w) if exact else w) for x, w in enumerate(ws)])
     cfg = SearchConfig(box=((-1, 2),), max_cardinality=3)
-    expected = brute_first_minimum(canonical_subsets(Z1, cfg.box, 3), cfg, gamma_oracle(f))
+    expected = brute_first_minimum(canonical_subsets(Z1, cfg.box, 3), cfg, gamma_oracle(f), exact)
     assert report_fields(gamma_indicator_estimate(f, cfg)) == expected
 
 
@@ -654,36 +714,40 @@ def test_scans_match_brute_force_in_small_blocks(block, monkeypatch):
 
 def synthetic_scan(sizes, nums, p, dtype):
     """_first_minimum over sets of the given sizes, with nums[i][j] the
-    numerator of the pair (i, j); returns the report and the sets."""
+    numerator of the pair (i, j); returns its (key, A, B, nodes, complete)
+    and the sets."""
     sets = [tuple((10 * i + k,) for k in range(size)) for i, size in enumerate(sizes)]
     cfg = SearchConfig(box=((0, 0),), max_cardinality=1, p=p)
 
     def eval_pairs(I, J):
         return np.array([nums[i][j] for i, j in zip(I.tolist(), J.tolist())], dtype=dtype)
 
-    return search._first_minimum(sets, cfg, "beta", eval_pairs), sets
+    return search._first_minimum(sets, cfg, eval_pairs), sets
 
 
 BIG = 10**6  # a numerator that never competes
 
 
 @pytest.mark.parametrize("block", [4096, 2])
-@pytest.mark.parametrize("dtype", [np.int64, float])
+@pytest.mark.parametrize("dtype, scale", [(np.int64, 1), (object, 1), (object, 2**1100)],
+                         ids=["int64", "int", "int-past-float"])
 @pytest.mark.parametrize("order", [(1, 4), (4, 1)])
-def test_prescreen_keeps_earlier_of_equal_ratios(block, dtype, order, monkeypatch):
+def test_prescreen_keeps_earlier_of_equal_ratios(block, dtype, scale, order, monkeypatch):
     # A of size 2 against B of size 1 (numerator 2) and of size 4 (numerator
     # 4): 2/sqrt(2 * 1) == 4/sqrt(2 * 4) exactly at p = 2.  Pairs (0, 1) and
-    # (0, 2) fall in one block of 4096 and in two blocks of 2.
+    # (0, 2) fall in one block of 4096 and in two blocks of 2.  Python-int
+    # numerators are gamma's; scaled by 2^1100 they pass the float range.
     monkeypatch.setattr(search, "_BLOCK_PAIRS", block)
     sizes = (2, *order)
     num_of = {1: 2, 4: 4}
-    nums = [[BIG] + [num_of[b] for b in order]] + [[BIG] * 3] * 2
-    r, sets = synthetic_scan(sizes, nums, F(2), dtype)
-    assert (r.witness_a, r.witness_b) == (sets[0], sets[1])
-    b = order[0]
-    assert r.value_float == ratio_float(num_of[b], 2, b, F(2))
-    assert r.value_exact == (F(2) if dtype is np.int64 else None)
-    assert (r.nodes, r.complete) == (9, True)
+    nums = [[BIG * scale] + [num_of[b] * scale for b in order]] + [[BIG * scale] * 3] * 2
+    (key, a, b, nodes, complete), sets = synthetic_scan(sizes, nums, F(2), dtype)
+    assert (a, b) == (sets[0], sets[1])
+    assert key == (num_of[order[0]] * scale, 2, order[0])
+    assert (nodes, complete) == (9, True)
+    if scale == 1:
+        r = search._report("beta", SearchConfig(box=((0, 0),), max_cardinality=1), key, a, b, nodes, complete)
+        assert (r.value_float, r.value_exact) == (ratio_float(*key, F(2)), F(2))
 
 
 @pytest.mark.parametrize("later_wins", [True, False])
@@ -705,8 +769,8 @@ def test_prescreen_leaves_near_ties_to_exact_comparison(later_wins):
     close = ratio_float(s1, 1, 1, p) / ratio_float(s2, 2, 1, p)
     assert abs(close - 1) < 1e-12
     nums = [[s1, 2 * s2], [s2, 2 * s2]]  # ratios about 1.4 s2 and s2
-    r, sets = synthetic_scan((1, 2), nums, p, np.int64)
-    assert (r.witness_a, r.witness_b) == ((sets[1], sets[0]) if later_wins else (sets[0], sets[0]))
+    (_, a, b, _, _), sets = synthetic_scan((1, 2), nums, p, np.int64)
+    assert (a, b) == ((sets[1], sets[0]) if later_wins else (sets[0], sets[0]))
 
 
 # --- gamma on fixed supports --------------------------------------------------
