@@ -30,14 +30,18 @@ screen, so its list is not stored.
 Grid packing: a point's bit is its search.bit_index on the grid of A+B,
 2k-1 cells along an axis k wide (`sum_shape`), first axis fastest: (x, y)
 maps to bit y*(2w-1) + x, so all sums A+B stay in distinct rows.  A fits
-one uint64 word and A+B fits two; the recheck builds each row of A+B+V in
-one.
+one uint64 word, and A+B fits `sum_words` of them: one when its grid has at
+most 64 cells (every 1-D box up to 32 wide, and 2-D boxes such as 5x4),
+else two.  The recheck builds each row of A+B+V in one word.
 
 The build is one sequential pass over blocks of consecutive rows i0 <= i < i1,
 sized so that a block holds about _BLOCK_CELLS pairs.  A block forms A_i+B_j
-for all its rows and every j >= i0 in one numpy call per point of A: the low
-word ORs B << s, the high word B >> (64-s), over the offsets s of A_i's
-points (sets with fewer points repeat their first).  Cells below the
+for all its rows and every j >= i0 in one numpy call per point of A and
+word: the low word ORs B << s and, when A+B spans two words, the high word
+B >> (64-s), over the offsets s of A_i's points (sets with fewer points
+repeat their first).  Each shift writes in place into buffers allocated
+once per build for the largest block; a one-word scan stores zero high
+words, so every scan keeps the same arrays.  Cells below the
 diagonal (j < i) are real sumsets too, so the Cauchy-Davenport check covers
 the whole block, and only their screen hits are dropped.  The pairs it
 records, and so every verdict, depend only on the box and the cardinality.
@@ -83,7 +87,7 @@ class ExhaustiveBetaScan:
     surv_pop: np.ndarray
     surv_ab: np.ndarray
     surv_lo: np.ndarray  # bits 0-63 of the packed A+B of each surviving pair
-    surv_hi: np.ndarray  # bits 64-127
+    surv_hi: np.ndarray  # bits 64-127, zero when A+B spans one word
     # the survivors, ascending, whose certificate for CLASSES[k] fails are
     # class_rows[class_bounds[k]:class_bounds[k + 1]] (`flagged(k)`), except
     # for SCREEN_CLASS, whose certificate is the build's screen: it fails for
@@ -102,6 +106,12 @@ class ExhaustiveBetaScan:
 def sum_shape(dims: Sequence[int]) -> list[int]:
     """The grid A+B lies on for a box of these dims."""
     return [2 * k - 1 for k in dims]
+
+
+def sum_words(dims: Sequence[int]) -> int:
+    """The uint64 words a packed A+B spans for a box of these dims: one when
+    the grid of A+B has at most 64 cells, else two."""
+    return 1 if prod(sum_shape(dims)) <= 64 else 2
 
 
 def unsupported(dims: Sequence[int], v_points: Sequence[Pt] = ()) -> Optional[str]:
@@ -163,36 +173,49 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     lim = np.array(by_size, dtype=np.uint8)[:, sizes - 1]
     sizes8 = sizes.astype(np.uint8)
 
-    # (i, j, |A+B|, low word, high word) of the survivors, one tuple per
-    # block of rows i0 <= i < i1, each row paired with every j >= i0
-    found = []
+    # blocks of rows i0 <= i < i1, each row paired with every j >= i0, and
+    # buffers for the largest block's cells, reused by every block
+    blocks = []
     i0 = 0
     while i0 < n:
-        cols = n - i0
-        i1 = min(n, i0 + max(1, _BLOCK_CELLS // cols))
+        i1 = min(n, i0 + max(1, _BLOCK_CELLS // (n - i0)))
+        blocks.append((i0, i1))
+        i0 = i1
+    size = max((i1 - i0) * (n - i0) for i0, i1 in blocks)
+    words = sum_words(dims)
+    word_bufs = [np.empty(size, dtype=np.uint64) for _ in range(words + 1)]
+    # word 0 ORs B << s and word 1 B >> (64 - s) over the offsets s of A's
+    # points; numpy shifts by 64 to 0, so s = 0 adds nothing to word 1
+    word_ops = [(np.left_shift, shifts), (np.right_shift, np.uint64(64) - shifts)][:words]
+
+    # (i, j, |A+B|, low word[, high word]) of the survivors, one tuple per block
+    found = []
+    for i0, i1 in blocks:
+        shape = (i1 - i0, n - i0)
+        tmp, *packed = (buf[:shape[0] * shape[1]].reshape(shape) for buf in word_bufs)
         b = masks[i0:]
-        lo = np.zeros((i1 - i0, cols), dtype=np.uint64)
-        hi = np.zeros_like(lo)
-        for s in shifts[i0:i1].T:
-            s = s[:, None]
-            lo |= b << s
-            hi |= b >> (np.uint64(64) - s)  # numpy shifts by 64 to 0, so s = 0 adds nothing
-        pop = np.bitwise_count(lo)
-        pop += np.bitwise_count(hi)
+        for word, (shift, offsets) in zip(packed, word_ops):
+            first, *rest = offsets[i0:i1, :, None].transpose(1, 0, 2)  # a column per point of A
+            shift(b, first, out=word)
+            for s in rest:
+                word |= shift(b, s, out=tmp)
+        pop = np.bitwise_count(packed[0])
+        if words == 2:
+            pop += np.bitwise_count(packed[1])
         # every cell is a real sumset A_i + B_j, below the diagonal too
         if not np.all(pop >= sizes8[i0:i1, None] + sizes8[i0:] - 1):
             raise AssertionError(f"a sumset of rows {i0}-{i1 - 1} breaks Cauchy-Davenport")
         k = np.flatnonzero(pop < lim[sizes[i0:i1] - 1, i0:])
-        r, c = np.divmod(k, cols)
+        r, c = np.divmod(k, shape[1])
         keep = c >= r  # j >= i; row-major order keeps the survivors i-major
         k = k[keep]
         found.append((r[keep] + i0, c[keep] + i0, pop.ravel()[k].astype(np.int64),
-                      lo.ravel()[k], hi.ravel()[k]))
-        i0 = i1
+                      *(word.ravel()[k] for word in packed)))
 
     # join column by column, each column's blocks freed once joined, so not all are alive at once
     found = [list(col) for col in zip(*found)]
-    surv_i, surv_j, surv_pop, surv_lo, surv_hi = (np.concatenate(found.pop(0)) for _ in range(5))
+    surv_i, surv_j, surv_pop, surv_lo, *surv_hi = (np.concatenate(found.pop(0)) for _ in range(3 + words))
+    surv_hi = surv_hi[0] if surv_hi else np.zeros_like(surv_lo)
     surv_ab = sizes[surv_i] * sizes[surv_j]
     # each class's certificate as a table over (|A+B|, |A||B|): no survivor-sized temporaries
     pop_ax, ab_ax = np.arange(129)[:, None], np.arange(width * width + 1)
@@ -242,6 +265,8 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
         "counterexample": None,
         "checked_pairs": int(len(cand)),
     }
+    if not len(cand):
+        return result
     # Row r of A+B is the 2w-1 bits at r*(2w-1) of the pair's two words; row r
     # of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, and fits one
     # uint64 by the width check.  Building one output row at a time keeps only
@@ -249,7 +274,8 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     width, *higher = sum_shape(scan.dims)
     rows = prod(higher)
     row_mask = np.uint64((1 << width) - 1)
-    lo, hi = scan.surv_lo[cand], scan.surv_hi[cand]
+    lo = scan.surv_lo[cand]
+    hi = scan.surv_hi[cand] if sum_words(scan.dims) == 2 else None  # one word: rows never reach bit 64
 
     def row(r: int) -> np.ndarray:
         s = r * width
@@ -271,7 +297,7 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
                     out |= bits << x
         t += np.bitwise_count(out)
     slack = t * t - v * v * scan.surv_ab[cand]
-    if len(cand) and slack.min() < 0:
+    if slack.min() < 0:
         k = int(np.argmin(slack))  # the first minimum: survivors are stored i-major
         result["holds"] = False
         result["counterexample"] = {

@@ -132,10 +132,16 @@ def _manifest(args: argparse.Namespace, inputs: dict[str, str], started: float) 
     }
 
 
+def _json(obj) -> str:
+    """obj as standard JSON: a value past the float range (inf or nan) has
+    no JSON form, so its ValueError makes the command exit 64."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
 def _write_doc(args: argparse.Namespace, doc: dict, inputs: dict[str, str], started: float) -> int:
     """Write one JSON document with its run manifest to --out (or stdout)."""
     doc["manifest"] = _manifest(args, inputs, started)
-    _write(args.out, json.dumps(doc, sort_keys=True) + "\n")
+    _write(args.out, _json(doc) + "\n")
     return EXIT_OK
 
 
@@ -189,14 +195,14 @@ def _cmd_compress(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_laws(args: argparse.Namespace, started: float) -> int:
     verdicts = laws.run_suite(args.suite, seed=args.seed)
-    lines = [json.dumps(v.to_json_dict(), sort_keys=True) for v in verdicts]
+    lines = [_json(v.to_json_dict()) for v in verdicts]
     summary = {
         "suite": args.suite,
         "verdicts": len(verdicts),
         "failures": sum(1 for v in verdicts if not v.holds),
         "manifest": _manifest(args, {}, started),
     }
-    lines.append(json.dumps(summary, sort_keys=True))
+    lines.append(_json(summary))
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if summary["failures"] == 0 else EXIT_LAW_FAILURE
 

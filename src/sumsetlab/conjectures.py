@@ -114,44 +114,36 @@ def load_state(path: str) -> ScanState:
 # --- canonical enumeration modulo translation and signed permutations -------
 
 
-def box_transforms(dims: Sequence[int]) -> list[Callable[[Vec], Vec]]:
-    """Signed coordinate permutations preserving the box shape (8 for a
-    square 2-d box, 4 for a rectangle, 2 on a line)."""
+def signed_permutations(dims: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (perm, signs) of the signed coordinate permutations preserving the
+    box shape, p -> (signs[i] * p[perm[i]])_i (8 for a square 2-d box, 4 for
+    a rectangle, 2 on a line); the identity comes first."""
     d = len(dims)
     perms = [p for p in itertools.permutations(range(d))
              if all(dims[p[i]] == dims[i] for i in range(d))]
-    out = []
-    for perm in perms:
-        for signs in itertools.product((1, -1), repeat=d):
-            out.append(lambda p, perm=perm, signs=signs: tuple(
-                signs[i] * p[perm[i]] for i in range(d)
-            ))
-    return out
+    return [(perm, signs) for perm in perms for signs in itertools.product((1, -1), repeat=d)]
+
+
+def _image(points: Sequence[Vec], perm: tuple[int, ...], signs: tuple[int, ...]) -> tuple[Vec, ...]:
+    """The points under a signed permutation, translated to min 0 per axis, sorted."""
+    imgs = [tuple(s * p[a] for a, s in zip(perm, signs)) for p in points]
+    mins = [min(axis) for axis in zip(*imgs)]
+    return tuple(sorted(tuple(c - m for c, m in zip(q, mins)) for q in imgs))
 
 
 def canonical_form(points: Sequence[Vec], dims: Sequence[int]) -> tuple[Vec, ...]:
-    d = len(dims)
-    best = None
-    for t in box_transforms(dims):
-        imgs = [t(p) for p in points]
-        mins = [min(q[i] for q in imgs) for i in range(d)]
-        norm = tuple(sorted(tuple(q[i] - mins[i] for i in range(d)) for q in imgs))
-        if best is None or norm < best:
-            best = norm
-    assert best is not None
-    return best
+    return min(_image(points, perm, signs) for perm, signs in signed_permutations(dims))
 
 
 def enumerate_canonical(d: int, side: int, max_size: int) -> list[tuple[Vec, ...]]:
-    """Anchored box subsets that are minimal in their unimodular class."""
-    ctx = GroupContext(d)
-    dims = (side,) * d
-    box = ((0, side - 1),) * d
-    out = []
-    for pts in canonical_subsets(ctx, box, max_size):
-        if pts == canonical_form(pts, dims):
-            out.append(pts)
-    return out
+    """Anchored box subsets that are minimal in their unimodular class: no
+    signed permutation maps one below itself (the identity maps an anchored,
+    sorted subset to itself, so it is skipped)."""
+    moves = signed_permutations((side,) * d)[1:]
+    return [
+        pts for pts in canonical_subsets(GroupContext(d), ((0, side - 1),) * d, max_size)
+        if not any(_image(pts, perm, signs) < pts for perm, signs in moves)
+    ]
 
 
 def _require_p2(cfg: SearchConfig) -> None:

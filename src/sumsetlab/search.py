@@ -159,8 +159,16 @@ def compare_ratios(s1: int, a1: int, b1: int, s2: int, a2: int, b2: int, p: Frac
 
 
 def ratio_float(s: Fraction | float, a: int, b: int, p: Fraction) -> float:
+    """s / (a^(1/p) b^(1/q)) as a float.  An int or Fraction s past the float
+    range is divided exactly and rounded once, so the ratio is inf only when
+    it is past the range too, as a float sum past it gives."""
     invp = 1.0 / float(p)
-    return s / (a**invp * b ** (1.0 - invp))
+    denom = a**invp * b ** (1.0 - invp)
+    try:
+        return s / denom
+    except OverflowError:  # float(s) overflows: divide exactly, then round once
+        q = Fraction(s) / Fraction(denom)
+        return _quotient(q.numerator, q.denominator)
 
 
 # --- canonical enumeration --------------------------------------------------
@@ -587,7 +595,8 @@ class FixedSupportGamma:
     ) -> None:
         ctx = f.context
         self.exps = (float(p), holder_conjugate(float(p)))
-        self.fw = [float(w) for _, w in f.entries]
+        self.fw = [w if isinstance(w, float) else _quotient(w.numerator, w.denominator)
+                   for _, w in f.entries]  # float(w), and inf past the float range
 
         def canonical(support: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
             keys = [ctx.reduce(x) for x in support]

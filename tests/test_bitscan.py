@@ -18,10 +18,16 @@ from hypothesis import strategies as st
 from sumsetlab import bitscan
 from sumsetlab.groups import GroupContext, PointSet, dimension, sumset
 
-# window -> cardinality.  Rows of A+B in the last two windows leave the low
+# window -> cardinality.  Rows of A+B in (3, 7) and (2, 12) leave the low
 # word: row 12 of (3, 7) straddles both words (bits 60-64), and so does row
-# 21 of (2, 12) (bits 63-65), whose row 22 lies in the high word alone.
-WINDOWS = {(5,): 4, (6,): 4, (3, 3): 3, (4, 3): 3, (2, 5): 3, (3, 7): 2, (2, 12): 2}
+# 21 of (2, 12) (bits 63-65), whose row 22 lies in the high word alone.  A+B
+# spans 63 bits, one word, in (32,) and 65 bits, two words, in (33,).
+WINDOWS = {(5,): 4, (6,): 4, (3, 3): 3, (4, 3): 3, (2, 5): 3, (3, 7): 2, (2, 12): 2,
+           (32,): 2, (33,): 2}
+# the windows whose recheck takes every V that `cases` draws: a row of
+# A+B+V must fit one word, which leaves V at most 1 wide in (32,) and no V
+# in (33,)
+RECHECK_WINDOWS = sorted(set(WINDOWS) - {(32,), (33,)})
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,6 +100,17 @@ def test_build_matches_brute_force(dims):
         ]
     for k, (_, _, _, AB) in enumerate(unsafe):
         assert decode(dims, scan.surv_lo[k], scan.surv_hi[k]) == set(AB.points)
+    if bitscan.sum_words(dims) == 1:
+        assert scan.surv_hi.dtype == np.uint64 and not scan.surv_hi.any()
+
+
+@pytest.mark.parametrize("dims, words", [
+    ((32,), 1), ((33,), 2), ((5, 4), 1), ((4, 4), 1), ((3, 3), 1), ((4, 5), 1), ((5, 5), 2), ((3, 7), 2),
+])
+def test_one_word_boundary(dims, words):
+    # A+B spans one word when its grid, 2k-1 cells along an axis k wide, has
+    # at most 64 cells: 63 for (32,), 5x4 (9x7) and 4x5, 65 for (33,) and 3x7 (5x13)
+    assert bitscan.sum_words(dims) == words
 
 
 SCAN_FIELDS = ("surv_i", "surv_j", "surv_pop", "surv_ab", "surv_lo", "surv_hi",
@@ -106,7 +123,7 @@ def test_block_height_changes_nothing(monkeypatch, dims, cells):
     # one row per block (cells = 1), and blocks of one to many rows whose
     # boundaries fall elsewhere than the default's (37, 4099), give the
     # default build's arrays; (3, 7) and (2, 12) hold sums that straddle the
-    # two words
+    # two words, and (32,) and (33,) lie either side of the one-word switch
     card = WINDOWS.get(dims, 4)
     default = scan_5x4() if dims == (5, 4) else window(dims)[0]
     monkeypatch.setattr(bitscan, "_BLOCK_CELLS", cells)
@@ -143,7 +160,7 @@ def test_cauchy_davenport_check_runs_under_optimize():
 
 @st.composite
 def cases(draw):
-    dims = draw(st.sampled_from(sorted(WINDOWS)))
+    dims = draw(st.sampled_from(RECHECK_WINDOWS))
     grid = [(x,) for x in range(6)] if len(dims) == 1 else list(
         itertools.product(range(4), range(3)))
     pts = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4, unique=True))
@@ -158,6 +175,7 @@ def cases(draw):
 @example(((3, 7), ((0, 0), (2, 6), (4, 12))))  # fails at A = B = {0, (2, 6)}
 @example(((2, 12), ((0, 0), (1, 11), (2, 22))))  # fails at A = B = {0, (1, 11)}
 @example(((3, 7), ((0, 0), (1, 0), (0, 1), (1, 1))))
+@example(((32,), ((0,), (1,))))  # a one-word window whose rows of A+B+V fill 64 bits
 @example(((4, 3), ((0, 0), (1, 0), (0, 1), (1, 1))))
 @settings(max_examples=40, deadline=None)
 def test_recheck_matches_brute_force(case):

@@ -134,6 +134,21 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == "error: weights must be finite, got inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", ["1" + "0" * 400 + " 1", "1e308 1e308"],
+                             ids=["exact_10^400_1", "float_1e308_1e308"])
+    def test_value_past_float_range_exits_64(self, weights, tmp_path, capsys):
+        # the gamma bound of these weights is past the largest float: the
+        # library gives inf, which a standard JSON report cannot hold
+        fn = tmp_path / "f.txt"
+        w0, w1 = weights.split()
+        fn.write_text(f"group 1\n0 {w0}\n1 {w1}\n")
+        out = tmp_path / "r.json"
+        argv = ["estimate", "gamma", "--fn", str(fn), "--box", "0..1", "--max-card", "2"]
+        assert cli.main(argv + ["--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_table_above_limit_exits_64(self, u01, tmp_path, capsys, monkeypatch):
         # the scan's pair table would take 6.3 GiB: refused before it is allocated
         zeros = np.zeros

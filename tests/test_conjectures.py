@@ -53,6 +53,24 @@ class TestCanonicalForm:
         reps = enumerate_canonical(1, 3, 2)
         assert reps == [((0,),), ((0,), (1,)), ((0,), (2,))]
 
+    @pytest.mark.parametrize("d, side, max_size", [(2, 3, 4), (2, 4, 4), (1, 8, 4), (2, 2, 4)])
+    def test_enumeration_keeps_the_minimum_over_transforms(self, d, side, max_size):
+        # the enumeration stops at the first image below a subset; it keeps
+        # exactly the subsets equal to the least image of any signed
+        # coordinate permutation, each translated to min 0 and sorted
+        def least_image(pts):
+            images = []
+            for perm in itertools.permutations(range(d)):
+                for signs in itertools.product((1, -1), repeat=d):
+                    img = [tuple(signs[i] * p[perm[i]] for i in range(d)) for p in pts]
+                    mins = [min(q[i] for q in img) for i in range(d)]
+                    images.append(tuple(sorted(tuple(q[i] - mins[i] for i in range(d)) for q in img)))
+            return min(images)
+
+        box = ((0, side - 1),) * d
+        subsets = canonical_subsets(GroupContext(d), box, max_size)
+        assert enumerate_canonical(d, side, max_size) == [pts for pts in subsets if pts == least_image(pts)]
+
 
 class TestScanState:
     def test_roundtrip(self, tmp_path):

@@ -654,6 +654,24 @@ def test_gamma_float_overflow_gives_inf():
     assert r.value_float == math.inf and r.value_exact is None and r.complete
 
 
+def test_gamma_exact_overflow_gives_inf():
+    # the first minimum, A = B = {0}, sums f to 10^400 + 1, past the float
+    # range: value_float is inf, as in float mode, and value_exact is exact;
+    # the weight descent reads 10^400 as inf too, so the report stands
+    f = WeightedFunction.of(Z1, [((0,), F(10**400)), ((1,), F(1))])
+    cfg = SearchConfig(box=((0, 1),), max_cardinality=2)
+    for r in (gamma_indicator_estimate(f, cfg), gamma_estimate(f, cfg)):
+        assert r.value_float == math.inf and r.value_exact == (10**400 + 1) ** 2 and r.complete
+
+
+def test_ratio_float_past_the_float_range():
+    # an int or Fraction numerator past the float range is divided exactly:
+    # inf only when the ratio is past the range too
+    assert ratio_float(10**400, 1, 1, F(2)) == math.inf
+    assert ratio_float(F(3 * 10**308), 4, 4, F(2)) == 7.5e307
+    assert ratio_float(F(10**400, 10**399), 1, 1, F(2)) == 10.0
+
+
 def test_table_above_limit_is_refused_before_allocation(monkeypatch):
     # 3001 sets times 3001 points times 94 words: 6.3 GiB, which the default
     # 5M-pair ceiling would not have bounded
