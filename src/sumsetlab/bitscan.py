@@ -22,26 +22,24 @@ by direct computation, so the scan stays exact.
 
 The build's screen uses the collinear bound at v = MAX_V, the weakest
 certificate of any V the scan serves, so one set of survivors serves every
-V.  It then lists, once per (v, dim) class of `CLASSES`, the survivors whose
-certificate for that class fails, and a V rechecks only its class's list.
-The class (MAX_V, 1) fails for every survivor, since its certificate is the
-screen, so its list is not stored.
+V.  A survivor is kept as its pair (i, j) only; each (v, dim) class of
+`CLASSES` whose certificate is stronger than the screen keeps, i-major, the
+survivors it fails for, and the class (MAX_V, 1), whose certificate is the
+screen, is the survivors themselves.  A V rechecks only its class's pairs.
 
 Grid packing: a point's bit is its search.bit_index on the grid of A+B,
 2k-1 cells along an axis k wide (`sum_shape`), first axis fastest: (x, y)
 maps to bit y*(2w-1) + x, so all sums A+B stay in distinct rows.  A fits
 one uint64 word, and A+B fits `sum_words` of them: one when its grid has at
 most 64 cells (every 1-D box up to 32 wide, and 2-D boxes such as 5x4),
-else two.  The recheck builds each row of A+B+V in one word.
+else two.  `_pack_sums` forms those words for many pairs at once, ORing B's
+mask shifted by the offsets of A's points, for the build and again for a
+recheck; the recheck builds each row of A+B+V in one word.
 
 The build is one sequential pass over blocks of consecutive rows i0 <= i < i1,
 sized so that a block holds about _BLOCK_CELLS pairs.  A block forms A_i+B_j
-for all its rows and every j >= i0 in one numpy call per point of A and
-word: the low word ORs B << s and, when A+B spans two words, the high word
-B >> (64-s), over the offsets s of A_i's points (sets with fewer points
-repeat their first).  Each shift writes in place into buffers allocated
-once per build for the largest block; a one-word scan stores zero high
-words, so every scan keeps the same arrays.  Cells below the
+for all its rows and every j >= i0, each shift writing in place into
+buffers allocated once per build for the largest block.  Cells below the
 diagonal (j < i) are real sumsets too, so the Cauchy-Davenport check covers
 the whole block, and only their screen hits are dropped.  The pairs it
 records, and so every verdict, depend only on the box and the cardinality.
@@ -64,7 +62,6 @@ MAX_V = 4  # the largest |V| the certificate of build_scan covers
 # the (|V|, dim V) classes a scan lists failing survivors for; a V of one
 # point is always certified, and two points are collinear
 CLASSES = tuple((v, k) for v in range(2, MAX_V + 1) for k in (1, 2) if k < v)
-SCREEN_CLASS = CLASSES.index((MAX_V, 1))  # the class whose certificate build_scan screens with
 _BLOCK_CELLS = 1 << 16  # about this many (i, j) cells per numpy call of the build
 
 
@@ -82,25 +79,15 @@ def certified_size(s, v: int, dim: int):
 class ExhaustiveBetaScan:
     dims: tuple[int, ...]
     sets: list[tuple[Pt, ...]]
+    masks: np.ndarray  # each set's bits, one uint64 word
+    shifts: np.ndarray  # each set's bit offsets, padded to one width with its first
+    # the surviving pairs (i, j), i-major, and per class of CLASSES the
+    # survivors, in the same order, whose certificate for it fails; the
+    # class (MAX_V, 1) fails for every survivor and is (surv_i, surv_j)
     surv_i: np.ndarray
     surv_j: np.ndarray
-    surv_pop: np.ndarray
-    surv_ab: np.ndarray
-    surv_lo: np.ndarray  # bits 0-63 of the packed A+B of each surviving pair
-    surv_hi: np.ndarray  # bits 64-127, zero when A+B spans one word
-    # the survivors, ascending, whose certificate for CLASSES[k] fails are
-    # class_rows[class_bounds[k]:class_bounds[k + 1]] (`flagged(k)`), except
-    # for SCREEN_CLASS, whose certificate is the build's screen: it fails for
-    # every survivor, so that class is not stored
-    class_rows: np.ndarray
-    class_bounds: np.ndarray
+    classes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     pair_count: int
-
-    def flagged(self, k: int) -> np.ndarray:
-        """Indices of the survivors whose certificate for CLASSES[k] fails."""
-        if k == SCREEN_CLASS:
-            return np.arange(len(self.surv_i))
-        return self.class_rows[self.class_bounds[k]:self.class_bounds[k + 1]]
 
 
 def sum_shape(dims: Sequence[int]) -> list[int]:
@@ -133,6 +120,21 @@ def unsupported(dims: Sequence[int], v_points: Sequence[Pt] = ()) -> Optional[st
     return None
 
 
+def _pack_sums(b: np.ndarray, columns, words: list[np.ndarray], tmp: np.ndarray) -> None:
+    """Write the packed A+B of B's masks b into `words` (one or two uint64
+    arrays), given A's bit offsets as one array per point of A in `columns`,
+    each broadcast against b: word 0 ORs b << s and word 1 b >> (64 - s)
+    over the offsets s (numpy shifts by 64 to 0, so s = 0 adds nothing to
+    word 1).  tmp is scratch of the words' shape."""
+    for k, s in enumerate(columns):
+        for w, word in enumerate(words):
+            shift, by = (np.right_shift, np.uint64(64) - s) if w else (np.left_shift, s)
+            if k:
+                word |= shift(b, by, out=tmp)
+            else:
+                shift(b, by, out=word)
+
+
 def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]:
     """Nonempty box subsets with min coordinate 0 in every axis, sorted.
 
@@ -144,8 +146,8 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
 def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     """One popcount pass over all canonical unordered pairs, block by block
     of rows, recording i-major the pairs the integer certificate cannot
-    clear for some V with |V| <= MAX_V, and then, per (|V|, dim V) class of
-    CLASSES, the survivors it fails for (`ExhaustiveBetaScan.flagged`).
+    clear for some V with |V| <= MAX_V, and, per (|V|, dim V) class of
+    CLASSES, the survivors it fails for (`ExhaustiveBetaScan.classes`).
 
     The screen tests the collinear bound s+v-1 at v = MAX_V.  It fails at v
     iff s-1 < v(sqrt(ab)-1), whose right side never decreases in v, so it
@@ -182,54 +184,37 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
         blocks.append((i0, i1))
         i0 = i1
     size = max((i1 - i0) * (n - i0) for i0, i1 in blocks)
-    words = sum_words(dims)
-    word_bufs = [np.empty(size, dtype=np.uint64) for _ in range(words + 1)]
-    # word 0 ORs B << s and word 1 B >> (64 - s) over the offsets s of A's
-    # points; numpy shifts by 64 to 0, so s = 0 adds nothing to word 1
-    word_ops = [(np.left_shift, shifts), (np.right_shift, np.uint64(64) - shifts)][:words]
+    bufs = [np.empty(size, dtype=np.uint64) for _ in range(sum_words(dims) + 1)]
+    # where each class's certificate fails, as a table over (|A+B|, |A||B|):
+    # nowhere for a 2-D class of a 1-D box, and at every survivor for
+    # (MAX_V, 1), the screen's own certificate
+    pop_ax, ab_ax = np.arange(129)[:, None], np.arange(width * width + 1)
+    fails = {(v, k): (certified_size(pop_ax, v, k) ** 2 < v * v * ab_ax) & (k <= d) for v, k in CLASSES}
 
-    # (i, j, |A+B|, low word[, high word]) of the survivors, one tuple per block
-    found = []
+    # (i, j) of each class's pairs, one array each per block
+    found = {c: ([], []) for c in CLASSES}
     for i0, i1 in blocks:
         shape = (i1 - i0, n - i0)
-        tmp, *packed = (buf[:shape[0] * shape[1]].reshape(shape) for buf in word_bufs)
-        b = masks[i0:]
-        for word, (shift, offsets) in zip(packed, word_ops):
-            first, *rest = offsets[i0:i1, :, None].transpose(1, 0, 2)  # a column per point of A
-            shift(b, first, out=word)
-            for s in rest:
-                word |= shift(b, s, out=tmp)
-        pop = np.bitwise_count(packed[0])
-        if words == 2:
-            pop += np.bitwise_count(packed[1])
+        tmp, *words = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        _pack_sums(masks[i0:], shifts[i0:i1, :, None].transpose(1, 0, 2), words, tmp)
+        pop = sum(np.bitwise_count(word) for word in words)
         # every cell is a real sumset A_i + B_j, below the diagonal too
         if not np.all(pop >= sizes8[i0:i1, None] + sizes8[i0:] - 1):
             raise AssertionError(f"a sumset of rows {i0}-{i1 - 1} breaks Cauchy-Davenport")
         k = np.flatnonzero(pop < lim[sizes[i0:i1] - 1, i0:])
         r, c = np.divmod(k, shape[1])
         keep = c >= r  # j >= i; row-major order keeps the survivors i-major
-        k = k[keep]
-        found.append((r[keep] + i0, c[keep] + i0, pop.ravel()[k].astype(np.int64),
-                      *(word.ravel()[k] for word in packed)))
+        i, j, k = r[keep] + i0, c[keep] + i0, k[keep]
+        pop, ab = pop.ravel()[k], sizes[i] * sizes[j]
+        for c, (i_parts, j_parts) in found.items():
+            hit = fails[c][pop, ab]
+            i_parts.append(i[hit])
+            j_parts.append(j[hit])
 
-    # join column by column, each column's blocks freed once joined, so not all are alive at once
-    found = [list(col) for col in zip(*found)]
-    surv_i, surv_j, surv_pop, surv_lo, *surv_hi = (np.concatenate(found.pop(0)) for _ in range(3 + words))
-    surv_hi = surv_hi[0] if surv_hi else np.zeros_like(surv_lo)
-    surv_ab = sizes[surv_i] * sizes[surv_j]
-    # each class's certificate as a table over (|A+B|, |A||B|): no survivor-sized temporaries
-    pop_ax, ab_ax = np.arange(129)[:, None], np.arange(width * width + 1)
-    rows = [
-        np.flatnonzero((certified_size(pop_ax, v, k) ** 2 < v * v * ab_ax)[surv_pop, surv_ab])
-        if k <= d and c != SCREEN_CLASS else np.zeros(0, dtype=np.intp)
-        for c, (v, k) in enumerate(CLASSES)
-    ]
-    class_bounds = np.cumsum([0] + [len(r) for r in rows])
-    pair_count = n * (n + 1) // 2
-    return ExhaustiveBetaScan(
-        dims, sets, surv_i, surv_j, surv_pop, surv_ab,
-        surv_lo, surv_hi, np.concatenate(rows), class_bounds, pair_count,
-    )
+    classes = {c: (np.concatenate(i_parts), np.concatenate(j_parts))
+               for c, (i_parts, j_parts) in found.items()}
+    surv_i, surv_j = classes[(MAX_V, 1)]
+    return ExhaustiveBetaScan(dims, sets, masks, shifts, surv_i, surv_j, classes, n * (n + 1) // 2)
 
 
 def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict:
@@ -255,54 +240,56 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
         raise ValueError(reason)
     v = len(vpts)
 
-    # survivors whose certificate fails for V's class (none at v = 1, where
+    # the pairs whose certificate fails for V's class (none at v = 1, where
     # s >= a+b-1 >= sqrt(ab))
     dim_v = dimension(PointSet.of(GroupContext(d), vpts))
-    cand = scan.flagged(CLASSES.index((v, dim_v))) if v > 1 else np.zeros(0, dtype=np.intp)
+    i, j = scan.classes[(v, dim_v)] if v > 1 else (np.zeros(0, dtype=np.intp),) * 2
     result = {
         "pair_count": scan.pair_count,
         "holds": True,
         "counterexample": None,
-        "checked_pairs": int(len(cand)),
+        "checked_pairs": len(i),
     }
-    if not len(cand):
+    if not len(i):
         return result
-    # Row r of A+B is the 2w-1 bits at r*(2w-1) of the pair's two words; row r
-    # of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, and fits one
-    # uint64 by the width check.  Building one output row at a time keeps only
-    # a few candidate-sized arrays live.
+    # Row r of A+B is the 2w-1 bits from bit r*(2w-1) of the pair's words; row
+    # r of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, and fits
+    # one uint64 by the width check.  Building one output row at a time
+    # keeps only a few pair-sized arrays live.
     width, *higher = sum_shape(scan.dims)
     rows = prod(higher)
     row_mask = np.uint64((1 << width) - 1)
-    lo = scan.surv_lo[cand]
-    hi = scan.surv_hi[cand] if sum_words(scan.dims) == 2 else None  # one word: rows never reach bit 64
+    words = [np.empty(len(i), dtype=np.uint64) for _ in range(sum_words(scan.dims))]
+    columns = (scan.shifts[i, k] for k in range(scan.shifts.shape[1]))  # one gathered at a time
+    _pack_sums(scan.masks[j], columns, words, np.empty_like(words[0]))
 
     def row(r: int) -> np.ndarray:
-        s = r * width
-        bits = lo >> np.uint64(s) if s < 64 else hi >> np.uint64(s - 64)
-        if s < 64 < s + width:  # the row straddles the two words
-            bits |= hi << np.uint64(64 - s)
+        w, s = divmod(r * width, 64)
+        bits = words[w] >> np.uint64(s)
+        if s + width > 64:  # the row straddles words w and w + 1
+            bits |= words[w + 1] << np.uint64(64 - s)
         return bits & row_mask
 
     xs_at: dict[int, list[np.uint64]] = {}  # x offsets of V per y
     for p in vpts:
         xs_at.setdefault(p[1] if d > 1 else 0, []).append(np.uint64(p[0]))
-    t = np.zeros(len(cand), dtype=np.int64)
+    t = np.zeros(len(i), dtype=np.int64)
     for r in range(rows + max(xs_at)):
-        out = np.zeros(len(cand), dtype=np.uint64)
+        out = np.zeros(len(i), dtype=np.uint64)
         for y, xs in xs_at.items():
             if 0 <= r - y < rows:
                 bits = row(r - y)
                 for x in xs:
                     out |= bits << x
         t += np.bitwise_count(out)
-    slack = t * t - v * v * scan.surv_ab[cand]
+    sizes = np.bitwise_count(scan.masks).astype(np.int64)
+    slack = t * t - v * v * sizes[i] * sizes[j]
     if slack.min() < 0:
-        k = int(np.argmin(slack))  # the first minimum: survivors are stored i-major
+        k = int(np.argmin(slack))  # the first minimum: pairs are stored i-major
         result["holds"] = False
         result["counterexample"] = {
-            "A": scan.sets[scan.surv_i[cand[k]]],
-            "B": scan.sets[scan.surv_j[cand[k]]],
+            "A": scan.sets[i[k]],
+            "B": scan.sets[j[k]],
             "V": tuple(vpts),
             "slack": int(slack[k]),
         }

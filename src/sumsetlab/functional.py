@@ -146,11 +146,26 @@ def gamma_ratio(
     f: WeightedFunction, g: WeightedFunction, h: WeightedFunction, p: Fraction | float
 ) -> float:
     """||f*g*h||_1 / (||g||_p ||h||_q) with q the Hölder conjugate of p;
-    math.inf when the denominator underflows to 0.0."""
+    math.inf when the denominator underflows to 0.0 or the ratio is past the
+    float range (an exact numerator past it is divided exactly)."""
     q = holder_conjugate(p)
-    num = float(l1_norm(max_convolve(max_convolve(f, g), h)))
+    num = l1_norm(max_convolve(max_convolve(f, g), h))
     den = lp_norm(g, p) * lp_norm(h, q)
-    return num / den if den else math.inf  # a positive weight's power may underflow to 0.0
+    return _quotient(num, den) if den else math.inf  # a positive weight's power may underflow to 0.0
+
+
+def _quotient(num: int | Fraction | float, den: int | float) -> float:
+    """num / den as a float.  An int or Fraction past the float range is
+    divided exactly and rounded once, so the quotient is inf only when it
+    is past the range too, as a float sum past it gives."""
+    try:
+        return num / den
+    except OverflowError:  # float(num) overflows: divide exactly, then round once
+        q = Fraction(num) / Fraction(den)
+        try:
+            return q.numerator / q.denominator
+        except OverflowError:
+            return math.inf
 
 
 # --- rearrangements on Z ---------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .functional import WeightedFunction, _int_weights, holder_conjugate
+from .functional import WeightedFunction, _int_weights, _quotient, holder_conjugate
 from .groups import GroupContext, PointSet, Vec, sumset
 
 TOOL_VERSION = "0.1.0"
@@ -159,16 +159,11 @@ def compare_ratios(s1: int, a1: int, b1: int, s2: int, a2: int, b2: int, p: Frac
 
 
 def ratio_float(s: Fraction | float, a: int, b: int, p: Fraction) -> float:
-    """s / (a^(1/p) b^(1/q)) as a float.  An int or Fraction s past the float
-    range is divided exactly and rounded once, so the ratio is inf only when
-    it is past the range too, as a float sum past it gives."""
+    """s / (a^(1/p) b^(1/q)) as a float, through `functional._quotient`: an
+    int or Fraction s past the float range is divided exactly and rounded
+    once, so the ratio is inf only when it is past the range too."""
     invp = 1.0 / float(p)
-    denom = a**invp * b ** (1.0 - invp)
-    try:
-        return s / denom
-    except OverflowError:  # float(s) overflows: divide exactly, then round once
-        q = Fraction(s) / Fraction(denom)
-        return _quotient(q.numerator, q.denominator)
+    return _quotient(s, a**invp * b ** (1.0 - invp))
 
 
 # --- canonical enumeration --------------------------------------------------
@@ -541,15 +536,6 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     (s, a, b), *rest = _first_minimum(sets, cfg, lambda I, J: steps @ counts(I, J).astype(object))
     num = Fraction(s, denom) if f.exact else _quotient(s, denom)
     return _report("gamma", cfg, (num, a, b), *rest)
-
-
-def _quotient(s: int, d: int) -> float:
-    """s / d correctly rounded (int / int), and inf past the largest float,
-    as a float sum would give."""
-    try:
-        return s / d
-    except OverflowError:
-        return math.inf
 
 
 def _max_products(

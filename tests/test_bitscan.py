@@ -72,10 +72,18 @@ def oracle(dims, V):
     return holds, None if holds else (best[1], best[2], best[0]), unproved
 
 
-def decode(dims, lo, hi):
-    """The points whose bits are set in a survivor's two packed words."""
+def packed_sums(scan, i, j):
+    """The packed words of A+B for the pairs (i, j), one array per word, from
+    `bitscan._pack_sums` with one offset column per point of A."""
+    tmp, *words = (np.empty(len(i), dtype=np.uint64) for _ in range(bitscan.sum_words(scan.dims) + 1))
+    bitscan._pack_sums(scan.masks[j], list(scan.shifts[i].T), words, tmp)
+    return words
+
+
+def decode(dims, words):
+    """The points whose bits are set in a pair's packed words."""
     stride = 2 * dims[0] - 1
-    word = int(lo) | int(hi) << 64
+    word = sum(int(w) << 64 * k for k, w in enumerate(words))
     bits = [k for k in range(128) if word >> k & 1]
     return {(k,) if len(dims) == 1 else (k % stride, k // stride) for k in bits}
 
@@ -83,25 +91,25 @@ def decode(dims, lo, hi):
 @pytest.mark.parametrize("dims", sorted(WINDOWS), ids=str)
 def test_build_matches_brute_force(dims):
     # survivors are the pairs, i-major, the collinear certificate leaves
-    # unproved at some v in [2, MAX_V]; each keeps |A+B| and the words of
-    # A+B, and each (v, dim) class lists, ascending, the survivors whose
-    # certificate fails, for dim <= d
+    # unproved at some v in [2, MAX_V]; each (v, dim) class lists, in the
+    # same order, the survivors whose certificate fails, for dim <= d; and
+    # the packed words `_pack_sums` forms for a survivor decode to its A+B
     scan, _, pairs = window(dims)
     unsafe = [
         (i, j, ab, AB) for i, j, ab, AB in pairs
         if any((len(AB) + v - 1) ** 2 < v * v * ab for v in range(2, bitscan.MAX_V + 1))
     ]
     assert list(zip(scan.surv_i.tolist(), scan.surv_j.tolist())) == [(i, j) for i, j, _, _ in unsafe]
-    assert scan.surv_pop.tolist() == [len(AB) for _, _, _, AB in unsafe]
-    for c, (v, dim) in enumerate(bitscan.CLASSES):
-        assert scan.flagged(c).tolist() == [
-            k for k, (_, _, ab, AB) in enumerate(unsafe)
+    assert sorted(scan.classes) == sorted(bitscan.CLASSES)
+    for (v, dim), (ci, cj) in scan.classes.items():
+        assert list(zip(ci.tolist(), cj.tolist())) == [
+            (i, j) for i, j, ab, AB in unsafe
             if dim <= len(dims) and certificate(len(AB), v, dim) ** 2 < v * v * ab
         ]
+    words = packed_sums(scan, scan.surv_i, scan.surv_j)
+    assert len(words) == bitscan.sum_words(dims)
     for k, (_, _, _, AB) in enumerate(unsafe):
-        assert decode(dims, scan.surv_lo[k], scan.surv_hi[k]) == set(AB.points)
-    if bitscan.sum_words(dims) == 1:
-        assert scan.surv_hi.dtype == np.uint64 and not scan.surv_hi.any()
+        assert decode(dims, [w[k] for w in words]) == set(AB.points)
 
 
 @pytest.mark.parametrize("dims, words", [
@@ -113,24 +121,24 @@ def test_one_word_boundary(dims, words):
     assert bitscan.sum_words(dims) == words
 
 
-SCAN_FIELDS = ("surv_i", "surv_j", "surv_pop", "surv_ab", "surv_lo", "surv_hi",
-               "class_rows", "class_bounds")
-
-
 @pytest.mark.parametrize("cells", [1, 37, 4099])
 @pytest.mark.parametrize("dims", sorted(WINDOWS) + [(5, 4)], ids=str)
 def test_block_height_changes_nothing(monkeypatch, dims, cells):
     # one row per block (cells = 1), and blocks of one to many rows whose
     # boundaries fall elsewhere than the default's (37, 4099), give the
-    # default build's arrays; (3, 7) and (2, 12) hold sums that straddle the
-    # two words, and (32,) and (33,) lie either side of the one-word switch
+    # default build's survivors and class lists; (3, 7) and (2, 12) hold sums
+    # that straddle the two words, and (32,) and (33,) lie either side of the
+    # one-word switch
     card = WINDOWS.get(dims, 4)
     default = scan_5x4() if dims == (5, 4) else window(dims)[0]
     monkeypatch.setattr(bitscan, "_BLOCK_CELLS", cells)
     scan = bitscan.build_scan(dims, card)
-    for f in SCAN_FIELDS:
-        got, want = getattr(scan, f), getattr(default, f)
-        assert got.dtype == want.dtype and np.array_equal(got, want), f
+    pairs = [("surv_i", scan.surv_i, default.surv_i), ("surv_j", scan.surv_j, default.surv_j)]
+    assert scan.classes.keys() == default.classes.keys()
+    for c in bitscan.CLASSES:
+        pairs += [(c, got, want) for got, want in zip(scan.classes[c], default.classes[c])]
+    for name, got, want in pairs:
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 # anchored_subsets patched to hand the build a "set" {0, 0} of size 2 whose
@@ -207,27 +215,31 @@ def test_pinned_counterexample():
 
 @pytest.mark.parametrize("ce_first", [True, False])
 def test_counterexample_is_first_minimum(ce_first):
-    # the counterexample's words stored twice, under its own (i, j) and under
-    # another survivor's, tie at the minimum: the first label stored is named
+    # a twin scan of four sets stores the counterexample's A and B under both
+    # of its pairs' indices, but names the first pair after the
+    # counterexample and the other after another survivor: the two pairs tie
+    # at the minimum, and the first pair stored is named
     scan, _, _ = window((6,))
     V = [(0,), (1,), (2,)]
     ce = bitscan.verify_subset_beta(scan, V)["counterexample"]
     k = next(k for k in range(len(scan.surv_i))
              if (scan.sets[scan.surv_i[k]], scan.sets[scan.surv_j[k]]) == (ce["A"], ce["B"]))
     other = 0 if k else 1
-    labels = [k, other] if ce_first else [other, k]
-    # each class lists both twins or neither, as it lists survivor k or not
-    rows = [np.flatnonzero(np.isin([k, k], scan.flagged(c))) for c in range(len(bitscan.CLASSES))]
+    twin_i, twin_j = np.array([0, 2]), np.array([1, 3])
+    if not ce_first:
+        twin_i, twin_j = twin_i[::-1], twin_j[::-1]
+    stored = [scan.surv_i[k], scan.surv_j[k]] * 2
+    named = [scan.surv_i[k], scan.surv_j[k], scan.surv_i[other], scan.surv_j[other]]
+    # each class lists both twins or neither, as it lists the counterexample or not
     twin = dataclasses.replace(
         scan,
-        surv_i=scan.surv_i[labels], surv_j=scan.surv_j[labels],
-        **{f: getattr(scan, f)[[k, k]]
-           for f in ("surv_pop", "surv_ab", "surv_lo", "surv_hi")},
-        class_rows=np.concatenate(rows),
-        class_bounds=np.cumsum([0] + [len(r) for r in rows]),
+        sets=[scan.sets[m] for m in named], masks=scan.masks[stored], shifts=scan.shifts[stored],
+        surv_i=twin_i, surv_j=twin_j,
+        classes={c: (twin_i, twin_j) if np.any((ci == scan.surv_i[k]) & (cj == scan.surv_j[k]))
+                 else (twin_i[:0], twin_j[:0]) for c, (ci, cj) in scan.classes.items()},
     )
     res = bitscan.verify_subset_beta(twin, V)
-    first = labels[0]
+    first = k if ce_first else other
     assert res["checked_pairs"] == 2
     assert res["counterexample"] == {
         "A": scan.sets[scan.surv_i[first]],
@@ -245,9 +257,10 @@ def scan_5x4():
 def test_recheck_streams_rows():
     # the collinear {0,..,3} x {0} rechecks all 228,851 survivors of the 5x4
     # scan (its certificate is the build's screen); built one output row at a
-    # time the peak was 14.0 MB, against 35-40 MB when every row of A+B and of
-    # A+B+V is held at once.  No collinear V of four points is a quasicube,
-    # and this one fails at A = B = V: |A+B+V| = 10 < 4 * 4
+    # time, from words formed one offset column at a time, the peak was 12.8
+    # MB, against 35-40 MB when every row of A+B and of A+B+V is held at
+    # once.  No collinear V of four points is a quasicube, and this one fails
+    # at A = B = V: |A+B+V| = 10 < 4 * 4
     scan = scan_5x4()
     tracemalloc.start()
     try:
@@ -261,12 +274,28 @@ def test_recheck_streams_rows():
 
 def test_screen_class_is_not_stored():
     # (MAX_V, 1)'s certificate is the build's screen, so its class is every
-    # survivor; the scan keeps no list for it (1.75 MB of int64 on 5x4)
+    # survivor; the scan keeps no second copy of its pairs (3.5 MiB of int64
+    # on 5x4)
+    ci, cj = scan_5x4().classes[(bitscan.MAX_V, 1)]
+    assert ci is scan_5x4().surv_i and cj is scan_5x4().surv_j
+
+
+def test_scan_retains_pairs_only():
+    # the 5x4 scan at cardinality 4 keeps 228,851 survivors as (i, j) and
+    # its 2,532 sets' masks and offsets: 3.7 MiB of ndarrays, where keeping
+    # each survivor's |A+B|, |A||B| and two packed words took 10.5 MiB
     scan = scan_5x4()
-    k = bitscan.SCREEN_CLASS
-    assert bitscan.CLASSES[k] == (bitscan.MAX_V, 1)
-    assert scan.class_bounds[k + 1] == scan.class_bounds[k]
-    assert np.array_equal(scan.flagged(k), np.arange(len(scan.surv_i)))
+    held = {id(a): a for f in dataclasses.fields(scan) for a in ndarrays(getattr(scan, f.name))}
+    assert sum(a.nbytes for a in held.values()) < 4 * 2**20
+
+
+def ndarrays(value):
+    """The ndarrays a value holds, through dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    return [a for v in value for a in ndarrays(v)] if isinstance(value, (list, tuple)) else []
 
 
 @pytest.mark.parametrize("dims, scanned", [

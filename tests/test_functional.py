@@ -98,6 +98,16 @@ class TestGammaRatio:
         # numerator 15/8 over norm product 5/4
         assert l1_norm(max_convolve(max_convolve(f, f), f)) == F(15, 8)
 
+    def test_exact_numerator_past_the_float_range(self):
+        # ||f*g*h||_1 = 10^400 + 1 overflows float(); the ratio is inf, and
+        # with g = h = 10^150 at 0 the same numerator over 10^300 is 10^100
+        f = line(F(10**400), F(1))
+        one = fn([((0,), F(1))])
+        assert gamma_ratio(f, one, one, 2) == math.inf
+        f, g = line(F(10**100)), fn([((0,), F(10**150))])
+        den = lp_norm(g, 2) ** 2
+        assert gamma_ratio(f, g, g, 2) == float(F(10**400) / F(den)) == pytest.approx(1e100)
+
     @given(
         st.lists(st.fractions(F(1, 8), F(8), max_denominator=8), min_size=1, max_size=4),
         st.fractions(F(1, 4), F(4), max_denominator=4),
