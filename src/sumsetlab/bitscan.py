@@ -62,7 +62,7 @@ MAX_V = 4  # the largest |V| the certificate of build_scan covers
 # the (|V|, dim V) classes a scan lists failing survivors for; a V of one
 # point is always certified, and two points are collinear
 CLASSES = tuple((v, k) for v in range(2, MAX_V + 1) for k in (1, 2) if k < v)
-_BLOCK_CELLS = 1 << 16  # about this many (i, j) cells per numpy call of the build
+_BLOCK_CELLS = 1 << 15  # about this many (i, j) cells per numpy call of the build
 
 
 def certified_size(s, v: int, dim: int):
@@ -81,9 +81,9 @@ class ExhaustiveBetaScan:
     sets: list[tuple[Pt, ...]]
     masks: np.ndarray  # each set's bits, one uint64 word
     shifts: np.ndarray  # each set's bit offsets, padded to one width with its first
-    # the surviving pairs (i, j), i-major, and per class of CLASSES the
-    # survivors, in the same order, whose certificate for it fails; the
-    # class (MAX_V, 1) fails for every survivor and is (surv_i, surv_j)
+    # the surviving pairs (i, j), i-major, as int32 (n < 2^31 in any window that
+    # fits in memory), and per class of CLASSES the survivors, in order, whose
+    # certificate for it fails; the class (MAX_V, 1) is (surv_i, surv_j)
     surv_i: np.ndarray
     surv_j: np.ndarray
     classes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -204,7 +204,7 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
         k = np.flatnonzero(pop < lim[sizes[i0:i1] - 1, i0:])
         r, c = np.divmod(k, shape[1])
         keep = c >= r  # j >= i; row-major order keeps the survivors i-major
-        i, j, k = r[keep] + i0, c[keep] + i0, k[keep]
+        i, j, k = (r[keep] + i0).astype(np.int32), (c[keep] + i0).astype(np.int32), k[keep]
         pop, ab = pop.ravel()[k], sizes[i] * sizes[j]
         for c, (i_parts, j_parts) in found.items():
             hit = fails[c][pop, ab]
@@ -218,14 +218,14 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
 
 
 def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict:
-    """Exact verdict that min |A+B+V|^2 / (|A||B|) over the scanned pairs is
-    exactly |V|^2, attained at the singleton pair.
+    """Decide exactly whether min |A+B+V|^2 / (|A||B|) over the scanned
+    pairs is |V|^2, attained at the singleton pair.
 
     V must be translated to nonnegative coordinates with min 0 per axis.
-    The result holds `holds`, `counterexample` (None, or the A, B and V of
-    the first minimum with its slack |A+B+V|^2 - |V|^2 |A||B|), `pair_count`
-    and `checked_pairs`, the survivors rechecked for this V: those the
-    build listed for V's (|V|, dim V) class, where its certificate
+    The result holds `counterexample` (None when the minimum is |V|^2, else
+    the A and B of the first minimum and its slack |A+B+V|^2 - |V|^2 |A||B|),
+    `pair_count` and `checked_pairs`, the survivors rechecked for this V:
+    those the build listed for V's (|V|, dim V) class, where its certificate
     (collinear, or Ruzsa's for 2-D V) fails.
     """
     d = len(scan.dims)
@@ -246,7 +246,6 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     i, j = scan.classes[(v, dim_v)] if v > 1 else (np.zeros(0, dtype=np.intp),) * 2
     result = {
         "pair_count": scan.pair_count,
-        "holds": True,
         "counterexample": None,
         "checked_pairs": len(i),
     }
@@ -283,14 +282,15 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
                     out |= bits << x
         t += np.bitwise_count(out)
     sizes = np.bitwise_count(scan.masks).astype(np.int64)
-    slack = t * t - v * v * sizes[i] * sizes[j]
+    ab = sizes[i] * sizes[j]
+    slack = t * t - v * v * ab
     if slack.min() < 0:
-        k = int(np.argmin(slack))  # the first minimum: pairs are stored i-major
-        result["holds"] = False
+        # the first minimum of t^2/ab, as pairs are stored i-major: t < 2^16 and
+        # ab <= 2^12, so distinct ratios differ by far more than float rounding
+        k = int(np.argmin(t * t / ab))
         result["counterexample"] = {
             "A": scan.sets[i[k]],
             "B": scan.sets[j[k]],
-            "V": tuple(vpts),
             "slack": int(slack[k]),
         }
     return result

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .groups import GroupContext, PointSet, Vec, sumset
+from .laws import check_quasicube_beta
 from .quasicube import log_span_check
 from .search import (
     SearchConfig,
@@ -165,7 +166,7 @@ def _run_shards(
     conjecture: str, d: int, side: int, max_size: int, cfg: SearchConfig,
     check: Callable[[ScanState, int, tuple[Vec, ...]], Optional[str]],
     checkpoint_path: Optional[str], out_path: Optional[str],
-    shard_size: int, max_shards: Optional[int],
+    shard_size: int, max_shards: Optional[int], any_ceiling: bool = False,
 ) -> ScanState:
     """The shard loop of both scans.
 
@@ -175,7 +176,8 @@ def _run_shards(
     the first shard; each shard's lines are appended to --out before the
     checkpoint is saved with the new size of --out, and a resume cuts --out
     back to that size, so a crash between the two writes leaves no duplicate
-    lines."""
+    lines.  With any_ceiling (no record depends on the node ceiling) a
+    checkpoint resumes, and is saved, under the config's ceiling."""
     _require_p2(cfg)
     if max_size < 1:  # no candidate to scan
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -185,6 +187,8 @@ def _run_shards(
         state = load_state(checkpoint_path)
         if state.conjecture != conjecture:
             raise ValueError(f"checkpoint belongs to a {state.conjecture} scan, not {conjecture}")
+        if any_ceiling and isinstance(state.config.get("search"), dict):
+            state.config["search"]["node_ceiling"] = cfg.node_ceiling
         if state.config != config_echo:
             raise ValueError("checkpoint was created with a different configuration")
         if state.total != len(candidates):
@@ -229,10 +233,10 @@ def scan_log_span(
     shard_size: int = SHARD_SIZE,
     max_shards: Optional[int] = None,
 ) -> ScanState:
-    """For each canonical V with the log-span property, exhaustively check
-    that no scanned pair drops the squared tripling ratio below |V|^2.
-
-    An exact witness below |V|^2 disproves the conjecture conclusively (the
+    """For each canonical V with the log-span property, check through
+    laws.check_quasicube_beta (which refuses a scan cut at the node ceiling)
+    that no scanned pair drops the squared tripling ratio below |V|^2.  An
+    exact witness below |V|^2 disproves the conjecture conclusively (the
     window minimum is an upper bound on the infimum)."""
     ctx = GroupContext(d)
 
@@ -242,30 +246,26 @@ def scan_log_span(
         if not ok:
             state.skipped += 1
             return None
-        report = beta_estimate(V, cfg)
-        margin = report.value_exact - len(V) ** 2
+        verdict = check_quasicube_beta(V, cfg)
+        margin = verdict.margin
         state.examined += 1
         record = {"index": idx, "V": [list(p) for p in pts]}
-        if margin < 0:
+        if not verdict.holds:
             # conclusive: re-verify the witness ratio directly
-            A = PointSet.of(ctx, report.witness_a)
-            B = PointSet.of(ctx, report.witness_b)
+            ce, ratio = verdict.counterexample, margin + len(V) ** 2
+            A, B = PointSet.of(ctx, ce["A"]), PointSet.of(ctx, ce["B"])
             n = len(sumset(sumset(A, B), V))
-            if Fraction(n * n, len(A) * len(B)) != report.value_exact:
+            if Fraction(n * n, len(A) * len(B)) != ratio:
                 raise AssertionError(f"witness of V = {pts} replays to {n}^2/{len(A) * len(B)}, "
-                                     f"not {report.value_exact}")
-            state.counterexample = {
-                **record,
-                "A": [list(p) for p in report.witness_a],
-                "B": [list(p) for p in report.witness_b],
-                "ratio_squared": frac_str(report.value_exact),
-            }
+                                     f"not {ratio}")
+            state.counterexample = {**record, "A": ce["A"], "B": ce["B"],
+                                    "ratio_squared": frac_str(ratio)}
             return json.dumps({"type": "disproof", **state.counterexample}, sort_keys=True)
         state.push_near(margin, record)
         return json.dumps({"type": "margin", **record, "margin": frac_str(margin)}, sort_keys=True)
 
     return _run_shards("log_span", d, side, max_size, cfg, check,
-                       checkpoint_path, out_path, shard_size, max_shards)
+                       checkpoint_path, out_path, shard_size, max_shards, any_ceiling=True)
 
 
 def scan_doubling_tripling(

@@ -23,6 +23,7 @@ from .groups import GroupContext, PointSet, Vec
 
 Weight = Fraction | float
 FLOAT_TOL = 1e-9
+ORACLE_MAX_SUPPORT = 5  # the largest support min_over_permutations takes: its search is factorial
 
 
 @dataclass(frozen=True)
@@ -212,20 +213,19 @@ def min_over_permutations(
     f: WeightedFunction,
     g: WeightedFunction,
     h: WeightedFunction,
-    max_support: int = 5,
 ) -> tuple[Weight, tuple[tuple[Weight, ...], tuple[Weight, ...], tuple[Weight, ...]]]:
     """Brute-force oracle: minimum of ||f_s * g_t * h_r||_1 over all
     permutations of the three supports, with the minimizing weight
     arrangements (weights listed along each sorted support).
 
-    Exact-mode only; supports capped (the search is factorial).
+    Exact-mode only; supports of at most ORACLE_MAX_SUPPORT points.
     """
     for fn in (f, g, h):
         _require_line(fn)
         if not fn.exact:
             raise ValueError("the permutation oracle runs in exact mode")
-        if len(fn) > max_support:
-            raise ValueError(f"support size {len(fn)} above oracle bound {max_support}")
+        if len(fn) > ORACLE_MAX_SUPPORT:
+            raise ValueError(f"support size {len(fn)} above oracle bound {ORACLE_MAX_SUPPORT}")
     _require_compatible(f, g)
     _require_compatible(g, h)
 

@@ -99,7 +99,8 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     """Every scanned pair satisfies |A+B+V|^2 >= |V|^2 |A||B| exactly, with
     equality attained at singletons; the scanned minimum of the squared
     ratio is therefore exactly |V|^2.  The margin is that minimum less
-    |V|^2, and a counterexample names the A, B and V that attain it.
+    |V|^2.  A counterexample names V as given and the A and B of the first
+    minimum in the box's frame, the same whichever scan decides.
 
     Inputs the bit scan refuses go to beta_estimate, which raises ValueError
     when cut at the node ceiling.  `threads` is kept for compatibility and
@@ -115,18 +116,19 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     if ctx.is_torsion_free and ctx.free_rank == len(dims) and bitscan.unsupported(dims, v_free) is None:
         scan = _get_scan(dims, cfg.max_cardinality)
         res = bitscan.verify_subset_beta(scan, v_free)
-        holds = res["holds"]
+        ce = res["counterexample"]
+        holds = ce is None
         if holds:
             margin = Fraction(0)
-        else:  # A, B and V in the scan's frame, anchored at the origin
-            A, B, V_ce = (res["counterexample"][k] for k in ("A", "B", "V"))
-            margin = Fraction(res["counterexample"]["slack"], len(A) * len(B))
+        else:  # the scan anchors A and B at the origin: move them to the box's low corner
+            A, B = ([[c + lo for c, (lo, _) in zip(q, cfg.box)] for q in ce[k]] for k in ("A", "B"))
+            margin = Fraction(ce["slack"], len(A) * len(B))
         note = f"pairs={res['pair_count']} rechecked={res['checked_pairs']}"
     else:
         report = beta_estimate(V, cfg)
         if not report.complete:  # a window cut at the node ceiling proves nothing
             raise ValueError(f"beta scan cut at the node ceiling of {cfg.node_ceiling} pairs")
-        A, B, V_ce = report.witness_a, report.witness_b, V
+        A, B = report.witness_a, report.witness_b
         margin = report.value_exact - len(V) ** 2
         holds = margin == 0
         note = ""
@@ -135,7 +137,7 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
         holds=holds,
         margin=margin,
         inputs={"V": _pts(V), "config": cfg.echo()},
-        counterexample=None if holds else {"A": _pts(A), "B": _pts(B), "V": _pts(V_ce)},
+        counterexample=None if holds else {"A": _pts(A), "B": _pts(B), "V": _pts(V)},
         note=note,
     )
 
@@ -471,7 +473,6 @@ def check_two_point(
     ps: Sequence[float],
     r_max: int = 8,
     seed: int = 0,
-    descent_starts: int = 1,
 ) -> Verdict:
     """(a) geometric-family ratios never drop below c_delta(p) - tol for
     r = s <= r_max (that they reach c_delta(p) as r = s grows is checked by
@@ -496,17 +497,16 @@ def check_two_point(
             cp_margin = c - c_p_constant(float(p)) * (1 + float(delta))
             if cp_margin < -FLOAT_TOL:
                 bad = {"delta": delta, "p": p, "minimizer_margin": cp_margin}
-            if delta > 0 and descent_starts > 0:
+            if delta > 0:
                 f = WeightedFunction.of(ctx, [((0,), 1.0), ((1,), float(delta))])
                 supp = [(i,) for i in range(5)]
-                for _ in range(descent_starts):
-                    init_g = [rng.uniform(0.1, 1.0) for _ in supp]
-                    init_h = [rng.uniform(0.1, 1.0) for _ in supp]
-                    val = refine_weights_coordinate_descent(
-                        f, supp, supp, float(p), init_g, init_h, max_sweeps=12
-                    )
-                    if val - c < -1e-6:
-                        bad = {"delta": delta, "p": p, "descent": val, "c": c}
+                init_g = [rng.uniform(0.1, 1.0) for _ in supp]
+                init_h = [rng.uniform(0.1, 1.0) for _ in supp]
+                val = refine_weights_coordinate_descent(
+                    f, supp, supp, float(p), init_g, init_h, max_sweeps=12
+                )
+                if val - c < -1e-6:
+                    bad = {"delta": delta, "p": p, "descent": val, "c": c}
     return Verdict(
         "two_point", bad is None, min_margin,
         {"deltas": list(deltas), "ps": [str(p) for p in ps], "r_max": r_max, "seed": seed},

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,11 @@ def certificate(s, v, dim):
 
 
 def oracle(dims, V):
-    """holds, the counterexample's (A, B, slack) and the number of pairs
-    certificate(|A+B|, v, dim V)^2 >= v^2|A||B| leaves unproved, by brute
-    force: the first minimum of |A+B+V|^2 - v^2|A||B| over all pairs."""
+    """The counterexample (A, B, slack), None when the law holds, and the
+    number of pairs certificate(|A+B|, v, dim V)^2 >= v^2|A||B| leaves
+    unproved, by brute force: A and B attain the first minimum of
+    |A+B+V|^2 / (|A||B|) over all pairs, compared exactly, and the slack is
+    |A+B+V|^2 - v^2|A||B| there."""
     scan, ctx, pairs = window(dims)
     U = PointSet.of(ctx, V)
     v = len(U)
@@ -64,12 +67,11 @@ def oracle(dims, V):
     for i, j, ab, AB in pairs:
         if AB.points not in size_of:
             size_of[AB.points] = len(sumset(AB, U))
-        slack = size_of[AB.points] ** 2 - v * v * ab
-        if best is None or slack < best[0]:
-            best = (slack, scan.sets[i], scan.sets[j])
+        ratio = Fraction(size_of[AB.points] ** 2, ab)
+        if best is None or ratio < best[0]:
+            best = (ratio, scan.sets[i], scan.sets[j], size_of[AB.points] ** 2 - v * v * ab)
         unproved += v > 1 and certificate(len(AB), v, dim) ** 2 < v * v * ab
-    holds = best[0] >= 0
-    return holds, None if holds else (best[1], best[2], best[0]), unproved
+    return None if best[0] >= v * v else best[1:], unproved
 
 
 def packed_sums(scan, i, j):
@@ -190,27 +192,32 @@ def test_recheck_matches_brute_force(case):
     dims, V = case
     scan, _, _ = window(dims)
     res = bitscan.verify_subset_beta(scan, V)
-    holds, counterexample, unproved = oracle(dims, V)
-    assert res["holds"] == holds
+    counterexample, unproved = oracle(dims, V)
     assert res["checked_pairs"] == unproved
-    if holds:
-        assert res["counterexample"] is None
-    else:
-        ce = res["counterexample"]
-        assert (ce["A"], ce["B"], ce["slack"]) == counterexample
+    ce = res["counterexample"]
+    assert (None if ce is None else (ce["A"], ce["B"], ce["slack"])) == counterexample
 
 
 def test_pinned_counterexample():
     scan, _, _ = window((5,))
     res = bitscan.verify_subset_beta(scan, [(2,), (0,), (1,)])
-    assert res["holds"] is False and res["checked_pairs"] == 77
+    assert res["checked_pairs"] == 77
     # |A+B+V| = |{0..8}| = 9 and 9^2 - 3^2 * 4 * 4 = -63
     assert res["counterexample"] == {
         "A": ((0,), (1,), (2,), (3,)),
         "B": ((0,), (1,), (2,), (3,)),
-        "V": ((0,), (1,), (2,)),
         "slack": -63,
     }
+
+
+def test_counterexample_minimizes_the_ratio():
+    # V = {0, 4, 8}: A = B = V gives |A+B+V|^2 / 9 = 7^2 / 9, below the
+    # 15^2 / 36 of A = B = {0, 2, .., 10}, whose slack 15^2 - 3^2 * 36 = -99
+    # is the lower; the ratio's minimum is named, with its slack 7^2 - 3^2 * 9
+    res = bitscan.verify_subset_beta(bitscan.build_scan((12,), 6), [(0,), (4,), (8,)])
+    assert res["checked_pairs"] == 5714
+    AB = ((0,), (4,), (8,))
+    assert res["counterexample"] == {"A": AB, "B": AB, "slack": -32}
 
 
 @pytest.mark.parametrize("ce_first", [True, False])
@@ -244,7 +251,6 @@ def test_counterexample_is_first_minimum(ce_first):
     assert res["counterexample"] == {
         "A": scan.sets[scan.surv_i[first]],
         "B": scan.sets[scan.surv_j[first]],
-        "V": ce["V"],
         "slack": ce["slack"],
     }
 
@@ -268,7 +274,7 @@ def test_recheck_streams_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not res["holds"] and res["checked_pairs"] == len(scan.surv_i) == 228851
+    assert res["counterexample"] and res["checked_pairs"] == len(scan.surv_i) == 228851
     assert peak < 20 * 2**20, peak
 
 
@@ -316,7 +322,7 @@ def test_square_recheck_count():
     # unproved for the unit square (the collinear bound leaves all 228,851
     # survivors), as a brute force with `certificate` over every pair counts
     res = bitscan.verify_subset_beta(scan_5x4(), [(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert res["holds"] and res["checked_pairs"] == 5175
+    assert res["counterexample"] is None and res["checked_pairs"] == 5175
 
 
 @st.composite

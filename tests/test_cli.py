@@ -388,6 +388,34 @@ class TestConjectureCommand:
         assert part.read_bytes() == full.read_bytes()
         assert ckpt.read_bytes() == full_ckpt.read_bytes()
 
+    def test_cut_log_span_scan_exits_64_and_resumes(self, tmp_path, monkeypatch, capsys):
+        # d = 3 has no bit scan: below the ceiling beta_estimate is cut, so the
+        # scan refuses the V (exit 64) and keeps its checkpoint at the last
+        # full shard; a higher ceiling resumes it with one run's bytes
+        argv = ["conjecture", "scan", "--id", "log_span", "--box", "0..1,0..1,0..1",
+                "--max-size", "3", "--max-card", "2"]
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "5000000")
+        full, full_ckpt = tmp_path / "full.jsonl", tmp_path / "full.json"
+        assert cli.main(argv + ["--checkpoint", str(full_ckpt), "--out", str(full)]) == 0
+        part, ckpt = tmp_path / "part.jsonl", tmp_path / "state.json"
+        files = ["--checkpoint", str(ckpt), "--out", str(part)]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "scan_log_span", functools.partial(conjectures.scan_log_span,
+                                                              shard_size=2, max_shards=1))
+            assert cli.main(argv + files) == 0
+        assert json.loads(ckpt.read_text())["cursor"] == 2
+        before = ckpt.read_bytes(), part.read_bytes()
+        capsys.readouterr()
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "10")
+        assert cli.main(argv + files) == 64
+        err = capsys.readouterr().err
+        assert err == "error: beta scan cut at the node ceiling of 10 pairs\n"
+        assert (ckpt.read_bytes(), part.read_bytes()) == before
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "5000000")
+        assert cli.main(argv + files) == 0
+        assert part.read_bytes() == full.read_bytes()
+        assert ckpt.read_bytes() == full_ckpt.read_bytes()
+
     def test_checkpoint_with_inert_config_keys_refused(self, tmp_path, capsys):
         # checkpoints written before the config echo lost `parallelism` and
         # `geometric_max_r` carry both keys; such a file is refused, unchanged

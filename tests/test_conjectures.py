@@ -261,16 +261,18 @@ def test_resume_after_crash_between_writes(scan, crash_at, tmp_path, monkeypatch
     assert ckpt.read_bytes() == full_ckpt.read_bytes()
 
 
-# beta_estimate patched to report a ratio below |V|^2 that its witness does
-# not replay to: the scan must refuse to write the disproof
-FORGED_REPORT = """
+# check_quasicube_beta patched to give a verdict below |V|^2 whose witness
+# A = B = {0} does not replay to it: the scan must refuse to write the disproof
+FORGED_VERDICT = """
 import dataclasses, sys
 from fractions import Fraction
 from sumsetlab import conjectures
 from sumsetlab.search import SearchConfig
 
-real = conjectures.beta_estimate
-conjectures.beta_estimate = lambda V, cfg: dataclasses.replace(real(V, cfg), value_exact=Fraction(1, 2))
+real = conjectures.check_quasicube_beta
+conjectures.check_quasicube_beta = lambda V, cfg: dataclasses.replace(
+    real(V, cfg), holds=False, margin=Fraction(-1, 2),
+    counterexample={"A": [[0]], "B": [[0]], "V": [list(p) for p in V.points]})
 try:
     conjectures.scan_log_span(1, 3, 3, SearchConfig(box=((-2, 3),), max_cardinality=3))
 except AssertionError as err:
@@ -282,8 +284,8 @@ def test_witness_replay_runs_under_optimize():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", FORGED_REPORT],
+        [sys.executable, "-O", "-c", FORGED_VERDICT],
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("1 witness of V = "), done.stdout
+    assert done.stdout == "1 witness of V = ((0,),) replays to 1^2/1, not 1/2\n", done.stdout

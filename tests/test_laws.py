@@ -1,9 +1,12 @@
 """Verdict checks for the proved inequalities, plus the seeded suites."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumsetlab import bitscan, laws
 from sumsetlab.functional import WeightedFunction
@@ -121,6 +124,42 @@ class TestQuasicubeBeta:
                 ps(Z1, [(0,)]),
                 SearchConfig(box=((0, 1),), max_cardinality=2, p=F(3)),
             )
+
+
+@st.composite
+def bit_scan_windows(draw):
+    """A box the bit scan takes, often with its low corner off the origin:
+    1-D up to 12 wide at cardinality <= 6, 2-D up to 4x3 at cardinality
+    <= 4; and a V of at most 4 points, not translated to the origin."""
+    d = draw(st.sampled_from([1, 2]))
+    dims = (draw(st.integers(1, 12)),) if d == 1 else (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    card = draw(st.integers(1, 6 if d == 1 else 4))
+    box = tuple((lo, lo + n - 1) for lo, n in zip((draw(st.integers(-3, 3)) for _ in dims), dims))
+    grid = list(itertools.product(range(-2, 10)) if d == 1 else itertools.product(range(-1, 3), range(-1, 2)))
+    pts = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4, unique=True))
+    return box, card, tuple(pts)
+
+
+@given(bit_scan_windows())
+@example((((0, 11),), 6, ((0,), (4,), (8,))))  # the slack's minimum is not the ratio's
+@settings(max_examples=60, deadline=None)
+def test_bit_scan_verdict_is_beta_estimates(case):
+    # the bit scan's verdict names the margin and counterexample of a complete
+    # beta_estimate on the same window
+    box, card, pts = case
+    V = ps(GroupContext(len(box)), pts)
+    cfg = SearchConfig(box=box, max_cardinality=card)
+    v = check_quasicube_beta(V, cfg)
+    assert v.note.startswith("pairs=")
+    report = beta_estimate(V, replace(cfg, node_ceiling=10**8))
+    assert report.complete
+    margin = report.value_exact - len(V) ** 2
+    assert (v.holds, v.margin) == (margin == 0, margin)
+    assert v.counterexample == (None if margin == 0 else {
+        "A": [list(q) for q in report.witness_a],
+        "B": [list(q) for q in report.witness_b],
+        "V": [list(q) for q in V.points],
+    })
 
 
 class TestPetridisPlunnecke:
@@ -267,7 +306,7 @@ class TestFreiman:
 
 class TestTwoPoint:
     def test_small_grid(self):
-        v = check_two_point([0.0, 0.5, 1.0], [2.0, 3.0], r_max=4, descent_starts=0)
+        v = check_two_point([0.0, 0.5, 1.0], [2.0, 3.0], r_max=4)
         assert v.holds
         assert v.margin >= -1e-9
 
