@@ -8,9 +8,9 @@ wall-clock field.  Scans are sequential: --threads is validated and
 recorded in the manifest only, and changes neither the work nor any
 report.  Conjecture scans are exhaustive and read no seed, so their config
 echo (and so their checkpoints) carry neither --threads nor --seed, and a
-checkpoint resumes under any value of either.  SUMSETLAB_NODE_CEILING, the
-pair ceiling of a scan, is read when a config is built, so a bad value
-exits 64 before any work.
+checkpoint resumes under any value of either, or of SUMSETLAB_NODE_CEILING.
+That pair ceiling is read when a config is built, so a bad value exits 64
+before any work; a law or scan that would read a cut estimate exits 64.
 """
 
 from __future__ import annotations

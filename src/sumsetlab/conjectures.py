@@ -5,7 +5,8 @@ to the origin, then minimize lexicographically over the signed coordinate
 permutations preserving the box), so each translation/unimodular class is
 visited once.  Scans proceed in fixed-size shards; the checkpoint is a
 single JSON file written atomically at shard boundaries, and resuming from
-it reproduces the identical report stream.
+it, under any node ceiling, reproduces the identical report stream: no
+record reads an estimate cut at the ceiling.
 
 A disproof record is conclusive only when it re-verifies by direct exact
 recomputation of the witness ratio.
@@ -149,7 +150,7 @@ def enumerate_canonical(d: int, side: int, max_size: int) -> list[tuple[Vec, ...
 
 def _require_p2(cfg: SearchConfig) -> None:
     # the margins are exact squared ratios, which the estimates give only at p = 2
-    if Fraction(cfg.p) != 2:
+    if cfg.p != 2:
         raise ValueError(f"conjecture scans need p = 2, got p = {frac_str(cfg.p)}")
 
 
@@ -166,7 +167,7 @@ def _run_shards(
     conjecture: str, d: int, side: int, max_size: int, cfg: SearchConfig,
     check: Callable[[ScanState, int, tuple[Vec, ...]], Optional[str]],
     checkpoint_path: Optional[str], out_path: Optional[str],
-    shard_size: int, max_shards: Optional[int], any_ceiling: bool = False,
+    shard_size: int, max_shards: Optional[int],
 ) -> ScanState:
     """The shard loop of both scans.
 
@@ -176,8 +177,8 @@ def _run_shards(
     the first shard; each shard's lines are appended to --out before the
     checkpoint is saved with the new size of --out, and a resume cuts --out
     back to that size, so a crash between the two writes leaves no duplicate
-    lines.  With any_ceiling (no record depends on the node ceiling) a
-    checkpoint resumes, and is saved, under the config's ceiling."""
+    lines.  A checkpoint resumes, and is saved, under the config's node
+    ceiling, as no record reads a cut estimate (search.require_complete)."""
     _require_p2(cfg)
     if max_size < 1:  # no candidate to scan
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -187,7 +188,7 @@ def _run_shards(
         state = load_state(checkpoint_path)
         if state.conjecture != conjecture:
             raise ValueError(f"checkpoint belongs to a {state.conjecture} scan, not {conjecture}")
-        if any_ceiling and isinstance(state.config.get("search"), dict):
+        if isinstance(state.config.get("search"), dict):
             state.config["search"]["node_ceiling"] = cfg.node_ceiling
         if state.config != config_echo:
             raise ValueError("checkpoint was created with a different configuration")
@@ -234,7 +235,7 @@ def scan_log_span(
     max_shards: Optional[int] = None,
 ) -> ScanState:
     """For each canonical V with the log-span property, check through
-    laws.check_quasicube_beta (which refuses a scan cut at the node ceiling)
+    laws.check_quasicube_beta (which reads no estimate cut at the ceiling)
     that no scanned pair drops the squared tripling ratio below |V|^2.  An
     exact witness below |V|^2 disproves the conjecture conclusively (the
     window minimum is an upper bound on the infimum)."""
@@ -265,7 +266,7 @@ def scan_log_span(
         return json.dumps({"type": "margin", **record, "margin": frac_str(margin)}, sort_keys=True)
 
     return _run_shards("log_span", d, side, max_size, cfg, check,
-                       checkpoint_path, out_path, shard_size, max_shards, any_ceiling=True)
+                       checkpoint_path, out_path, shard_size, max_shards)
 
 
 def scan_doubling_tripling(
@@ -278,9 +279,9 @@ def scan_doubling_tripling(
     shard_size: int = SHARD_SIZE,
     max_shards: Optional[int] = None,
 ) -> ScanState:
-    """For each canonical U compute the six estimates on matched windows;
-    exact violations of the proved variant chains are bugs, margins of the
-    conjectural equalities and of beta <= alpha^2 are recorded."""
+    """For each canonical U compute the six estimates on matched windows,
+    all complete; exact violations of the proved variant chains are bugs,
+    margins of the conjectural equalities and of beta <= alpha^2 are recorded."""
     ctx = GroupContext(d)
     box_pts = {p for p in itertools.product(*[range(lo, hi + 1) for lo, hi in cfg.box])}
 

@@ -3,8 +3,9 @@
 Each check returns a Verdict carrying the inputs, an exact or float margin,
 and a counterexample when the inequality fails.  Exact arithmetic is used
 wherever the exponents permit (p = 2, integer powers); float checks carry a
-single global tolerance of 1e-9.  A false verdict on a proved statement
-indicates an implementation bug and is treated as build-stopping by the CLI.
+single global tolerance of 1e-9.  A check reads only complete estimates
+(search.require_complete), so under any node ceiling a false verdict on a
+proved statement indicates an implementation bug; the CLI stops on it.
 
 Suites bundle seeded instance generators so failures replay from the seed.
 """
@@ -46,6 +47,7 @@ from .search import (
     geometric_family_ratio,
     refine_weights_coordinate_descent,
     report_values,
+    require_complete,
     two_point_constant,
     variant_estimates,
     frac_str,
@@ -102,10 +104,10 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     |V|^2.  A counterexample names V as given and the A and B of the first
     minimum in the box's frame, the same whichever scan decides.
 
-    Inputs the bit scan refuses go to beta_estimate, which raises ValueError
-    when cut at the node ceiling.  `threads` is kept for compatibility and
+    Inputs the bit scan refuses go to beta_estimate, read through
+    search.require_complete.  `threads` is kept for compatibility and
     has no effect: the scan is sequential."""
-    if cfg.strategy != "exhaustive" or Fraction(cfg.p) != 2:
+    if cfg.strategy != "exhaustive" or cfg.p != 2:
         raise ValueError("requires an exhaustive p=2 configuration")
     if not V.points:
         raise ValueError("V must be nonempty")
@@ -125,9 +127,7 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
             margin = Fraction(ce["slack"], len(A) * len(B))
         note = f"pairs={res['pair_count']} rechecked={res['checked_pairs']}"
     else:
-        report = beta_estimate(V, cfg)
-        if not report.complete:  # a window cut at the node ceiling proves nothing
-            raise ValueError(f"beta scan cut at the node ceiling of {cfg.node_ceiling} pairs")
+        report = require_complete(beta_estimate(V, cfg))
         A, B = report.witness_a, report.witness_b
         margin = report.value_exact - len(V) ** 2
         holds = margin == 0
@@ -147,7 +147,7 @@ def check_prekopa_discrete(V: PointSet, p: Fraction | int, cfg: SearchConfig) ->
     p is an int or a Fraction, as SearchConfig takes it, so the scan and the
     bound use one exponent."""
     d = dimension(V)
-    report = beta_estimate(V, replace(cfg, p=p))
+    report = require_complete(beta_estimate(V, replace(cfg, p=p)))
     bound = c_p_constant(float(p)) ** d * len(V)
     margin = report.value_float - bound
     return Verdict(
@@ -280,9 +280,9 @@ def check_beta_is_gamma(U: PointSet, p: Fraction, cfg: SearchConfig) -> Verdict:
     would compare that kernel with itself."""
     cfgp = replace(cfg, p=p)  # SearchConfig rejects a float p
     f = WeightedFunction.indicator(U)
-    rb = beta_estimate(U, cfgp)
-    rg = gamma_indicator_estimate(f, cfgp)
-    if Fraction(p) == 2:
+    rb = require_complete(beta_estimate(U, cfgp))
+    rg = require_complete(gamma_indicator_estimate(f, cfgp))
+    if cfgp.p == 2:
         agree = rb.value_exact == rg.value_exact
         margin = rg.value_exact - rb.value_exact
     else:
@@ -300,7 +300,7 @@ def check_beta_is_gamma(U: PointSet, p: Fraction, cfg: SearchConfig) -> Verdict:
         law="beta_is_gamma",
         holds=holds,
         margin=margin,
-        inputs={"U": _pts(U), "p": frac_str(Fraction(p)), "config": cfg.echo()},
+        inputs={"U": _pts(U), "p": frac_str(cfgp.p), "config": cfg.echo()},
         counterexample=None if holds else {
             "beta_witness": [_pts(rb.witness_a), _pts(rb.witness_b)],
             "gamma_witness": [_pts(rg.witness_a), _pts(rg.witness_b)],
@@ -314,7 +314,7 @@ def check_product_multiplicativity(
 ) -> Verdict:
     """gamma-hat of the product indicator equals the product of the factor
     estimates, exactly at p=2, on the product of the matched windows."""
-    if Fraction(cfg_u.p) != 2 or Fraction(cfg_v.p) != 2:
+    if cfg_u.p != 2 or cfg_v.p != 2:
         raise ValueError("exact product check requires p = 2")
     ctx_u, ctx_v = U.context, V.context
     if not (ctx_u.is_torsion_free and ctx_v.is_torsion_free):
@@ -326,9 +326,8 @@ def check_product_multiplicativity(
         box=cfg_u.box + cfg_v.box,
         max_cardinality=cfg_u.max_cardinality * cfg_v.max_cardinality,
     )
-    ru = gamma_indicator_estimate(WeightedFunction.indicator(U), cfg_u)
-    rv = gamma_indicator_estimate(WeightedFunction.indicator(V), cfg_v)
-    rp = gamma_indicator_estimate(WeightedFunction.indicator(prod), cfg_prod)
+    ru, rv, rp = (require_complete(gamma_indicator_estimate(WeightedFunction.indicator(S), c))
+                  for S, c in ((U, cfg_u), (V, cfg_v), (prod, cfg_prod)))
     lhs = rp.value_exact
     rhs = ru.value_exact * rv.value_exact
     holds = lhs == rhs
@@ -363,11 +362,11 @@ def check_tensorization(
     fphi_entries = []
     for x, ent in sorted(fibers.items()):
         ff = WeightedFunction.of(fiber_ctx, ent)
-        rf = gamma_indicator_estimate(ff, cfg_fiber)
+        rf = require_complete(gamma_indicator_estimate(ff, cfg_fiber))
         fphi_entries.append(((x,), rf.value_float))
     fphi = WeightedFunction.of(base_ctx, fphi_entries)
-    r_full = gamma_indicator_estimate(f, cfg_product)
-    r_base = gamma_indicator_estimate(fphi, cfg_base)
+    r_full = require_complete(gamma_indicator_estimate(f, cfg_product))
+    r_base = require_complete(gamma_indicator_estimate(fphi, cfg_base))
     margin = r_full.value_float - r_base.value_float
     return Verdict(
         law="tensorization",
@@ -386,19 +385,18 @@ def check_tensorization(
 def check_trivial_lower_bounds(U: PointSet, cfg: SearchConfig) -> Verdict:
     """Scanned beta ratios >= 2 and alpha ratios >= 3/2, exactly; sets in a
     single torsion coset instead have every functional equal to 1."""
-    if Fraction(cfg.p) != 2:
+    if cfg.p != 2:
         raise ValueError("exact bounds require p = 2")
     inputs = {"U": _pts(U), "config": cfg.echo()}
+    alpha_card = max(cfg.max_cardinality, len(U) + (2 if dimension(U) else 0))
+    rb = require_complete(beta_estimate(U, cfg))
+    ra = require_complete(alpha_estimate(U, replace(cfg, max_cardinality=alpha_card)))
     if dimension(U) == 0:
-        rb = beta_estimate(U, cfg)
-        ra = alpha_estimate(U, replace(cfg, max_cardinality=max(cfg.max_cardinality, len(U))))
         holds = rb.value_exact == 1 and ra.value_exact == 1
         return Verdict(
             "trivial_lower_bounds", holds, min(rb.value_exact, ra.value_exact) - 1,
             inputs, note="degenerate: single torsion coset, all functionals 1",
         )
-    rb = beta_estimate(U, cfg)
-    ra = alpha_estimate(U, replace(cfg, max_cardinality=max(cfg.max_cardinality, len(U) + 2)))
     beta_slack = rb.value_exact - 4  # squared ratio vs 2^2
     alpha_slack = ra.value_exact - Fraction(9, 4)  # squared ratio vs (3/2)^2
     holds = beta_slack >= 0 and alpha_slack >= 0
@@ -422,9 +420,8 @@ def check_independence_beta(U: PointSet, m: int, cfg: SearchConfig) -> Verdict:
     mU = PointSet.of(ctx, [(m * p[0],) for p in U.points])
     (lo, hi), = cfg.box
     cfg_m = replace(cfg, box=((m * lo, m * hi),))
-    r1 = beta_estimate(U, cfg)
-    r2 = beta_estimate(mU, cfg_m)
-    if Fraction(cfg.p) == 2:
+    r1, r2 = (require_complete(beta_estimate(S, c)) for S, c in ((U, cfg), (mU, cfg_m)))
+    if cfg.p == 2:
         holds = r1.value_exact == r2.value_exact
         margin = r2.value_exact - r1.value_exact
     else:
@@ -447,7 +444,7 @@ def check_basic_chains(U: PointSet, cfg: SearchConfig) -> Verdict:
     cannot be decided from upper estimates; observed values are recorded in
     the note as a no-counterexample-in-window statement only.
     """
-    if Fraction(cfg.p) != 2:
+    if cfg.p != 2:
         raise ValueError("exact chains require p = 2")
     d = dimension(U)
     betas, alphas = variant_estimates(U, cfg, max(cfg.max_cardinality, len(U) + 2))

@@ -89,10 +89,10 @@ class SearchConfig:
             raise ValueError("box intervals must be nonempty")
         if isinstance(self.p, float):  # its exact Fraction has a 2^k denominator
             raise ValueError(f"p must be an int or a Fraction, not the float {self.p!r}")
-        p = Fraction(self.p)
-        if p <= 1:
+        object.__setattr__(self, "p", Fraction(self.p))  # stored exact, whatever was given
+        if self.p <= 1:
             raise ValueError("p must exceed 1")
-        if max(p.numerator, p.denominator) > MAX_P_TERM:  # compare_ratios raises to p.numerator
+        if max(self.p.numerator, self.p.denominator) > MAX_P_TERM:  # compare_ratios' exponents
             raise ValueError(f"p = {self.p} has a numerator or denominator above {MAX_P_TERM}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
@@ -104,7 +104,7 @@ class SearchConfig:
             raise ValueError("node_ceiling must be >= 1")
 
     def echo(self) -> dict:
-        return {**json_value(self), "p": frac_str(self.p)}  # p may be an int
+        return json_value(self)
 
 
 def frac_str(x: Fraction | int) -> str:
@@ -145,13 +145,23 @@ class EstimateReport:
         return json_value(self)
 
 
+def require_complete(report: EstimateReport) -> EstimateReport:
+    """The report, unchanged, if its scan covered the whole window, else
+    ValueError: only then is a window minimum evidence about an infimum.
+    Every law and conjecture scan reads its estimates through this rule."""
+    if not report.complete:  # an exhaustive scan cut at the ceiling, or a heuristic search
+        strategy = report.config["strategy"]
+        raise ValueError(f"{report.quantity} scan cut at the node ceiling of {report.nodes} pairs"
+                         if strategy == "exhaustive" else f"a {strategy} estimate covers no whole window")
+    return report
+
+
 # --- exact ratio ordering ---------------------------------------------------
 
 
 def compare_ratios(s1: int, a1: int, b1: int, s2: int, a2: int, b2: int, p: Fraction) -> int:
     """Sign of s1/(a1^(1/p) b1^(1/q)) - s2/(a2^(1/p) b2^(1/q)), exactly, for
     integer numerators (a scan's numerators share one denominator)."""
-    p = Fraction(p)
     pa, pb = p.numerator, p.denominator
     lhs = s1**pa * a2**pb * b2 ** (pa - pb)
     rhs = s2**pa * a1**pb * b1 ** (pa - pb)
@@ -214,6 +224,21 @@ def canonical_subsets(
     return out
 
 
+def canonical_count(ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int) -> int:
+    """len(canonical_subsets(ctx, box, max_card)), without listing the sets.
+    A set is anchored iff it meets the low face of every free axis, so by
+    inclusion-exclusion over the sets S of low faces that it misses, the
+    count is the sum over S of (-1)^|S| C(N_S, k), k = 1..max_card, with N_S
+    the box points off the faces in S (torsion taken in full)."""
+    widths = [hi - lo + 1 for lo, hi in box]
+    tors = math.prod(ctx.torsion_moduli)
+    count = 0
+    for S in itertools.product((0, 1), repeat=len(widths)):
+        n_s = tors * math.prod(w - s for w, s in zip(widths, S))
+        count += (-1) ** sum(S) * sum(math.comb(n_s, k) for k in range(1, max_card + 1))
+    return count
+
+
 def _first_minimum(
     sets: Sequence[tuple[Vec, ...]],
     cfg: SearchConfig,
@@ -235,7 +260,6 @@ def _first_minimum(
     go, in stream order, through the exact compare_ratios, which keeps the
     first strict minimum.  The first exact minimum of the whole stream always
     passes the screen, so it is the pair returned."""
-    p = Fraction(cfg.p)
     n = len(sets)
     sizes = np.array([len(s) for s in sets])
     # row i pairs A_i with B_j for j in members[base[i]:base[i] + length[i]]
@@ -252,7 +276,7 @@ def _first_minimum(
     to_member = base - (row_end - length)
     total = int(row_end[-1])
     nodes = min(total, cfg.node_ceiling)
-    invp = 1.0 / float(p)
+    invp = 1.0 / float(cfg.p)
     log_size = np.log(sizes)
     size_of = sizes.tolist()
     best = None
@@ -271,7 +295,7 @@ def _first_minimum(
         for k, s, i, j in picked:
             key = (s, size_of[i], size_of[j])
             # an equal key never compares strictly less
-            if best is None or (key != best and compare_ratios(*key, *best, p) < 0):
+            if best is None or (key != best and compare_ratios(*key, *best, cfg.p) < 0):
                 best, best_ij, best_r = key, (i, j), float(r[k])
     assert best is not None
     i, j = best_ij
@@ -288,9 +312,8 @@ def _report(
     complete: bool,
 ) -> EstimateReport:
     """The report of a scan's best ratio key (numerator, |A|, |B|)."""
-    p = Fraction(cfg.p)
     return EstimateReport(
-        quantity, p, cfg.variant, *report_values(*key, p),
+        quantity, cfg.p, cfg.variant, *report_values(*key, cfg.p),
         witness_a, witness_b, nodes, complete, cfg.echo(),
     )
 
@@ -359,10 +382,7 @@ def _pair_counts(
     shape = [*(2 * ext + uhi - ulo + 1)[:d], *ctx.torsion_moduli]
     cells = math.prod(shape)
     rows, words = len(us) * len(shifts) * n, -(-cells // 64)
-    if rows * words * 8 > _TABLE_LIMIT:
-        raise ValueError(
-            f"the pair table of this scan needs {rows * words * 8} bytes, above the "
-            f"limit of {_TABLE_LIMIT}; narrow the box or lower the cardinality")
+    _check_table(rows, words)
     table = np.zeros((rows, words), dtype=np.uint64)
     packed = table.view(np.uint8).reshape(len(us), len(shifts), n, -1)
     for level, u in zip(packed, us):
@@ -384,6 +404,27 @@ def _pair_counts(
     return eval_pairs
 
 
+def _check_table(rows: int, words: int, at_least: str = "") -> None:
+    # refuse a table of rows x words uint64s (at_least: lower bounds on both) above _TABLE_LIMIT
+    if rows * words * 8 > _TABLE_LIMIT:
+        raise ValueError(
+            f"the pair table of this scan needs {at_least}{rows * words * 8} bytes, above the "
+            f"limit of {_TABLE_LIMIT}; narrow the box or lower the cardinality")
+
+
+def _refuse_wide_window(
+    ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int, levels: int
+) -> None:
+    """Refuse a window of canonical_subsets before it is listed when its pair
+    table, with `levels` U_k, is sure to pass _TABLE_LIMIT.  At a cardinality
+    above 1 each of the N box points is in some set, so _pair_counts gives
+    every U_k, box point and set a row: levels * N * canonical_count rows.
+    A box of the wrong arity is left to box_points, which names it."""
+    if max_card > 1 and len(box) == ctx.free_rank:
+        n = math.prod(hi - lo + 1 for lo, hi in box) * math.prod(ctx.torsion_moduli)
+        _check_table(levels * n * canonical_count(ctx, box, max_card), 1, "at least ")
+
+
 def _require_strategy(cfg: SearchConfig, quantity: str, runs: tuple[str, ...]) -> None:
     # a report must not name a strategy that never ran
     if cfg.strategy not in runs:
@@ -399,6 +440,7 @@ def beta_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     ctx = U.context
     if cfg.strategy == "hill_climb":
         return _beta_hill_climb(U, cfg)
+    _refuse_wide_window(ctx, cfg.box, cfg.max_cardinality, 1)
     sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
     counts = _pair_counts(sets, [U.points], ctx)
     return _report("beta", cfg, *_first_minimum(sets, cfg, lambda I, J: counts(I, J)[0]))
@@ -419,6 +461,9 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     room = cfg.max_cardinality - len(U)
     if room < 0:
         raise ValueError("max_cardinality below |U|")
+    if room > 0:  # every box point is in some set, as in _refuse_wide_window
+        n_sets = sum(math.comb(len(extra), k) for k in range(room + 1))
+        _check_table(len(pts) * n_sets, 1, "at least ")
     sets = []
     for k in range(0, room + 1):
         for combo in itertools.combinations(extra, k):
@@ -432,14 +477,14 @@ def variant_estimates(
     U: PointSet, cfg: SearchConfig, alpha_cardinality: int,
     beta: Callable = beta_estimate, alpha: Callable = alpha_estimate,
 ) -> tuple[list[EstimateReport], list[EstimateReport]]:
-    """The beta and the alpha estimate of U under each of VARIANTS, in that
-    order, alpha's sets of up to alpha_cardinality points.  conjectures passes
-    its own bindings of the estimators, which perfbench rebinds to time them."""
+    """The beta and alpha estimates of U under each of VARIANTS, in that
+    order, alpha's sets of up to alpha_cardinality points, all complete
+    (require_complete).  perfbench rebinds the estimators conjectures passes."""
     betas, alphas = [], []
     for variant in VARIANTS:
         cfgv = replace(cfg, variant=variant)
-        betas.append(beta(U, cfgv))
-        alphas.append(alpha(U, replace(cfgv, max_cardinality=alpha_cardinality)))
+        betas.append(require_complete(beta(U, cfgv)))
+        alphas.append(require_complete(alpha(U, replace(cfgv, max_cardinality=alpha_cardinality))))
     return betas, alphas
 
 
@@ -451,7 +496,6 @@ def _beta_hill_climb(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     and calls `groups.sumset`, with no grid kernel.  It never certifies a
     window, so its reports always have complete = False."""
     ctx = U.context
-    p = Fraction(cfg.p)
     rng = random.Random(cfg.seed)
     pts = box_points(ctx, cfg.box)
     nodes = 0
@@ -486,13 +530,13 @@ def _beta_hill_climb(U: PointSet, cfg: SearchConfig) -> EstimateReport:
                         continue
                     k = key_of(na, nb)
                     nodes += 1
-                    if compare_ratios(*k, *cur, p) < 0:
+                    if compare_ratios(*k, *cur, cfg.p) < 0:
                         A, B, cur = na, nb, k
                         improved = True
                         break
                 if improved:
                     break
-        if best_key is None or compare_ratios(*cur, *best_key, p) < 0:
+        if best_key is None or compare_ratios(*cur, *best_key, cfg.p) < 0:
             best_key = cur
             best_wit = (
                 tuple(sorted(A, key=ctx.sort_key)),
@@ -526,9 +570,10 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     if not f.entries:
         raise ValueError("f must have nonempty support")
     ctx = f.context
-    sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
     weights, denom = _int_weights(f)
     tops = sorted(set(weights), reverse=True)
+    _refuse_wide_window(ctx, cfg.box, cfg.max_cardinality, len(tops))
+    sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
     levels = [[x for (x, _), w in zip(f.entries, weights) if w >= t] for t in tops]
     counts = _pair_counts(sets, levels, ctx)
     # Python ints: a weight may scale far past int64 (1e-300 is m / 2^1049)
@@ -858,18 +903,8 @@ def _gamma_geometric(f: WeightedFunction, cfg: SearchConfig) -> EstimateReport:
             best = val
             best_r = r
     witness = tuple((i,) for i in range(best_r + 1))
-    return EstimateReport(
-        quantity="gamma",
-        p=Fraction(cfg.p),
-        variant=cfg.variant,
-        value_float=best,
-        value_exact=None,
-        witness_a=witness,
-        witness_b=witness,
-        nodes=GEOMETRIC_MAX_R + 1,
-        complete=False,
-        config=cfg.echo(),
-    )
+    # the float numerator best over sizes 1 and 1: value_float best, no exact value
+    return _report("gamma", cfg, (best, 1, 1), witness, witness, GEOMETRIC_MAX_R + 1, False)
 
 
 # --- closed forms for the two-point family ----------------------------------

@@ -4,12 +4,13 @@ import functools
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sumsetlab import cli, conjectures, io_formats
+from sumsetlab import cli, conjectures, io_formats, laws, search
 from sumsetlab.functional import WeightedFunction
 from sumsetlab.groups import GroupContext, PointSet
 
@@ -165,6 +166,29 @@ class TestEstimateCommand:
         assert err.startswith("error: the pair table of this scan needs 6772512752 bytes")
         assert err.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("quantity, flag, text, need", [
+        ("beta", "--set", "0 0\n1 0\n", 900 * 439_066_526 * 8),
+        ("alpha", "--set", "0 0\n1 0\n", 900 * (1 + 898 + 898 * 897 // 2) * 8),
+        ("gamma", "--fn", "0 0 1\n1 0 1\n", 900 * 439_066_526 * 8),
+    ])
+    def test_wide_window_refused_before_listing(self, quantity, flag, text, need, tmp_path,
+                                                capsys, monkeypatch):
+        # 439,066,526 anchored sets of at most 4 points of 0..29 x 0..29, each
+        # with a table row per box point: refused from their count alone
+        def listing(*args):
+            raise AssertionError("the window was listed")
+
+        monkeypatch.setattr(search, "canonical_subsets", listing)
+        path = tmp_path / "in.txt"
+        path.write_text("group 2\n" + text)
+        argv = ["estimate", quantity, flag, str(path), "--box", "0..29,0..29", "--max-card", "4"]
+        start = time.perf_counter()
+        assert cli.main(argv) == 64
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the pair table of this scan needs at least {need} bytes")
+        assert err.count("\n") == 1
+
     def test_p_validation(self, u01):
         code = cli.main(
             ["estimate", "beta", "--set", u01, "--p", "1/2", "--box", "0..1", "--max-card", "2"]
@@ -289,6 +313,18 @@ class TestLawsCommand:
     def test_unknown_suite(self):
         assert cli.main(["laws", "run", "--suite", "bogus"]) == 64
 
+    @pytest.mark.parametrize("suite", sorted(laws.SUITES))
+    def test_suite_reads_no_cut_estimate(self, suite, monkeypatch, capsys):
+        # at a ceiling of 20 pairs most windows the suites scan are cut: a
+        # suite runs whole (0) or refuses (64, one error line), and a false
+        # verdict (2) would mean a law read a cut window as a whole one
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "20")
+        code = cli.main(["laws", "run", "--suite", suite])
+        err = capsys.readouterr().err
+        assert code in (0, 64)
+        if code == 64:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
     def test_threads_validated(self, threads, capsys):
         assert cli.main(["laws", "run", "--suite", "independence", "--threads", threads]) == 64
@@ -410,6 +446,39 @@ class TestConjectureCommand:
         assert cli.main(argv + files) == 64
         err = capsys.readouterr().err
         assert err == "error: beta scan cut at the node ceiling of 10 pairs\n"
+        assert (ckpt.read_bytes(), part.read_bytes()) == before
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "5000000")
+        assert cli.main(argv + files) == 0
+        assert part.read_bytes() == full.read_bytes()
+        assert ckpt.read_bytes() == full_ckpt.read_bytes()
+
+    def test_cut_doubling_tripling_scan_exits_64_and_resumes(self, tmp_path, monkeypatch, capsys):
+        # at a ceiling of 20 pairs the first candidate's estimates are cut:
+        # the scan exits 64 with no bug record and its checkpoint and --out at
+        # the last full shard; a resume at 5M gives one run's bytes
+        argv = ["conjecture", "scan", "--id", "doubling_tripling", "--box", "-1..2",
+                "--max-size", "3", "--max-card", "3"]
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "5000000")
+        full, full_ckpt = tmp_path / "full.jsonl", tmp_path / "full.json"
+        assert cli.main(argv + ["--checkpoint", str(full_ckpt), "--out", str(full)]) == 0
+        part, ckpt = tmp_path / "part.jsonl", tmp_path / "state.json"
+        files = ["--checkpoint", str(ckpt), "--out", str(part)]
+        capsys.readouterr()
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "20")
+        assert cli.main(argv + files) == 64
+        assert capsys.readouterr().err == "error: beta scan cut at the node ceiling of 20 pairs\n"
+        assert json.loads(ckpt.read_text())["cursor"] == 0 and part.read_bytes() == b""
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "5000000")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "scan_doubling_tripling", functools.partial(
+                conjectures.scan_doubling_tripling, shard_size=2, max_shards=1))
+            assert cli.main(argv + files) == 0
+        assert json.loads(ckpt.read_text())["cursor"] == 2
+        before = ckpt.read_bytes(), part.read_bytes()
+        capsys.readouterr()
+        monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "20")
+        assert cli.main(argv + files) == 64
+        assert capsys.readouterr().err == "error: beta scan cut at the node ceiling of 20 pairs\n"
         assert (ckpt.read_bytes(), part.read_bytes()) == before
         monkeypatch.setenv("SUMSETLAB_NODE_CEILING", "5000000")
         assert cli.main(argv + files) == 0

@@ -202,7 +202,7 @@ def test_doubling_tripling_bug_record(monkeypatch, tmp_path):
     # beta <= beta' <= beta'' stops the scan with a bug record
     chain = {"unrestricted": F(5), "isometric": F(4), "isomeric": F(6)}
     monkeypatch.setattr(conjectures, "beta_estimate",
-                        lambda U, cfg: SimpleNamespace(value_exact=chain[cfg.variant]))
+                        lambda U, cfg: SimpleNamespace(value_exact=chain[cfg.variant], complete=True))
     out = tmp_path / "r.jsonl"
     state = scan_doubling_tripling(1, 2, 2, SearchConfig(box=((0, 1),), max_cardinality=2),
                                    out_path=str(out))

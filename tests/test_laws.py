@@ -14,6 +14,7 @@ from sumsetlab.groups import GroupContext, PointSet
 from sumsetlab.laws import (
     InstanceRejected,
     _normalized_free,
+    check_basic_chains,
     check_beta_is_gamma,
     check_bm_corollary,
     check_compression_shrinks,
@@ -292,6 +293,39 @@ class TestPrekopaDiscrete:
         # scan, not rounded to a Fraction that the bound would not use
         with pytest.raises(ValueError, match="p must be an int or a Fraction, not the float"):
             check_prekopa_discrete(ps(Z1, [(0,), (1,)]), 2**0.5, SearchConfig(box=((0, 3),), max_cardinality=3))
+
+
+U01 = ps(Z1, [(0,), (1,)])
+LINE = SearchConfig(box=((0, 2),), max_cardinality=2, node_ceiling=1)
+SQUARE = WeightedFunction.indicator(ps(Z2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+
+
+@pytest.mark.parametrize("check", [
+    lambda cfg: check_quasicube_beta(ps(GroupContext(1, (2,)), [(0, 0), (1, 0)]), cfg),
+    lambda cfg: check_prekopa_discrete(U01, F(3), cfg),
+    lambda cfg: check_beta_is_gamma(U01, F(2), cfg),
+    lambda cfg: check_product_multiplicativity(U01, U01, cfg, cfg),
+    lambda cfg: check_tensorization(SQUARE, replace(cfg, box=((0, 2), (0, 2))), cfg, cfg),
+    lambda cfg: check_trivial_lower_bounds(U01, cfg),
+    lambda cfg: check_independence_beta(U01, 2, cfg),
+    lambda cfg: check_basic_chains(U01, cfg),
+], ids=["quasicube_beta", "prekopa_discrete", "beta_is_gamma", "product_multiplicativity",
+        "tensorization", "trivial_lower_bounds", "independence_beta", "basic_chains"])
+def test_law_refuses_a_cut_window(check):
+    # a window minimum is evidence about an infimum only when the whole
+    # window was scanned: a law gives no verdict on a cut one
+    with pytest.raises(ValueError, match=r"^(beta|alpha|gamma) scan cut at the node ceiling of 1 pairs$"):
+        check(LINE)
+
+
+@pytest.mark.parametrize("check", [
+    lambda cfg: check_prekopa_discrete(U01, F(3), cfg),
+    lambda cfg: check_independence_beta(U01, 2, cfg),
+], ids=["prekopa_discrete", "independence_beta"])
+def test_law_refuses_a_heuristic_estimate(check):
+    # a hill climb never covers its window, whatever the ceiling
+    with pytest.raises(ValueError, match="^a hill_climb estimate covers no whole window$"):
+        check(replace(LINE, strategy="hill_climb", node_ceiling=DEFAULT_NODE_CEILING))
 
 
 class TestFreiman:

@@ -29,6 +29,7 @@ from sumsetlab.search import (
     beta_estimate,
     box_points,
     c_p_constant,
+    canonical_count,
     canonical_subsets,
     compare_ratios,
     gamma_estimate,
@@ -82,6 +83,19 @@ class TestCanonicalEnumeration:
             if all(min(q[i] for q in c) == box[i][0] for i in range(ctx.free_rank))
         )
         assert canonical_subsets(ctx, box, k) == want
+
+    @pytest.mark.parametrize("ctx, box, counts", [
+        (Z2, ((0, 5), (0, 5)), [1, 61, 1381, 18126]),
+        (Z2, ((-2, 2), (1, 4)), [1, 32, 377, 2532]),
+        (Z1, ((3, 9),), [1, 7, 22, 42]),
+        (GroupContext(3), ((0, 2),) * 3, [1, 63, 1144, 10929]),
+        (GroupContext(1, (2,)), ((-1, 2),), [2, 15, 51, 106]),
+        (GroupContext(0, (3,)), (), [3, 6, 7, 7]),
+    ], ids=["6x6", "5x4", "7", "3x3x3", "ZxZ2", "Z3"])
+    def test_count_without_listing(self, ctx, box, counts):
+        # the inclusion-exclusion count is the length of the list
+        for k, count in enumerate(counts, 1):
+            assert canonical_count(ctx, box, k) == len(canonical_subsets(ctx, box, k)) == count
 
 
 class TestBetaEstimate:
@@ -195,6 +209,14 @@ class TestBetaEstimate:
     def test_int_p_accepted(self):
         cfg = SearchConfig(box=((0, 1),), max_cardinality=1, p=2)
         assert cfg.echo()["p"] == "2/1"
+
+    def test_p_stored_as_fraction(self):
+        # p is normalized once, so no reader re-wraps it; the echo is as before
+        cfg = SearchConfig(box=((0, 1),), max_cardinality=1, p=2)
+        assert type(cfg.p) is Fraction and cfg.p == 2
+        assert type(dataclasses.replace(cfg, p=3).p) is Fraction
+        assert cfg.echo() == {"box": [[0, 1]], "max_cardinality": 1, "p": "2/1", "variant": "unrestricted",
+                              "strategy": "exhaustive", "seed": 0, "node_ceiling": cfg.node_ceiling}
 
     @pytest.mark.parametrize("ceiling", [0, -1])
     def test_node_ceiling_below_one_rejected(self, ceiling):
@@ -690,6 +712,42 @@ def test_table_above_limit_is_refused_before_allocation(monkeypatch):
     f = WeightedFunction.of(Z1, [((x,), F(x + 1)) for x in range(4)])
     with pytest.raises(ValueError, match=f"needs {4 * 1501 * 1501 * 47 * 8} bytes"):
         gamma_indicator_estimate(f, SearchConfig(box=((0, 1500),), max_cardinality=2))
+
+
+GUARDED_WINDOWS = [  # (estimate, its first argument, box, max_cardinality), all under the cap
+    (beta_estimate, ps(Z1, [(0,), (2,)]), ((-2, 3),), 4),
+    (beta_estimate, ps(Z2, [(0, 0), (1, 1)]), ((0, 3), (-1, 1)), 3),
+    (beta_estimate, ps(GroupContext(1, (2,)), [(0, 0), (1, 1)]), ((-1, 2),), 3),
+    (beta_estimate, ps(GroupContext(0, (3,)), [(0,), (1,)]), (), 2),
+    (alpha_estimate, ps(Z1, [(0,), (1,)]), ((-1, 3),), 4),
+    (alpha_estimate, ps(Z2, [(0, 0)]), ((0, 2), (0, 1)), 3),
+    (gamma_indicator_estimate, WeightedFunction.of(Z1, [((0,), F(2)), ((1,), F(1))]), ((0, 4),), 3),
+    (gamma_indicator_estimate, WeightedFunction.of(Z2, [((0, 0), F(1)), ((0, 1), F(1, 2))]), ((0, 2), (0, 2)), 2),
+]
+
+
+@pytest.mark.parametrize("estimate, arg, box, card", GUARDED_WINDOWS)
+def test_window_bound_never_passes_the_table(estimate, arg, box, card, monkeypatch):
+    # the bytes a scan is refused on before it lists its window are at most
+    # those of the pair table it then sizes, so a window whose table fits runs
+    calls = []
+    check = search._check_table
+
+    def spy(rows, words, at_least=""):
+        calls.append((rows * words, at_least))
+        check(rows, words, at_least)
+
+    monkeypatch.setattr(search, "_check_table", spy)
+    estimate(arg, SearchConfig(box=box, max_cardinality=card))
+    (bound, at_least), (table, exact) = calls
+    assert (at_least, exact) == ("at least ", "") and 0 < bound <= table
+
+
+def test_window_of_the_wrong_arity_is_named():
+    # the window guard leaves a box of the wrong arity to box_points, whose
+    # error names it, however wide the box
+    with pytest.raises(ValueError, match="box arity does not match the free rank"):
+        beta_estimate(ps(Z1, [(0,), (1,)]), SearchConfig(box=((0, 29), (0, 29)), max_cardinality=4))
 
 
 # rows of the window below: sizes 1, 2, 3, 3, 2, 3, 2, so 49 unrestricted
