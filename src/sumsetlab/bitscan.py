@@ -48,7 +48,7 @@ records, and so every verdict, depend only on the box and the cardinality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,6 +73,15 @@ def certified_size(s, v: int, dim: int):
     if dim >= 2:
         bound = np.maximum(bound, np.maximum(s, v) + 2 * np.minimum(s, v) - 3)
     return bound
+
+
+def failure_tables(d: int, width: int) -> dict[tuple[int, int], np.ndarray]:
+    """Where each class's certificate fails in a d-dimensional box, as a
+    boolean table over (|A+B|, |A||B|) for sets of at most `width` points:
+    nowhere for a 2-D class of a 1-D box, and at every survivor for
+    (MAX_V, 1), the screen's own certificate.  |A+B| <= 128 in two words."""
+    pop, ab = np.arange(129)[:, None], np.arange(width * width + 1)
+    return {(v, k): (certified_size(pop, v, k) ** 2 < v * v * ab) & (k <= d) for v, k in CLASSES}
 
 
 @dataclass
@@ -166,13 +175,11 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     shifts = bit_index(padded_points(sets), sum_shape(dims), d).astype(np.uint64)
     masks = np.bitwise_or.reduce(np.uint64(1) << shifts, axis=1)
     width = shifts.shape[1]
-    # The screen fails iff (|A+B| + MAX_V - 1)^2 < MAX_V^2 |A||B|, that is iff
-    # |A+B| < ceil(MAX_V sqrt(|A||B|)) - MAX_V + 1 =: lim[|A| - 1, j] for B =
-    # sets[j] (exact integer roots).  |A+B| <= 128 and |A|, |B| <= 64, so the
-    # counts, limits and Cauchy-Davenport bounds below all fit uint8.
-    by_size = [[max(0, isqrt(MAX_V**2 * a * b - 1) + 2 - MAX_V) for b in range(1, width + 1)]
-               for a in range(1, width + 1)]
-    lim = np.array(by_size, dtype=np.uint8)[:, sizes - 1]
+    fails = failure_tables(d, width)
+    # A certificate failing at |A+B| fails below it too, so the screen fails iff
+    # |A+B| < lim[|A| - 1, j], the count of its failing values, for B = sets[j].
+    # |A+B| <= 128 and |A|, |B| <= 64: counts, limits, Cauchy-Davenport fit uint8.
+    lim = fails[(MAX_V, 1)].sum(axis=0, dtype=np.uint8)[np.arange(1, width + 1)[:, None] * sizes]
     sizes8 = sizes.astype(np.uint8)
 
     # blocks of rows i0 <= i < i1, each row paired with every j >= i0, and
@@ -185,11 +192,6 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
         i0 = i1
     size = max((i1 - i0) * (n - i0) for i0, i1 in blocks)
     bufs = [np.empty(size, dtype=np.uint64) for _ in range(sum_words(dims) + 1)]
-    # where each class's certificate fails, as a table over (|A+B|, |A||B|):
-    # nowhere for a 2-D class of a 1-D box, and at every survivor for
-    # (MAX_V, 1), the screen's own certificate
-    pop_ax, ab_ax = np.arange(129)[:, None], np.arange(width * width + 1)
-    fails = {(v, k): (certified_size(pop_ax, v, k) ** 2 < v * v * ab_ax) & (k <= d) for v, k in CLASSES}
 
     # (i, j) of each class's pairs, one array each per block
     found = {c: ([], []) for c in CLASSES}

@@ -36,10 +36,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .functional import WeightedFunction, _int_weights, _quotient, holder_conjugate
 from .groups import GroupContext, PointSet, Vec, sumset
 
-TOOL_VERSION = "0.1.0"
 DEFAULT_NODE_CEILING = 5_000_000
 NODE_CEILING_ENV = "SUMSETLAB_NODE_CEILING"
 
@@ -569,6 +569,7 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     sums floats."""
     if not f.entries:
         raise ValueError("f must have nonempty support")
+    _require_strategy(cfg, "gamma", ("exhaustive",))
     ctx = f.context
     weights, denom = _int_weights(f)
     tops = sorted(set(weights), reverse=True)

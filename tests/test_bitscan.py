@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,22 @@ def test_recheck_streams_rows():
         tracemalloc.stop()
     assert res["counterexample"] and res["checked_pairs"] == len(scan.surv_i) == 228851
     assert peak < 20 * 2**20, peak
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_screen_limit_matches_the_closed_form(d):
+    # build_scan screens at the count of |A+B| values whose (MAX_V, 1)
+    # certificate fails.  That count is the closed form: (s + v - 1)^2 < v^2 ab
+    # iff s < ceil(v sqrt(ab)) - v + 1, in exact integer roots, capped at
+    # 129, past the largest |A+B| of two words
+    v = bitscan.MAX_V
+    for width in range(1, 65):
+        fails = bitscan.failure_tables(d, width)[(v, 1)]
+        limit = fails.sum(axis=0)
+        closed = [0] + [min(129, max(0, isqrt(v * v * ab - 1) + 2 - v)) for ab in range(1, width * width + 1)]
+        assert limit.tolist() == closed
+        # a failing certificate fails at every smaller |A+B|: the count is a threshold
+        assert np.array_equal(fails, np.arange(129)[:, None] < limit)
 
 
 def test_screen_class_is_not_stored():

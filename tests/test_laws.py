@@ -1,8 +1,12 @@
 """Verdict checks for the proved inequalities, plus the seeded suites."""
 
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +122,18 @@ class TestQuasicubeBeta:
         assert not beta_estimate(V, cfg).complete
         with pytest.raises(ValueError, match="node ceiling"):
             check_quasicube_beta(V, cfg)
+
+    @pytest.mark.parametrize("variant", ["isometric", "isomeric"])
+    @pytest.mark.parametrize("pts, hi, card", [((0, 4, 8), 11, 6), ((0, 1, 2), 3, 4)])
+    def test_variants_go_to_beta_estimate(self, variant, pts, hi, card):
+        # the bit scan scans unrestricted pairs only: a variant's verdict is
+        # that of its own complete pair stream
+        V = ps(Z1, [(x,) for x in pts])
+        cfg = SearchConfig(box=((0, hi),), max_cardinality=card, variant=variant)
+        v, r = check_quasicube_beta(V, cfg), beta_estimate(V, cfg)
+        assert r.complete and v.note == "" and v.margin == r.value_exact - len(V) ** 2
+        ce = {"A": [list(q) for q in r.witness_a], "B": [list(q) for q in r.witness_b], "V": [[x] for x in pts]}
+        assert v.counterexample == (None if v.holds else ce) and v.holds == (v.margin == 0)
 
     def test_requires_exact_config(self):
         with pytest.raises(ValueError):
@@ -280,6 +296,16 @@ class TestProductAndTensorization:
         v = check_product_multiplicativity(U, U, cfg, cfg)
         assert v.holds and v.margin == 0
 
+    @pytest.mark.parametrize("u, hi, margin", [((0, 1, 2), 2, F(29, 9)), ((0, 1, 3), 3, 11)])
+    def test_product_window_holds_sets_that_are_no_products(self, u, hi, margin):
+        # the product window at cardinality 4 also holds sets that are no
+        # products (A = B = {(0,0), (1,0), (2,0)} for U = {0,1,2}), so gamma-hat
+        # of U x V falls strictly below the product: only "<=" is a theorem
+        U, V = ps(Z1, [(x,) for x in u]), ps(Z1, [(0,), (1,)])
+        cfg = SearchConfig(box=((0, hi),), max_cardinality=2)
+        for v in (check_product_multiplicativity(U, V, cfg, cfg), check_product_multiplicativity(V, U, cfg, cfg)):
+            assert v.holds and v.margin == margin and v.counterexample is None
+
     def test_tensorization_of_the_square(self):
         f = WeightedFunction.indicator(ps(Z2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
         line = SearchConfig(box=((0, 2),), max_cardinality=2)
@@ -318,14 +344,54 @@ def test_law_refuses_a_cut_window(check):
         check(LINE)
 
 
-@pytest.mark.parametrize("check", [
-    lambda cfg: check_prekopa_discrete(U01, F(3), cfg),
-    lambda cfg: check_independence_beta(U01, 2, cfg),
-], ids=["prekopa_discrete", "independence_beta"])
-def test_law_refuses_a_heuristic_estimate(check):
-    # a hill climb never covers its window, whatever the ceiling
-    with pytest.raises(ValueError, match="^a hill_climb estimate covers no whole window$"):
+@pytest.mark.parametrize("check, error", [
+    (lambda cfg: check_prekopa_discrete(U01, F(3), cfg), "a hill_climb estimate covers no whole window"),
+    (lambda cfg: check_independence_beta(U01, 2, cfg), "a hill_climb estimate covers no whole window"),
+    (lambda cfg: check_product_multiplicativity(U01, U01, cfg, cfg), "gamma estimates have no hill_climb strategy"),
+    (lambda cfg: check_tensorization(SQUARE, replace(cfg, box=((0, 2), (0, 2))), cfg, cfg),
+     "gamma estimates have no hill_climb strategy"),
+], ids=["prekopa_discrete", "independence_beta", "product_multiplicativity", "tensorization"])
+def test_law_refuses_a_heuristic_estimate(check, error):
+    # a hill climb never covers its window, whatever the ceiling, and gamma
+    # has none: its indicator scan would run exhaustively and echo it
+    with pytest.raises(ValueError, match=f"^{error}$"):
         check(replace(LINE, strategy="hill_climb", node_ceiling=DEFAULT_NODE_CEILING))
+
+
+# the bit scan's kernel, forged to name a witness below |V|^2 that does not
+# replay to it (A = {0}, B = {0, 1} give |A+B+V| = 2, not a squared ratio
+# of 1/2); and beta_estimate, forged to give 1/2 at A = B = {0}: the law
+# must refuse either verdict, also under -O
+FORGED_KERNELS = """
+import dataclasses, sys
+from fractions import Fraction
+from sumsetlab import laws
+from sumsetlab.groups import GroupContext, PointSet
+from sumsetlab.search import SearchConfig
+
+V, cfg = PointSet.of(GroupContext(1), [(0,)]), SearchConfig(box=((0, 2),), max_cardinality=2)
+laws.bitscan.verify_subset_beta = lambda scan, v: {
+    "pair_count": 21, "checked_pairs": 1, "counterexample": {"A": ((0,),), "B": ((0,), (1,)), "slack": -1}}
+real = laws.beta_estimate
+laws.beta_estimate = lambda V, cfg: dataclasses.replace(real(V, cfg), value_exact=Fraction(1, 2))
+for variant in ("unrestricted", "isomeric"):
+    try:
+        laws.check_quasicube_beta(V, dataclasses.replace(cfg, variant=variant))
+    except AssertionError as err:
+        print(sys.flags.optimize, err)
+"""
+
+
+def test_witness_replay_runs_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_KERNELS],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("1 witness of V = ((0,),) replays to 2^2/2, not 1/2\n"
+                           "1 witness of V = ((0,),) replays to 1^2/1, not 1/2\n"), done.stdout
 
 
 class TestFreiman:

@@ -349,12 +349,14 @@ class TestGammaEstimate:
     (alpha_estimate, "geometric_family"),
     (beta_estimate, "geometric_family"),
     (gamma_estimate, "hill_climb"),
+    (gamma_indicator_estimate, "hill_climb"),
+    (gamma_indicator_estimate, "geometric_family"),
 ])
 def test_estimate_rejects_strategy_it_does_not_run(estimate, strategy):
     # a report that echoed the strategy would name a search that never ran
     cfg = SearchConfig(box=((0, 1),), max_cardinality=2, strategy=strategy)
     U = ps(Z1, [(0,), (1,)])
-    arg = WeightedFunction.indicator(U) if estimate is gamma_estimate else U
+    arg = WeightedFunction.indicator(U) if estimate in (gamma_estimate, gamma_indicator_estimate) else U
     with pytest.raises(ValueError, match=f"no {strategy} strategy"):
         estimate(arg, cfg)
 
