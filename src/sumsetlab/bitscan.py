@@ -5,7 +5,7 @@ that |A+B+V|^2 >= |V|^2 |A| |B| with exact integer arithmetic, and that
 equality is attained (singleton pairs give |A+B+V| = |V|).  The pair space
 is large (~10^8 for a 6x6 box at cardinality 4), so pairs are packed into
 bitmask grids and screened by one numpy popcount pass; only pairs failing an
-exact integer certificate keep their packed A+B, to be re-checked per V.
+exact integer certificate are kept, to have A+B formed again per V.
 
 The certificate lower-bounds |X+V| from s = |X|, v = |V| and the affine
 dimension of V (`certified_size`), with X = A+B in a torsion-free group:
@@ -16,16 +16,21 @@ dimension of V (`certified_size`), with X = A+B in a torsion-free group:
   sets in several dimensions", Combinatorica 14, 1994) at d = 2, since X+V
   holds a translate of V and so is at least 2-D (project to Z^2 if it is
   more).
-A pair is safe for V once certified_size(s, v, dim V)^2 >= v^2 |A| |B|.  The
-bounds themselves are property-tested in the suite; survivors are decided
-by direct computation, so the scan stays exact.
+A pair is safe for V once certified_size(s, v, dim V)^2 >= v^2 |A| |B|.  At
+v <= 2 every pair is safe: Cauchy-Davenport gives s >= a+b-1, so (s+1)^2 >=
+(a+b)^2 >= 4ab.  The bounds themselves are property-tested in the suite;
+survivors are decided by direct computation, so the scan stays exact.
 
-The build's screen uses the collinear bound at v = MAX_V, the weakest
-certificate of any V the scan serves, so one set of survivors serves every
-V.  A survivor is kept as its pair (i, j) only; each (v, dim) class of
-`CLASSES` whose certificate is stronger than the screen keeps, i-major, the
-survivors it fails for, and the class (MAX_V, 1), whose certificate is the
-screen, is the survivors themselves.  A V rechecks only its class's pairs.
+A scan serves the V of one dimension, `dim`: its classes are the (v, dim)
+of `CLASSES`, and its screen is the union of their failure tables.  Each
+table is a prefix in |A+B|, and (3, dim)'s lies within (MAX_V, dim)'s, so
+the screen is the certificate of (MAX_V, dim), one threshold on |A+B| per
+(|A|, |B|).  A survivor is kept as its pair (i, j) only; each class keeps,
+i-major, the survivors it fails for, and the class (MAX_V, dim), whose
+certificate is the screen, is the survivors themselves.  A V rechecks only
+its class's pairs.  A 2-D V reads Ruzsa's bound alone, so on the 5x4 window
+at cardinality 4 its scan keeps 5,175 survivors, where the collinear screen
+of a 1-D V keeps 228,851.
 
 Grid packing: a point's bit is its search.bit_index on the grid of A+B,
 2k-1 cells along an axis k wide (`sum_shape`), first axis fastest: (x, y)
@@ -42,7 +47,8 @@ for all its rows and every j >= i0, each shift writing in place into
 buffers allocated once per build for the largest block.  Cells below the
 diagonal (j < i) are real sumsets too, so the Cauchy-Davenport check covers
 the whole block, and only their screen hits are dropped.  The pairs it
-records, and so every verdict, depend only on the box and the cardinality.
+records, and so every verdict, depend only on the box, the cardinality and
+the dimension served.
 """
 
 from __future__ import annotations
@@ -58,10 +64,10 @@ from .search import bit_index, canonical_subsets, padded_points
 
 Pt = tuple[int, ...]
 
-MAX_V = 4  # the largest |V| the certificate of build_scan covers
-# the (|V|, dim V) classes a scan lists failing survivors for; a V of one
-# point is always certified, and two points are collinear
-CLASSES = tuple((v, k) for v in range(2, MAX_V + 1) for k in (1, 2) if k < v)
+MAX_V = 4  # the largest |V| the certificates of build_scan cover
+# the (|V|, dim V) classes a scan lists failing survivors for: a V of at
+# most two points is always certified, and v points span at most v-1 dimensions
+CLASSES = tuple((v, k) for v in range(3, MAX_V + 1) for k in (1, 2) if k < v)
 _BLOCK_CELLS = 1 << 15  # about this many (i, j) cells per numpy call of the build
 
 
@@ -75,24 +81,26 @@ def certified_size(s, v: int, dim: int):
     return bound
 
 
-def failure_tables(d: int, width: int) -> dict[tuple[int, int], np.ndarray]:
-    """Where each class's certificate fails in a d-dimensional box, as a
+def failure_tables(dim: int, width: int) -> dict[tuple[int, int], np.ndarray]:
+    """Where the certificate of each class (v, dim) of CLASSES fails, as a
     boolean table over (|A+B|, |A||B|) for sets of at most `width` points:
-    nowhere for a 2-D class of a 1-D box, and at every survivor for
-    (MAX_V, 1), the screen's own certificate.  |A+B| <= 128 in two words."""
+    at every survivor for (MAX_V, dim), the screen's own certificate.
+    |A+B| <= 128 in two words."""
     pop, ab = np.arange(129)[:, None], np.arange(width * width + 1)
-    return {(v, k): (certified_size(pop, v, k) ** 2 < v * v * ab) & (k <= d) for v, k in CLASSES}
+    return {(v, k): certified_size(pop, v, k) ** 2 < v * v * ab for v, k in CLASSES if k == dim}
 
 
 @dataclass
 class ExhaustiveBetaScan:
     dims: tuple[int, ...]
+    dim: int  # the dimension of the V of at least three points it serves
     sets: list[tuple[Pt, ...]]
     masks: np.ndarray  # each set's bits, one uint64 word
     shifts: np.ndarray  # each set's bit offsets, padded to one width with its first
     # the surviving pairs (i, j), i-major, as int32 (n < 2^31 in any window that
-    # fits in memory), and per class of CLASSES the survivors, in order, whose
-    # certificate for it fails; the class (MAX_V, 1) is (surv_i, surv_j)
+    # fits in memory), and per class (v, dim) of CLASSES the survivors, in
+    # order, whose certificate for it fails; the class (MAX_V, dim) is
+    # (surv_i, surv_j)
     surv_i: np.ndarray
     surv_j: np.ndarray
     classes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -152,22 +160,27 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
     return canonical_subsets(GroupContext(len(dims)), [(0, n - 1) for n in dims], max_card)
 
 
-def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
+def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaScan:
     """One popcount pass over all canonical unordered pairs, block by block
     of rows, recording i-major the pairs the integer certificate cannot
-    clear for some V with |V| <= MAX_V, and, per (|V|, dim V) class of
-    CLASSES, the survivors it fails for (`ExhaustiveBetaScan.classes`).
+    clear for some V of dimension `dim` with |V| <= MAX_V, and, per class
+    (|V|, dim) of CLASSES, the survivors it fails for
+    (`ExhaustiveBetaScan.classes`).
 
-    The screen tests the collinear bound s+v-1 at v = MAX_V.  It fails at v
-    iff s-1 < v(sqrt(ab)-1), whose right side never decreases in v, so it
-    fails for some v <= MAX_V iff it fails at MAX_V; and Ruzsa's bound for
-    2-D V is never below it, so no pair any V needs is dropped.  Screening
-    on Ruzsa's bound instead would drop pairs that collinear V's need."""
+    The screen tests the certificate of (MAX_V, dim).  A certificate failing
+    at v fails at every larger v up to MAX_V, so no pair a V of this
+    dimension needs is dropped: the collinear bound s+v-1 fails iff
+    s-1 < v(sqrt(ab)-1), whose right side never decreases in v, and
+    tests/test_bitscan.py checks both dimensions' tables at every width up
+    to 64.  A 1-D V needs the collinear screen, which keeps far more pairs
+    than Ruzsa's, so each dimension gets its own scan."""
     dims = tuple(dims)
     reason = unsupported(dims)
     if reason is not None:
         raise ValueError(reason)
     d = len(dims)
+    if not 1 <= dim <= d:
+        raise ValueError(f"a V of dimension {dim} does not fit a {d}-dimensional box")
     sets = anchored_subsets(dims, max_card)
     n = len(sets)
     sizes = np.array([len(s) for s in sets], dtype=np.int64)
@@ -175,11 +188,12 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     shifts = bit_index(padded_points(sets), sum_shape(dims), d).astype(np.uint64)
     masks = np.bitwise_or.reduce(np.uint64(1) << shifts, axis=1)
     width = shifts.shape[1]
-    fails = failure_tables(d, width)
+    fails = failure_tables(dim, width)
+    screen = (MAX_V, dim)
     # A certificate failing at |A+B| fails below it too, so the screen fails iff
     # |A+B| < lim[|A| - 1, j], the count of its failing values, for B = sets[j].
     # |A+B| <= 128 and |A|, |B| <= 64: counts, limits, Cauchy-Davenport fit uint8.
-    lim = fails[(MAX_V, 1)].sum(axis=0, dtype=np.uint8)[np.arange(1, width + 1)[:, None] * sizes]
+    lim = fails[screen].sum(axis=0, dtype=np.uint8)[np.arange(1, width + 1)[:, None] * sizes]
     sizes8 = sizes.astype(np.uint8)
 
     # blocks of rows i0 <= i < i1, each row paired with every j >= i0, and
@@ -194,7 +208,7 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     bufs = [np.empty(size, dtype=np.uint64) for _ in range(sum_words(dims) + 1)]
 
     # (i, j) of each class's pairs, one array each per block
-    found = {c: ([], []) for c in CLASSES}
+    found = {c: ([], []) for c in fails}
     for i0, i1 in blocks:
         shape = (i1 - i0, n - i0)
         tmp, *words = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
@@ -209,14 +223,14 @@ def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
         i, j, k = (r[keep] + i0).astype(np.int32), (c[keep] + i0).astype(np.int32), k[keep]
         pop, ab = pop.ravel()[k], sizes[i] * sizes[j]
         for c, (i_parts, j_parts) in found.items():
-            hit = fails[c][pop, ab]
+            hit = slice(None) if c == screen else fails[c][pop, ab]
             i_parts.append(i[hit])
             j_parts.append(j[hit])
 
     classes = {c: (np.concatenate(i_parts), np.concatenate(j_parts))
                for c, (i_parts, j_parts) in found.items()}
-    surv_i, surv_j = classes[(MAX_V, 1)]
-    return ExhaustiveBetaScan(dims, sets, masks, shifts, surv_i, surv_j, classes, n * (n + 1) // 2)
+    surv_i, surv_j = classes[screen]
+    return ExhaustiveBetaScan(dims, dim, sets, masks, shifts, surv_i, surv_j, classes, n * (n + 1) // 2)
 
 
 def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict:
@@ -228,7 +242,9 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     the A and B of the first minimum and its slack |A+B+V|^2 - |V|^2 |A||B|),
     `pair_count` and `checked_pairs`, the survivors rechecked for this V:
     those the build listed for V's (|V|, dim V) class, where its certificate
-    (collinear, or Ruzsa's for 2-D V) fails.
+    (collinear, or Ruzsa's for 2-D V) fails, and none at |V| <= 2.
+    ValueError for a V of at least three points whose dimension the scan
+    does not serve.
     """
     d = len(scan.dims)
     vpts = sorted({tuple(p) for p in v_points})
@@ -241,16 +257,15 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     if reason is not None:
         raise ValueError(reason)
     v = len(vpts)
-
-    # the pairs whose certificate fails for V's class (none at v = 1, where
-    # s >= a+b-1 >= sqrt(ab))
     dim_v = dimension(PointSet.of(GroupContext(d), vpts))
-    i, j = scan.classes[(v, dim_v)] if v > 1 else (np.zeros(0, dtype=np.intp),) * 2
-    result = {
-        "pair_count": scan.pair_count,
-        "counterexample": None,
-        "checked_pairs": len(i),
-    }
+    result = {"pair_count": scan.pair_count, "counterexample": None, "checked_pairs": 0}
+    if (v, dim_v) not in CLASSES:  # at most two points: every certificate holds
+        return result
+    if dim_v != scan.dim:
+        raise ValueError(f"V is {dim_v}-dimensional, but the scan serves dimension {scan.dim}")
+    # the pairs whose certificate fails for V's class
+    i, j = scan.classes[(v, dim_v)]
+    result["checked_pairs"] = len(i)
     if not len(i):
         return result
     # Row r of A+B is the 2w-1 bits from bit r*(2w-1) of the pair's words; row

@@ -99,9 +99,8 @@ def save_state(state: ScanState, path: str) -> None:
     except OSError as e:  # name the checkpoint, not the random temp file
         raise OSError(e.errno, e.strerror, path) from None
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(json_value(state), fh, sort_keys=True)
-            fh.write("\n")
+        with os.fdopen(fd, "w") as fh:  # json.dumps runs the C encoder, json.dump the Python one
+            fh.write(json.dumps(json_value(state), sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -42,6 +42,7 @@ from .search import (
     beta_estimate,
     alpha_estimate,
     c_p_constant,
+    canonical_count,
     canonical_subsets,
     gamma_indicator_estimate,
     geometric_family_ratio,
@@ -87,7 +88,11 @@ def _normalized_free(V: PointSet) -> tuple[Vec, ...]:
     )
 
 
-_SCAN_CACHE: dict[tuple, bitscan.ExhaustiveBetaScan] = {}  # bit scans by (dims, max_card)
+# bit scans by (dims, max_card, dim V), kept for the life of the process: a
+# suite or conjecture scan checks many V on one window, and each V would
+# otherwise pay the whole build.  Each window and V dimension holds at most
+# one scan; the stock suite and a log-span scan build one each.
+_SCAN_CACHE: dict[tuple, bitscan.ExhaustiveBetaScan] = {}
 
 
 def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Verdict:
@@ -98,8 +103,10 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     minimum in the box's frame, the same whichever scan decides, and must
     replay to the margin through groups.sumset (AssertionError otherwise).
 
-    The bit scan decides unrestricted pairs; inputs it refuses and other
-    variants go to beta_estimate, read through search.require_complete.
+    The bit scan decides unrestricted pairs, with one scan per window and
+    dimension of V, and none for a V of at most two points, whose
+    certificate clears every pair; inputs it refuses and other variants go
+    to beta_estimate, read through search.require_complete.
     `threads` is kept for compatibility and has no effect: the scan is
     sequential."""
     if cfg.strategy != "exhaustive" or cfg.p != 2:
@@ -113,10 +120,15 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     # wide boxes or V's, and the isometric and isomeric variants
     if (cfg.variant == "unrestricted" and ctx.is_torsion_free and ctx.free_rank == len(dims)
             and bitscan.unsupported(dims, v_free) is None):
-        key = (dims, cfg.max_cardinality)
-        if key not in _SCAN_CACHE:
-            _SCAN_CACHE[key] = bitscan.build_scan(*key)
-        res = bitscan.verify_subset_beta(_SCAN_CACHE[key], v_free)
+        dim_v = dimension(V)
+        if (len(V), dim_v) in bitscan.CLASSES:
+            key = (dims, cfg.max_cardinality, dim_v)
+            if key not in _SCAN_CACHE:
+                _SCAN_CACHE[key] = bitscan.build_scan(*key)
+            res = bitscan.verify_subset_beta(_SCAN_CACHE[key], v_free)
+        else:  # at most two points: every pair's certificate holds, so no scan is built
+            n = canonical_count(ctx, cfg.box, cfg.max_cardinality)
+            res = {"pair_count": n * (n + 1) // 2, "counterexample": None, "checked_pairs": 0}
         ce, margin = res["counterexample"], Fraction(0)
         if ce is not None:  # the scan anchors A and B at the origin: move them to the box's low corner
             A, B = ([[c + lo for c, (lo, _) in zip(q, cfg.box)] for q in ce[k]] for k in ("A", "B"))

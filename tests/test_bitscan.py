@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from sumsetlab import bitscan
 from sumsetlab.groups import GroupContext, PointSet, dimension, sumset
+from sumsetlab.search import canonical_count
 
 # window -> cardinality.  Rows of A+B in (3, 7) and (2, 12) leave the low
 # word: row 12 of (3, 7) straddles both words (bits 60-64), and so does row
@@ -32,18 +33,31 @@ WINDOWS = {(5,): 4, (6,): 4, (3, 3): 3, (4, 3): 3, (2, 5): 3, (3, 7): 2, (2, 12)
 RECHECK_WINDOWS = sorted(set(WINDOWS) - {(32,), (33,)})
 
 
+def window_dims(windows):
+    """Each window with each dimension of V it holds, named by the window
+    alone for 1-D V."""
+    return [pytest.param(dims, dim, id=str(dims) if dim == 1 else f"{dims} dim {dim}")
+            for dims in windows for dim in (1, 2) if dim <= len(dims)]
+
+
+@functools.lru_cache(maxsize=None)
+def scan_of(dims, dim):
+    """The scan of a window for the V of dimension dim."""
+    return bitscan.build_scan(dims, WINDOWS[dims], dim)
+
+
 @functools.lru_cache(maxsize=None)
 def window(dims):
-    """The scan of a window, and every anchored pair (i <= j) of its sets in
-    i-major order with |A||B| and A+B built by `groups.sumset`."""
-    scan = bitscan.build_scan(dims, WINDOWS[dims])
+    """A window's anchored sets, its group, and every pair (i <= j) of its
+    sets in i-major order with |A||B| and A+B built by `groups.sumset`."""
+    sets = bitscan.anchored_subsets(dims, WINDOWS[dims])
     ctx = GroupContext(len(dims))
-    sets = [PointSet.of(ctx, s) for s in scan.sets]
+    points = [PointSet.of(ctx, s) for s in sets]
     pairs = [
-        (i, j, len(sets[i]) * len(sets[j]), sumset(sets[i], sets[j]))
+        (i, j, len(points[i]) * len(points[j]), sumset(points[i], points[j]))
         for i, j in itertools.combinations_with_replacement(range(len(sets)), 2)
     ]
-    return scan, ctx, pairs
+    return sets, ctx, pairs
 
 
 def certificate(s, v, dim):
@@ -58,7 +72,7 @@ def oracle(dims, V):
     unproved, by brute force: A and B attain the first minimum of
     |A+B+V|^2 / (|A||B|) over all pairs, compared exactly, and the slack is
     |A+B+V|^2 - v^2|A||B| there."""
-    scan, ctx, pairs = window(dims)
+    sets, ctx, pairs = window(dims)
     U = PointSet.of(ctx, V)
     v = len(U)
     dim = dimension(U)
@@ -70,7 +84,7 @@ def oracle(dims, V):
             size_of[AB.points] = len(sumset(AB, U))
         ratio = Fraction(size_of[AB.points] ** 2, ab)
         if best is None or ratio < best[0]:
-            best = (ratio, scan.sets[i], scan.sets[j], size_of[AB.points] ** 2 - v * v * ab)
+            best = (ratio, sets[i], sets[j], size_of[AB.points] ** 2 - v * v * ab)
         unproved += v > 1 and certificate(len(AB), v, dim) ** 2 < v * v * ab
     return None if best[0] >= v * v else best[1:], unproved
 
@@ -91,23 +105,25 @@ def decode(dims, words):
     return {(k,) if len(dims) == 1 else (k % stride, k // stride) for k in bits}
 
 
-@pytest.mark.parametrize("dims", sorted(WINDOWS), ids=str)
-def test_build_matches_brute_force(dims):
-    # survivors are the pairs, i-major, the collinear certificate leaves
-    # unproved at some v in [2, MAX_V]; each (v, dim) class lists, in the
-    # same order, the survivors whose certificate fails, for dim <= d; and
-    # the packed words `_pack_sums` forms for a survivor decode to its A+B
-    scan, _, pairs = window(dims)
+@pytest.mark.parametrize("dims, dim", window_dims(sorted(WINDOWS)))
+def test_build_matches_brute_force(dims, dim):
+    # survivors are the pairs, i-major, that the certificate of V's
+    # dimension leaves unproved at some v in [2, MAX_V] (none at v = 2, so
+    # CLASSES starts at 3); each class (v, dim) lists, in the same order,
+    # the survivors whose certificate fails; and the packed words
+    # `_pack_sums` forms for a survivor decode to its A+B
+    scan = scan_of(dims, dim)
+    sets, _, pairs = window(dims)
     unsafe = [
         (i, j, ab, AB) for i, j, ab, AB in pairs
-        if any((len(AB) + v - 1) ** 2 < v * v * ab for v in range(2, bitscan.MAX_V + 1))
+        if any(certificate(len(AB), v, dim) ** 2 < v * v * ab for v in range(2, bitscan.MAX_V + 1))
     ]
+    assert scan.sets == sets and scan.dim == dim
     assert list(zip(scan.surv_i.tolist(), scan.surv_j.tolist())) == [(i, j) for i, j, _, _ in unsafe]
-    assert sorted(scan.classes) == sorted(bitscan.CLASSES)
-    for (v, dim), (ci, cj) in scan.classes.items():
+    assert sorted(scan.classes) == [c for c in bitscan.CLASSES if c[1] == dim]
+    for (v, k), (ci, cj) in scan.classes.items():
         assert list(zip(ci.tolist(), cj.tolist())) == [
-            (i, j) for i, j, ab, AB in unsafe
-            if dim <= len(dims) and certificate(len(AB), v, dim) ** 2 < v * v * ab
+            (i, j) for i, j, ab, AB in unsafe if certificate(len(AB), v, k) ** 2 < v * v * ab
         ]
     words = packed_sums(scan, scan.surv_i, scan.surv_j)
     assert len(words) == bitscan.sum_words(dims)
@@ -125,20 +141,20 @@ def test_one_word_boundary(dims, words):
 
 
 @pytest.mark.parametrize("cells", [1, 37, 4099])
-@pytest.mark.parametrize("dims", sorted(WINDOWS) + [(5, 4)], ids=str)
-def test_block_height_changes_nothing(monkeypatch, dims, cells):
+@pytest.mark.parametrize("dims, dim", window_dims(sorted(WINDOWS) + [(5, 4)]))
+def test_block_height_changes_nothing(monkeypatch, dims, dim, cells):
     # one row per block (cells = 1), and blocks of one to many rows whose
     # boundaries fall elsewhere than the default's (37, 4099), give the
     # default build's survivors and class lists; (3, 7) and (2, 12) hold sums
     # that straddle the two words, and (32,) and (33,) lie either side of the
     # one-word switch
     card = WINDOWS.get(dims, 4)
-    default = scan_5x4() if dims == (5, 4) else window(dims)[0]
+    default = scan_5x4(dim) if dims == (5, 4) else scan_of(dims, dim)
     monkeypatch.setattr(bitscan, "_BLOCK_CELLS", cells)
-    scan = bitscan.build_scan(dims, card)
+    scan = bitscan.build_scan(dims, card, dim)
     pairs = [("surv_i", scan.surv_i, default.surv_i), ("surv_j", scan.surv_j, default.surv_j)]
     assert scan.classes.keys() == default.classes.keys()
-    for c in bitscan.CLASSES:
+    for c in scan.classes:
         pairs += [(c, got, want) for got, want in zip(scan.classes[c], default.classes[c])]
     for name, got, want in pairs:
         assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -152,7 +168,7 @@ from sumsetlab import bitscan
 
 bitscan.anchored_subsets = lambda dims, card: [((0,), (0,))]
 try:
-    bitscan.build_scan((5,), 4)
+    bitscan.build_scan((5,), 4, 1)
 except AssertionError as err:
     print(sys.flags.optimize, err)
 """
@@ -191,8 +207,8 @@ def cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_recheck_matches_brute_force(case):
     dims, V = case
-    scan, _, _ = window(dims)
-    res = bitscan.verify_subset_beta(scan, V)
+    dim = dimension(PointSet.of(GroupContext(len(dims)), V))
+    res = bitscan.verify_subset_beta(scan_of(dims, max(dim, 1)), V)
     counterexample, unproved = oracle(dims, V)
     assert res["checked_pairs"] == unproved
     ce = res["counterexample"]
@@ -200,8 +216,7 @@ def test_recheck_matches_brute_force(case):
 
 
 def test_pinned_counterexample():
-    scan, _, _ = window((5,))
-    res = bitscan.verify_subset_beta(scan, [(2,), (0,), (1,)])
+    res = bitscan.verify_subset_beta(scan_of((5,), 1), [(2,), (0,), (1,)])
     assert res["checked_pairs"] == 77
     # |A+B+V| = |{0..8}| = 9 and 9^2 - 3^2 * 4 * 4 = -63
     assert res["counterexample"] == {
@@ -215,7 +230,7 @@ def test_counterexample_minimizes_the_ratio():
     # V = {0, 4, 8}: A = B = V gives |A+B+V|^2 / 9 = 7^2 / 9, below the
     # 15^2 / 36 of A = B = {0, 2, .., 10}, whose slack 15^2 - 3^2 * 36 = -99
     # is the lower; the ratio's minimum is named, with its slack 7^2 - 3^2 * 9
-    res = bitscan.verify_subset_beta(bitscan.build_scan((12,), 6), [(0,), (4,), (8,)])
+    res = bitscan.verify_subset_beta(bitscan.build_scan((12,), 6, 1), [(0,), (4,), (8,)])
     assert res["checked_pairs"] == 5714
     AB = ((0,), (4,), (8,))
     assert res["counterexample"] == {"A": AB, "B": AB, "slack": -32}
@@ -227,7 +242,7 @@ def test_counterexample_is_first_minimum(ce_first):
     # of its pairs' indices, but names the first pair after the
     # counterexample and the other after another survivor: the two pairs tie
     # at the minimum, and the first pair stored is named
-    scan, _, _ = window((6,))
+    scan = scan_of((6,), 1)
     V = [(0,), (1,), (2,)]
     ce = bitscan.verify_subset_beta(scan, V)["counterexample"]
     k = next(k for k in range(len(scan.surv_i))
@@ -257,18 +272,18 @@ def test_counterexample_is_first_minimum(ce_first):
 
 
 @functools.lru_cache(maxsize=None)
-def scan_5x4():
-    return bitscan.build_scan((5, 4), 4)
+def scan_5x4(dim):
+    return bitscan.build_scan((5, 4), 4, dim)
 
 
 def test_recheck_streams_rows():
     # the collinear {0,..,3} x {0} rechecks all 228,851 survivors of the 5x4
-    # scan (its certificate is the build's screen); built one output row at a
-    # time, from words formed one offset column at a time, the peak was 12.8
-    # MB, against 35-40 MB when every row of A+B and of A+B+V is held at
-    # once.  No collinear V of four points is a quasicube, and this one fails
-    # at A = B = V: |A+B+V| = 10 < 4 * 4
-    scan = scan_5x4()
+    # scan for 1-D V (its certificate is the build's screen); built one
+    # output row at a time, from words formed one offset column at a time,
+    # the peak was 12.8 MB, against 35-40 MB when every row of A+B and of
+    # A+B+V is held at once.  No collinear V of four points is a quasicube,
+    # and this one fails at A = B = V: |A+B+V| = 10 < 4 * 4
+    scan = scan_5x4(1)
     tracemalloc.start()
     try:
         res = bitscan.verify_subset_beta(scan, [(0, 0), (1, 0), (2, 0), (3, 0)])
@@ -279,37 +294,61 @@ def test_recheck_streams_rows():
     assert peak < 20 * 2**20, peak
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_screen_limit_matches_the_closed_form(d):
-    # build_scan screens at the count of |A+B| values whose (MAX_V, 1)
-    # certificate fails.  That count is the closed form: (s + v - 1)^2 < v^2 ab
-    # iff s < ceil(v sqrt(ab)) - v + 1, in exact integer roots, capped at
-    # 129, past the largest |A+B| of two words
+@pytest.mark.parametrize("dim", [1, 2])
+def test_screen_limit_matches_the_closed_form(dim):
+    # the scan for V of dimension dim screens at the count of |A+B| values
+    # whose (MAX_V, dim) certificate fails.  That count is a closed form in
+    # exact integer roots, capped at 129, past the largest |A+B| of two
+    # words.  Collinear: (s + v - 1)^2 < v^2 ab iff s < ceil(v sqrt(ab)) - v + 1.
+    # Ruzsa's: s + 2v - 3 at s >= v fails iff s <= isqrt(v^2 ab - 1) - 2v + 3,
+    # and at s < v, v + s - 1 + max(0, s - 2) is counted value by value
     v = bitscan.MAX_V
+
+    def closed(ab):
+        if dim == 1:
+            return min(129, max(0, isqrt(v * v * ab - 1) + 2 - v))
+        small = sum((v + s - 1 + max(0, s - 2)) ** 2 < v * v * ab for s in range(v))
+        return min(129, small + max(0, isqrt(v * v * ab - 1) - 3 * v + 4))
+
     for width in range(1, 65):
-        fails = bitscan.failure_tables(d, width)[(v, 1)]
-        limit = fails.sum(axis=0)
-        closed = [0] + [min(129, max(0, isqrt(v * v * ab - 1) + 2 - v)) for ab in range(1, width * width + 1)]
-        assert limit.tolist() == closed
-        # a failing certificate fails at every smaller |A+B|: the count is a threshold
-        assert np.array_equal(fails, np.arange(129)[:, None] < limit)
+        limit = bitscan.failure_tables(dim, width)[(v, dim)].sum(axis=0)
+        assert limit.tolist() == [0] + [closed(ab) for ab in range(1, width * width + 1)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_screen_is_the_union_of_its_classes(dim):
+    # a failing certificate fails at every smaller |A+B|, so each table is a
+    # threshold on |A+B|, and (v, dim)'s lies within (MAX_V, dim)'s: the
+    # union of a scan's class tables is its screen, (MAX_V, dim), at every
+    # width one word of A holds
+    for width in range(1, 65):
+        tables = bitscan.failure_tables(dim, width)
+        assert sorted(tables) == [c for c in bitscan.CLASSES if c[1] == dim]
+        for fails in tables.values():
+            assert np.array_equal(fails, np.arange(129)[:, None] < fails.sum(axis=0))
+        assert np.array_equal(np.logical_or.reduce(list(tables.values())), tables[(bitscan.MAX_V, dim)])
 
 
 def test_screen_class_is_not_stored():
-    # (MAX_V, 1)'s certificate is the build's screen, so its class is every
-    # survivor; the scan keeps no second copy of its pairs (3.5 MiB of int64
-    # on 5x4)
-    ci, cj = scan_5x4().classes[(bitscan.MAX_V, 1)]
-    assert ci is scan_5x4().surv_i and cj is scan_5x4().surv_j
+    # (MAX_V, dim)'s certificate is the build's screen, so its class is every
+    # survivor; the scan keeps no second copy of its pairs (1.7 MiB of int32
+    # on 5x4 for 1-D V)
+    for dim in (1, 2):
+        ci, cj = scan_5x4(dim).classes[(bitscan.MAX_V, dim)]
+        assert ci is scan_5x4(dim).surv_i and cj is scan_5x4(dim).surv_j
 
 
 def test_scan_retains_pairs_only():
-    # the 5x4 scan at cardinality 4 keeps 228,851 survivors as (i, j) and
-    # its 2,532 sets' masks and offsets: 3.7 MiB of ndarrays, where keeping
-    # each survivor's |A+B|, |A||B| and two packed words took 10.5 MiB
-    scan = scan_5x4()
-    held = {id(a): a for f in dataclasses.fields(scan) for a in ndarrays(getattr(scan, f.name))}
-    assert sum(a.nbytes for a in held.values()) < 4 * 2**20
+    # the 5x4 scan at cardinality 4 keeps its survivors as (i, j) and its
+    # 2,532 sets' masks and offsets.  For 1-D V that is 228,851 survivors and
+    # 1.9 MiB of ndarrays, where keeping each survivor's |A+B|, |A||B| and
+    # two packed words took 10.5 MiB; a 2-D V reads Ruzsa's bound alone,
+    # which leaves 5,175 survivors and 0.14 MiB
+    for dim, survivors, mib in [(1, 228851, 4), (2, 5175, 0.25)]:
+        scan = scan_5x4(dim)
+        held = {id(a): a for f in dataclasses.fields(scan) for a in ndarrays(getattr(scan, f.name))}
+        assert len(scan.surv_i) == survivors
+        assert sum(a.nbytes for a in held.values()) < mib * 2**20
 
 
 def ndarrays(value):
@@ -331,15 +370,53 @@ def test_two_word_boundary(dims, scanned):
     assert bitscan.unsupported(dims) == (None if scanned else too_large)
     if not scanned:
         with pytest.raises(ValueError, match=too_large):
-            bitscan.build_scan(dims, 1)
+            bitscan.build_scan(dims, 1, 1)
 
 
 def test_square_recheck_count():
     # of the 3,206,778 pairs of the 5x4 window, Ruzsa's bound leaves 5,175
-    # unproved for the unit square (the collinear bound leaves all 228,851
-    # survivors), as a brute force with `certificate` over every pair counts
-    res = bitscan.verify_subset_beta(scan_5x4(), [(0, 0), (1, 0), (0, 1), (1, 1)])
+    # unproved for the unit square (the collinear bound would leave 228,851),
+    # as a brute force with `certificate` over every pair counts
+    res = bitscan.verify_subset_beta(scan_5x4(2), [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert res["counterexample"] is None and res["checked_pairs"] == 5175
+
+
+@pytest.mark.parametrize("dims", sorted(WINDOWS) + [(5, 4)], ids=str)
+def test_pair_count_is_canonical_count(dims):
+    # every scan of a window screens the n(n+1)/2 unordered pairs of its n
+    # anchored sets, the n that search.canonical_count gives without listing
+    card = WINDOWS.get(dims, 4)
+    n = canonical_count(GroupContext(len(dims)), [(0, k - 1) for k in dims], card)
+    for dim in range(1, len(dims) + 1):
+        scan = scan_5x4(dim) if dims == (5, 4) else scan_of(dims, dim)
+        assert len(scan.sets) == n and scan.pair_count == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("dim, V", [
+    (1, [(0, 0), (1, 0), (0, 1)]),
+    (2, [(0, 0), (1, 0), (2, 0)]),
+    (2, [(0, 0), (1, 1), (2, 2), (3, 3)]),
+])
+def test_recheck_refuses_another_dimension(dim, V):
+    # a scan lists the classes of one dimension of V only, so a V of three
+    # or more points of the other dimension is refused, not given no pairs
+    with pytest.raises(ValueError, match=f"serves dimension {dim}$"):
+        bitscan.verify_subset_beta(scan_of((3, 3), dim), V)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("V", [[(0, 0)], [(0, 0), (1, 1)]])
+def test_two_points_need_no_recheck(dim, V):
+    # at |V| <= 2 every certificate holds, so either scan decides V with no pair
+    scan = scan_of((3, 3), dim)
+    res = bitscan.verify_subset_beta(scan, V)
+    assert res == {"pair_count": scan.pair_count, "counterexample": None, "checked_pairs": 0}
+
+
+@pytest.mark.parametrize("dims, dim", [((5,), 2), ((5,), 0), ((3, 3), 3), ((3, 3), 0)], ids=str)
+def test_build_refuses_a_dimension_the_box_lacks(dims, dim):
+    with pytest.raises(ValueError, match=f"dimension {dim} does not fit a {len(dims)}-dimensional box"):
+        bitscan.build_scan(dims, 2, dim)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Canonical enumeration, checkpointing, and the conjecture scans."""
 
+import io
 import itertools
 import json
 import random
@@ -19,7 +20,7 @@ from sumsetlab.conjectures import (
     scan_log_span,
 )
 from sumsetlab.groups import GroupContext
-from sumsetlab.search import SearchConfig, canonical_subsets
+from sumsetlab.search import SearchConfig, canonical_subsets, json_value
 
 F = Fraction
 Z1 = GroupContext(1)
@@ -109,6 +110,25 @@ class TestScanState:
             ref = sorted(ref, key=lambda e: (e["margin_float"], json.dumps(e, sort_keys=True)))
             ref = ref[:conjectures.NEAR_LEDGER_SIZE]
             assert s.near == ref
+
+
+    def test_saved_bytes_match_json_dump(self, tmp_path):
+        # save_state writes what json.dump writes, with a full near ledger, a
+        # counterexample and float margins, through the faster json.dumps
+        rng = random.Random(11)
+        s = ScanState("log_span", 640, 2078, 600, 40, [], None,
+                      SearchConfig(box=((-2, 3), (-2, 3)), max_cardinality=4).echo(), out_bytes=12345)
+        for idx in range(3 * conjectures.NEAR_LEDGER_SIZE):
+            V = [[rng.randint(-2, 3), rng.randint(-2, 3)] for _ in range(rng.randint(1, 4))]
+            s.push_near(F(rng.randint(0, 90), rng.randint(1, 7)), {"index": idx, "V": V})
+        s.counterexample = {"index": 7, "V": [[0, 0], [1, 2]], "A": [[0, 0]], "B": [[1, 1]],
+                            "ratio_squared": "7/3"}
+        assert len(s.near) == conjectures.NEAR_LEDGER_SIZE
+        path = tmp_path / "state.json"
+        save_state(s, str(path))
+        ref = io.StringIO()
+        json.dump(json_value(s), ref, sort_keys=True)
+        assert path.read_text() == ref.getvalue() + "\n"
 
 
 class TestLogSpanScan:

@@ -35,7 +35,7 @@ from sumsetlab.laws import (
     petridis_qualify,
     run_suite,
 )
-from sumsetlab.search import DEFAULT_NODE_CEILING, SearchConfig, beta_estimate
+from sumsetlab.search import DEFAULT_NODE_CEILING, SearchConfig, beta_estimate, canonical_count
 
 Z1 = GroupContext(1)
 Z2 = GroupContext(2)
@@ -134,6 +134,31 @@ class TestQuasicubeBeta:
         assert r.complete and v.note == "" and v.margin == r.value_exact - len(V) ** 2
         ce = {"A": [list(q) for q in r.witness_a], "B": [list(q) for q in r.witness_b], "V": [[x] for x in pts]}
         assert v.counterexample == (None if v.holds else ce) and v.holds == (v.margin == 0)
+
+    @pytest.mark.parametrize("pts, box, card", [
+        ([(4,)], ((-1, 2),), 3),
+        ([(0,), (3,)], ((0, 4),), 4),
+        ([(0, 0), (1, 1)], ((0, 4), (0, 3)), 4),
+    ], ids=["one_point", "two_points", "two_points_2d"])
+    def test_two_points_build_no_scan(self, monkeypatch, pts, box, card):
+        # every certificate holds at |V| <= 2, so no scan is built; the note
+        # counts the window's n(n+1)/2 pairs from canonical_count, as a scan would
+        monkeypatch.setattr(laws, "_SCAN_CACHE", {})
+        V = ps(GroupContext(len(box)), pts)
+        v = check_quasicube_beta(V, SearchConfig(box=box, max_cardinality=card))
+        assert laws._SCAN_CACHE == {}
+        n = canonical_count(V.context, box, card)
+        assert v.holds and v.margin == 0 and v.note == f"pairs={n * (n + 1) // 2} rechecked=0"
+
+    def test_scans_are_kept_per_dimension(self, monkeypatch):
+        # a 1-D and a 2-D V of three points on one window read two scans,
+        # each kept under its dimension
+        monkeypatch.setattr(laws, "_SCAN_CACHE", {})
+        cfg = SearchConfig(box=((0, 2), (0, 2)), max_cardinality=3)
+        for pts in ([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 1), (2, 2)], [(1, 0), (0, 1), (1, 1)]):
+            check_quasicube_beta(ps(Z2, pts), cfg)
+        assert sorted(laws._SCAN_CACHE) == [((3, 3), 3, 1), ((3, 3), 3, 2)]
+        assert [s.dim for _, s in sorted(laws._SCAN_CACHE.items())] == [1, 2]
 
     def test_requires_exact_config(self):
         with pytest.raises(ValueError):
@@ -358,10 +383,11 @@ def test_law_refuses_a_heuristic_estimate(check, error):
         check(replace(LINE, strategy="hill_climb", node_ceiling=DEFAULT_NODE_CEILING))
 
 
-# the bit scan's kernel, forged to name a witness below |V|^2 that does not
-# replay to it (A = {0}, B = {0, 1} give |A+B+V| = 2, not a squared ratio
-# of 1/2); and beta_estimate, forged to give 1/2 at A = B = {0}: the law
-# must refuse either verdict, also under -O
+# the bit scan's kernel, forged to name a witness below |V|^2 for the
+# triangle V that does not replay to it (A = {0}, B = {0, (1, 0)} give
+# |A+B+V| = 5, not a squared ratio of 9 - 1/2); and beta_estimate, forged to
+# give 1/2, attained at A = B = {0}: the law must refuse either verdict, also
+# under -O.  V has three points, so the forged kernel is reached
 FORGED_KERNELS = """
 import dataclasses, sys
 from fractions import Fraction
@@ -369,9 +395,10 @@ from sumsetlab import laws
 from sumsetlab.groups import GroupContext, PointSet
 from sumsetlab.search import SearchConfig
 
-V, cfg = PointSet.of(GroupContext(1), [(0,)]), SearchConfig(box=((0, 2),), max_cardinality=2)
-laws.bitscan.verify_subset_beta = lambda scan, v: {
-    "pair_count": 21, "checked_pairs": 1, "counterexample": {"A": ((0,),), "B": ((0,), (1,)), "slack": -1}}
+V = PointSet.of(GroupContext(2), [(0, 0), (1, 0), (0, 1)])
+cfg = SearchConfig(box=((0, 1), (0, 1)), max_cardinality=2)
+laws.bitscan.verify_subset_beta = lambda scan, v: {"pair_count": 55, "checked_pairs": 1, "counterexample": {
+    "A": ((0, 0),), "B": ((0, 0), (1, 0)), "slack": -1}}
 real = laws.beta_estimate
 laws.beta_estimate = lambda V, cfg: dataclasses.replace(real(V, cfg), value_exact=Fraction(1, 2))
 for variant in ("unrestricted", "isomeric"):
@@ -390,8 +417,8 @@ def test_witness_replay_runs_under_optimize():
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == ("1 witness of V = ((0,),) replays to 2^2/2, not 1/2\n"
-                           "1 witness of V = ((0,),) replays to 1^2/1, not 1/2\n"), done.stdout
+    assert done.stdout == ("1 witness of V = ((0, 0), (0, 1), (1, 0)) replays to 5^2/2, not 17/2\n"
+                           "1 witness of V = ((0, 0), (0, 1), (1, 0)) replays to 3^2/1, not 1/2\n"), done.stdout
 
 
 class TestFreiman:
