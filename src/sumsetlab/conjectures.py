@@ -33,6 +33,8 @@ from .search import (
     canonical_subsets,
     frac_str,
     json_value,
+    set_images,
+    signed_permutations,
     variant_estimates,
 )
 
@@ -116,16 +118,6 @@ def load_state(path: str) -> ScanState:
 # --- canonical enumeration modulo translation and signed permutations -------
 
 
-def signed_permutations(dims: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (perm, signs) of the signed coordinate permutations preserving the
-    box shape, p -> (signs[i] * p[perm[i]])_i (8 for a square 2-d box, 4 for
-    a rectangle, 2 on a line); the identity comes first."""
-    d = len(dims)
-    perms = [p for p in itertools.permutations(range(d))
-             if all(dims[p[i]] == dims[i] for i in range(d))]
-    return [(perm, signs) for perm in perms for signs in itertools.product((1, -1), repeat=d)]
-
-
 def _image(points: Sequence[Vec], perm: tuple[int, ...], signs: tuple[int, ...]) -> tuple[Vec, ...]:
     """The points under a signed permutation, translated to min 0 per axis, sorted."""
     imgs = [tuple(s * p[a] for a, s in zip(perm, signs)) for p in points]
@@ -139,13 +131,11 @@ def canonical_form(points: Sequence[Vec], dims: Sequence[int]) -> tuple[Vec, ...
 
 def enumerate_canonical(d: int, side: int, max_size: int) -> list[tuple[Vec, ...]]:
     """Anchored box subsets that are minimal in their unimodular class: no
-    signed permutation maps one below itself (the identity maps an anchored,
-    sorted subset to itself, so it is skipped)."""
-    moves = signed_permutations((side,) * d)[1:]
-    return [
-        pts for pts in canonical_subsets(GroupContext(d), ((0, side - 1),) * d, max_size)
-        if not any(_image(pts, perm, signs) < pts for perm, signs in moves)
-    ]
+    signed permutation maps one below itself.  The subsets are sorted, so
+    that is no image at a lower index (`set_images`)."""
+    sets = canonical_subsets(GroupContext(d), ((0, side - 1),) * d, max_size)
+    least = set_images(sets, (side,) * d).min(axis=0)
+    return [pts for k, pts in enumerate(sets) if least[k] == k]
 
 
 def _require_p2(cfg: SearchConfig) -> None:

@@ -329,8 +329,10 @@ def padded_points(sets: Sequence[Sequence[Vec]]) -> np.ndarray:
     """The (n, width, arity) int64 array of the points of n sets, each set
     padded to the width of the largest with its first point (OR-ing the
     same bit twice changes nothing)."""
-    width = max(len(s) for s in sets)
-    return np.array([list(s) + [s[0]] * (width - len(s)) for s in sets], dtype=np.int64)
+    width, arity = max(len(s) for s in sets), len(sets[0][0])
+    chain = itertools.chain.from_iterable  # one flat run of ints converts fastest
+    flat = chain(chain(s + s[:1] * (width - len(s)) for s in sets))
+    return np.fromiter(flat, dtype=np.int64, count=len(sets) * width * arity).reshape(len(sets), width, arity)
 
 
 def bit_index(points: np.ndarray, shape: Sequence[int], free_rank: int) -> np.ndarray:
@@ -342,6 +344,61 @@ def bit_index(points: np.ndarray, shape: Sequence[int], free_rank: int) -> np.nd
     coords = tuple(points[..., k] for k in range(len(shape)))
     index = np.ravel_multi_index(coords, shape, mode=modes, order="F")
     return np.broadcast_to(index, points.shape[:-1])  # at arity 0 every point is bit 0
+
+
+def signed_permutations(dims: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (perm, signs) of the signed coordinate permutations preserving the
+    box shape, p -> (signs[i] * p[perm[i]])_i (8 for a square 2-d box, 4 for
+    a rectangle, 2 on a line); the identity comes first."""
+    d = len(dims)
+    perms = [p for p in itertools.permutations(range(d))
+             if all(dims[p[i]] == dims[i] for i in range(d))]
+    return [(perm, signs) for perm in perms for signs in itertools.product((1, -1), repeat=d)]
+
+
+def set_images(sets: Sequence[Sequence[Vec]], dims: Sequence[int]) -> np.ndarray:
+    """The (|G|, n) array whose row g holds, for each of the n sets, the index
+    in `sets` of its image under the g-th of the box's signed permutations
+    (`signed_permutations`, the identity first), translated to min 0 per
+    axis.  The sets must be anchored (min 0 per axis), sorted and closed
+    under these maps, as canonical_subsets lists a box's; ValueError
+    otherwise.
+
+    A set's key is its sorted cells, each its C-order index on the box plus
+    1, padded with 0 and written big-endian, so keys compare bytewise as the
+    sets' tuples do, in a box of any size: the sets' own keys are sorted, and
+    each image is found by binary search."""
+    points = padded_points(sets)
+    n, width, d = points.shape
+    padding = np.arange(width) >= np.array([len(s) for s in sets])[:, None]
+    cells = math.prod(dims)
+    axes = [points[..., a] for a in range(d)]
+    tops = [x.max(axis=1, keepdims=True) for x in axes]  # each set's extent; its min is 0
+
+    def cells_of(coords: tuple[np.ndarray, ...]) -> np.ndarray:
+        cell = np.ravel_multi_index(coords, dims) + 1
+        cell[padding] = cells + 1
+        cell.sort(axis=1)  # padding last,
+        cell[cell > cells] = 0  # then below every cell
+        return cell
+
+    def keys(cell: np.ndarray) -> np.ndarray:
+        return cell.astype(">u8").view(f"S{8 * width}").ravel()
+
+    own_cells = cells_of(tuple(axes))
+    own = keys(own_cells)
+    if not np.all(own[1:] > own[:-1]):
+        raise ValueError("the sets are not sorted and distinct")
+    moves = signed_permutations(dims)
+    images = np.empty((len(moves), n), dtype=np.intp)
+    for g, (perm, signs) in enumerate(moves):
+        # axis k of the image is axis perm[k] of the set, reflected in its extent where signs[k] < 0
+        image = cells_of(tuple(axes[a] if s > 0 else tops[a] - axes[a] for a, s in zip(perm, signs)))
+        at = np.searchsorted(own, keys(image))
+        if not np.array_equal(own_cells[np.minimum(at, n - 1)], image):
+            raise ValueError("the sets are not closed under the box's symmetries")
+        images[g] = at
+    return images
 
 
 def _pair_counts(

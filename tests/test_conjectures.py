@@ -51,7 +51,8 @@ class TestCanonicalForm:
         reps = enumerate_canonical(1, 3, 2)
         assert reps == [((0,),), ((0,), (1,)), ((0,), (2,))]
 
-    @pytest.mark.parametrize("d, side, max_size", [(2, 3, 4), (2, 4, 4), (1, 8, 4), (2, 2, 4)])
+    # (2, 9, 3): 1,069 classes in a box of 81 cells, past one 64-bit word
+    @pytest.mark.parametrize("d, side, max_size", [(2, 3, 4), (2, 4, 4), (1, 8, 4), (2, 2, 4), (2, 9, 3)])
     def test_enumeration_keeps_the_minimum_over_transforms(self, d, side, max_size):
         # the enumeration stops at the first image below a subset; it keeps
         # exactly the subsets equal to the least image of any signed

@@ -98,6 +98,69 @@ class TestCanonicalEnumeration:
             assert canonical_count(ctx, box, k) == len(canonical_subsets(ctx, box, k)) == count
 
 
+def anchored(dims, k):
+    return canonical_subsets(GroupContext(len(dims)), [(0, w - 1) for w in dims], k)
+
+
+class TestSetImages:
+    # dims, cardinality and |G|: a square, oblong boxes, lines, a cube, and a
+    # 9x9 box past one word of 64 cells
+    BOXES = [((2, 2), 4, 8), ((3, 3), 3, 8), ((4, 3), 3, 4), ((2, 5), 3, 4), ((5,), 4, 2),
+             ((12,), 3, 2), ((2, 2, 2), 4, 48), ((9, 9), 3, 8)]
+
+    @pytest.mark.parametrize("dims, k, order", BOXES, ids=str)
+    def test_each_row_permutes_the_sets(self, dims, k, order):
+        sets = anchored(dims, k)
+        images = search.set_images(sets, dims)
+        assert images.shape == (order, len(sets)) == (len(search.signed_permutations(dims)), len(sets))
+        assert images[0].tolist() == list(range(len(sets)))  # the identity first
+        for row in images:
+            assert sorted(row.tolist()) == list(range(len(sets)))
+
+    @pytest.mark.parametrize("dims, k, order", BOXES, ids=str)
+    def test_images_match_the_maps(self, dims, k, order):
+        # written out: p -> (signs[a] p[perm[a]])_a, translated to min 0 per
+        # axis and sorted, found by value in the list
+        sets = anchored(dims, k)
+        index = {s: m for m, s in enumerate(sets)}
+        images = search.set_images(sets, dims)
+        for g, (perm, signs) in enumerate(search.signed_permutations(dims)):
+            for m in random.Random(g).sample(range(len(sets)), min(len(sets), 300)):
+                img = [tuple(s * p[a] for a, s in zip(perm, signs)) for p in sets[m]]
+                low = [min(axis) for axis in zip(*img)]
+                want = tuple(sorted(tuple(c - lo for c, lo in zip(q, low)) for q in img))
+                assert images[g, m] == index[want]
+
+    def test_stabilizers_are_kept(self):
+        # the unit square and the 2x2 cross are fixed by all 8 maps of the
+        # square, an L-tromino by a reflection in the diagonal, {0} by all
+        dims = (3, 3)
+        sets = anchored(dims, 4)
+        images = search.set_images(sets, dims)
+        for s, fixed in [(((0, 0), (0, 1), (1, 0), (1, 1)), 8), (((0, 1), (1, 0), (1, 2), (2, 1)), 8),
+                         (((0, 0), (0, 1), (1, 0)), 2), (((0, 0),), 8)]:
+            assert (images[:, sets.index(s)] == sets.index(s)).sum() == fixed
+
+    @pytest.mark.parametrize("dims, k", [((4, 3), 3), ((3, 3), 4), ((7,), 4)], ids=str)
+    def test_sumset_sizes_are_invariant(self, dims, k):
+        # |gA + gB| = |A + B| on sampled pairs, through groups.sumset
+        sets = anchored(dims, k)
+        images = search.set_images(sets, dims)
+        ctx = GroupContext(len(dims))
+        size = lambda i, j: len(sumset(ps(ctx, sets[i]), ps(ctx, sets[j])))
+        rng = random.Random(5)
+        for _ in range(200):
+            i, j = rng.randrange(len(sets)), rng.randrange(len(sets))
+            assert {size(row[i], row[j]) for row in images} == {size(i, j)}
+
+    def test_refuses_sets_it_cannot_index(self):
+        sets = anchored((3, 3), 2)
+        with pytest.raises(ValueError, match="closed"):  # {(0,0), (0,1)} lacks its transpose
+            search.set_images([s for s in sets if s != ((0, 0), (1, 0))], (3, 3))
+        with pytest.raises(ValueError, match="sorted"):
+            search.set_images(sets[::-1], (3, 3))
+
+
 class TestBetaEstimate:
     def test_two_point_set(self):
         U = ps(Z1, [(0,), (1,)])
