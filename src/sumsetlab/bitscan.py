@@ -5,7 +5,8 @@ that |A+B+V|^2 >= |V|^2 |A| |B| with exact integer arithmetic, and that
 equality is attained (singleton pairs give |A+B+V| = |V|).  The pair space
 is large (~10^8 for a 6x6 box at cardinality 4), so pairs are packed into
 bitmask grids and screened by one numpy popcount pass; only pairs failing an
-exact integer certificate are kept, to have A+B formed again per V.
+exact integer certificate are kept, and a class's first recheck forms their
+rows of A+B once for every V of the class.
 
 The certificate lower-bounds |X+V| from s = |X|, v = |V| and the affine
 dimension of V (`certified_size`), with X = A+B in a torsion-free group:
@@ -38,8 +39,20 @@ maps to bit y*(2w-1) + x, so all sums A+B stay in distinct rows.  A fits
 one uint64 word, and A+B fits `sum_words` of them: one when its grid has at
 most 64 cells (every 1-D box up to 32 wide, and 2-D boxes such as 5x4),
 else two.  `_pack_sums` forms those words for many pairs at once, ORing B's
-mask shifted by the offsets of A's points, for the build and again for a
-recheck; the recheck builds each row of A+B+V in one word.
+mask shifted by the offsets of A's points, for the build and for the rows
+of a class.
+
+The recheck reads each pair's A+B as its rows, 2w-1 bits each, kept per
+class with the scan (`_class_rows`): the first V of a class forms them
+through `_pack_sums`, block by block, and every later V reads them.  They
+take 2 bytes per row per pair on 5x4 and 6x6 (uint16; 71 KiB for the 5,175
+pairs of 2-D V on 5x4, 3.1 MiB for the 228,851 of 1-D V, 48.8 MiB for the
+2,328,592 of 1-D V on 6x6), where the packed words would take 8 or 16
+bytes per pair and uint64 rows 8 per row.  Row r of A+B+V is the OR of row
+r-y of A+B shifted by x over the points (x, y) of V, in the narrowest
+unsigned dtype that holds it, formed for blocks of pairs of about
+_BLOCK_CELLS output cells so that the buffers stay in cache.  Only that OR
+depends on V.
 
 The build screens each symmetry class of pairs once.  A signed coordinate
 permutation g of the box maps anchored sets to anchored sets, re-anchored,
@@ -65,7 +78,7 @@ box, the cardinality and the dimension served.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Optional, Sequence
 
@@ -80,7 +93,7 @@ MAX_V = 4  # the largest |V| the certificates of build_scan cover
 # the (|V|, dim V) classes a scan lists failing survivors for: a V of at
 # most two points is always certified, and v points span at most v-1 dimensions
 CLASSES = tuple((v, k) for v in range(3, MAX_V + 1) for k in (1, 2) if k < v)
-_BLOCK_CELLS = 1 << 15  # about this many (i, j) cells per numpy call of the build
+_BLOCK_CELLS = 1 << 15  # about this many cells per numpy call: sums A+B, or rows of A+B+V in a recheck
 
 
 def certified_size(s, v: int, dim: int):
@@ -117,6 +130,10 @@ class ExhaustiveBetaScan:
     surv_j: np.ndarray
     classes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     pair_count: int
+    # per class, the rows of A+B of its pairs (`_class_rows`), formed by its
+    # first recheck; dataclasses.replace starts with none
+    _rows: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
 def sum_shape(dims: Sequence[int]) -> list[int]:
@@ -164,6 +181,37 @@ def _pack_sums(b: np.ndarray, columns, words: list[np.ndarray], tmp: np.ndarray)
                 shift(b, by, out=word)
 
 
+def _class_rows(scan: ExhaustiveBetaScan, cls: tuple[int, int]) -> np.ndarray:
+    """The rows of A+B of the pairs of class `cls`, a (rows, pairs) array in
+    the narrowest unsigned dtype that holds a row's 2w-1 bits (uint16 on the
+    5x4 and 6x6 windows), formed on the class's first use and kept with the
+    scan: every V of the class reads the same rows.
+
+    Row r is the 2w-1 bits from bit r(2w-1) of the pair's words.  With a zero
+    word past the last, it is (w[k] >> s) | (w[k+1] << (64 - s)) for every
+    row, straddling two words or not, as numpy shifts by 64 to 0."""
+    if cls not in scan._rows:
+        i, j = scan.classes[cls]
+        width, *higher = sum_shape(scan.dims)
+        rows = np.empty((prod(higher), len(i)), dtype=np.min_scalar_type((1 << width) - 1))
+        row_mask = np.uint64((1 << width) - 1)
+        # scratch, then the words of A+B and a zero word past them
+        tmp, *words = (np.zeros(min(_BLOCK_CELLS, len(i)), dtype=np.uint64)
+                       for _ in range(sum_words(scan.dims) + 2))
+        for p0 in range(0, len(i), _BLOCK_CELLS):
+            p1 = min(p0 + _BLOCK_CELLS, len(i))
+            scratch, *w = (buf[:p1 - p0] for buf in (tmp, *words))
+            columns = (scan.shifts[i[p0:p1], k] for k in range(scan.shifts.shape[1]))
+            _pack_sums(scan.masks[j[p0:p1]], columns, w[:-1], scratch)
+            for r in range(len(rows)):
+                k, s = divmod(r * width, 64)
+                bits = np.right_shift(w[k], np.uint64(s), out=scratch)
+                bits |= w[k + 1] << np.uint64(64 - s)
+                rows[r, p0:p1] = bits & row_mask
+        scan._rows[cls] = rows
+    return scan._rows[cls]
+
+
 def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]:
     """Nonempty box subsets with min coordinate 0 in every axis, sorted.
 
@@ -197,7 +245,8 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     n = len(sets)
     sizes = np.array([len(s) for s in sets], dtype=np.int64)
     # each set's bits, padded to one width with its first
-    shifts = bit_index(padded_points(sets), sum_shape(dims), d).astype(np.uint64)
+    points = padded_points(sets)
+    shifts = bit_index(points, sum_shape(dims), d).astype(np.uint64)
     masks = np.bitwise_or.reduce(np.uint64(1) << shifts, axis=1)
     width = shifts.shape[1]
     fails = failure_tables(dim, width)
@@ -207,7 +256,7 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     # The build's columns are the sets by orbit minimum, so the columns of
     # row i, the sets whose orbit minimum is >= i, are a suffix from its own
     # column; its rows are the sets least in their orbits.
-    images = set_images(sets, dims)
+    images = set_images(points, dims)
     least = images.min(axis=0)
     order = np.argsort(least, kind="stable").astype(np.int32)
     rows = np.flatnonzero(least[order] == order)
@@ -323,36 +372,29 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     result["checked_pairs"] = len(i)
     if not len(i):
         return result
-    # Row r of A+B is the 2w-1 bits from bit r*(2w-1) of the pair's words; row
-    # r of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, and fits
-    # one uint64 by the width check.  Building one output row at a time
-    # keeps only a few pair-sized arrays live.
-    width, *higher = sum_shape(scan.dims)
-    rows = prod(higher)
-    row_mask = np.uint64((1 << width) - 1)
-    words = [np.empty(len(i), dtype=np.uint64) for _ in range(sum_words(scan.dims))]
-    columns = (scan.shifts[i, k] for k in range(scan.shifts.shape[1]))  # one gathered at a time
-    _pack_sums(scan.masks[j], columns, words, np.empty_like(words[0]))
-
-    def row(r: int) -> np.ndarray:
-        w, s = divmod(r * width, 64)
-        bits = words[w] >> np.uint64(s)
-        if s + width > 64:  # the row straddles words w and w + 1
-            bits |= words[w + 1] << np.uint64(64 - s)
-        return bits & row_mask
-
-    xs_at: dict[int, list[np.uint64]] = {}  # x offsets of V per y
-    for p in vpts:
-        xs_at.setdefault(p[1] if d > 1 else 0, []).append(np.uint64(p[0]))
-    t = np.zeros(len(i), dtype=np.int64)
-    for r in range(rows + max(xs_at)):
-        out = np.zeros(len(i), dtype=np.uint64)
-        for y, xs in xs_at.items():
-            if 0 <= r - y < rows:
-                bits = row(r - y)
-                for x in xs:
-                    out |= bits << x
-        t += np.bitwise_count(out)
+    # Row r of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V; it
+    # fits the narrowest unsigned dtype of 2w-1 + max x bits, at most one
+    # uint64 by the width check.  A block of about _BLOCK_CELLS output cells
+    # keeps the buffers in cache.
+    rows = _class_rows(scan, (v, dim_v))
+    height = len(rows)
+    dtype = np.min_scalar_type((1 << (sum_shape(scan.dims)[0] + vpts[-1][0])) - 1)
+    at = [(dtype.type(p[0]), p[1] if d > 1 else 0) for p in vpts]  # V's points (x, y)
+    top = height + max(y for _, y in at)  # the rows of A+B+V
+    (x0, y0), *rest = at
+    block = max(1, _BLOCK_CELLS // top)
+    tmp, out = (np.empty((k, min(block, len(i))), dtype=dtype) for k in (height, top))
+    t = np.empty(len(i), dtype=np.int64)
+    for p0 in range(0, len(i), block):
+        p1 = min(p0 + block, len(i))
+        o, sh = out[:, :p1 - p0], tmp[:, :p1 - p0]
+        w = rows[:, p0:p1].astype(dtype, copy=False)
+        # the first point writes its rows, and the others OR into theirs
+        o[:y0] = o[y0 + height:] = 0
+        np.left_shift(w, x0, out=o[y0:y0 + height])
+        for x, y in rest:
+            o[y:y + height] |= np.left_shift(w, x, out=sh)
+        t[p0:p1] = np.bitwise_count(o).sum(axis=0, dtype=np.uint16)  # t < 2^16
     sizes = np.bitwise_count(scan.masks).astype(np.int64)
     ab = sizes[i] * sizes[j]
     slack = t * t - v * v * ab

@@ -15,7 +15,6 @@ witness ratio exactly from A, B and V before the scan records it.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import os
 import tempfile
@@ -28,11 +27,16 @@ from .laws import check_quasicube_beta
 from .quasicube import log_span_check
 from .search import (
     SearchConfig,
+    _TABLE_LIMIT,
     alpha_estimate,
+    anchored_counts,
     beta_estimate,
+    box_size,
+    box_str,
     canonical_subsets,
     frac_str,
     json_value,
+    padded_points,
     set_images,
     signed_permutations,
     variant_estimates,
@@ -134,8 +138,26 @@ def enumerate_canonical(d: int, side: int, max_size: int) -> list[tuple[Vec, ...
     signed permutation maps one below itself.  The subsets are sorted, so
     that is no image at a lower index (`set_images`)."""
     sets = canonical_subsets(GroupContext(d), ((0, side - 1),) * d, max_size)
-    least = set_images(sets, (side,) * d).min(axis=0)
+    least = set_images(padded_points(sets), (side,) * d).min(axis=0)
     return [pts for k, pts in enumerate(sets) if least[k] == k]
+
+
+def _refuse_long_listing(d: int, side: int, max_size: int) -> None:
+    """Refuse a candidate window before it is listed when the listing is
+    sure to pass _TABLE_LIMIT.  canonical_subsets tries each of the N box
+    points after the sets it extends, about N steps per set, so a window is
+    refused, as search._refuse_wide_window refuses a pair table of N rows
+    per set, once N times its count of sets passes _TABLE_LIMIT at 8 bytes
+    each.  The sets are counted size by size, and counting stops there."""
+    ctx, box = GroupContext(d), ((0, side - 1),) * d
+    n, count = box_size(ctx, box), 0
+    for k_sets in anchored_counts(ctx, box, max_size):
+        count += k_sets
+        if n * count * 8 > _TABLE_LIMIT:
+            raise ValueError(
+                f"the window {box_str(box)} has at least {count} sets of at most {max_size} of its "
+                f"{n} points, and listing them passes the limit of {_TABLE_LIMIT} bytes at 8 per "
+                "set and point; narrow the box or lower --max-size")
 
 
 def _require_p2(cfg: SearchConfig) -> None:
@@ -172,6 +194,7 @@ def _run_shards(
     _require_p2(cfg)
     if max_size < 1:  # no candidate to scan
         raise ValueError(f"max_size must be >= 1, got {max_size}")
+    _refuse_long_listing(d, side, max_size)
     candidates = enumerate_canonical(d, side, max_size)
     config_echo = {"d": d, "side": side, "max_size": max_size, "search": cfg.echo()}
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -268,11 +291,11 @@ def scan_doubling_tripling(
     all complete; exact violations of the proved variant chains are bugs,
     margins of the conjectural equalities and of beta <= alpha^2 are recorded."""
     ctx = GroupContext(d)
-    box_pts = {p for p in itertools.product(*[range(lo, hi + 1) for lo, hi in cfg.box])}
 
     def check(state: ScanState, idx: int, pts: tuple[Vec, ...]) -> Optional[str]:
         U = PointSet.of(ctx, pts)
-        if not set(U.points) <= box_pts:
+        if not all(len(p) == len(cfg.box) and all(lo <= c <= hi for c, (lo, hi) in zip(p, cfg.box))
+                   for p in U.points):  # U lies in the box
             state.skipped += 1
             return None
         betas, alphas = variant_estimates(U, cfg, max(cfg.max_cardinality, len(U)),

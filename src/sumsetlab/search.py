@@ -32,7 +32,7 @@ import os
 import random
 from dataclasses import InitVar, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -179,10 +179,28 @@ def ratio_float(s: Fraction | float, a: int, b: int, p: Fraction) -> float:
 # --- canonical enumeration --------------------------------------------------
 
 
-def box_points(ctx: GroupContext, box: Sequence[tuple[int, int]]) -> list[Vec]:
-    """All group elements whose free part lies in the box (torsion full)."""
+def box_size(ctx: GroupContext, box: Sequence[tuple[int, int]]) -> int:
+    """N, the number of box points (torsion full).  ValueError for a box of
+    the wrong arity, or one whose N points would pass _TABLE_LIMIT at 8
+    bytes each: no scan lists it."""
     if len(box) != ctx.free_rank:
         raise ValueError("box arity does not match the free rank")
+    n = math.prod(hi - lo + 1 for lo, hi in box) * math.prod(ctx.torsion_moduli)
+    if n * 8 > _TABLE_LIMIT:
+        raise ValueError(f"the box {box_str(box)} holds {n} points, above the {_TABLE_LIMIT // 8} "
+                         "a scan lists; narrow the box")
+    return n
+
+
+def box_str(box: Sequence[tuple[int, int]]) -> str:
+    """The box as the command line writes it, lo..hi per axis."""
+    return ",".join(f"{lo}..{hi}" for lo, hi in box)
+
+
+def box_points(ctx: GroupContext, box: Sequence[tuple[int, int]]) -> list[Vec]:
+    """All group elements whose free part lies in the box (torsion full),
+    refused by box_size past _TABLE_LIMIT."""
+    box_size(ctx, box)
     free_ranges = [range(lo, hi + 1) for lo, hi in box]
     tors_ranges = [range(m) for m in ctx.torsion_moduli]
     pts = [
@@ -218,25 +236,30 @@ def canonical_subsets(
         for j in range(start, n - k + 1):
             extend(prefix + (pts[j],), mask | low[j], j + 1, k - 1)
 
-    for k in range(1, max_card + 1):
+    for k in range(1, min(max_card, n) + 1):
         extend((), 0, 0, k)
     out.sort()
     return out
 
 
-def canonical_count(ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int) -> int:
-    """len(canonical_subsets(ctx, box, max_card)), without listing the sets.
-    A set is anchored iff it meets the low face of every free axis, so by
-    inclusion-exclusion over the sets S of low faces that it misses, the
-    count is the sum over S of (-1)^|S| C(N_S, k), k = 1..max_card, with N_S
-    the box points off the faces in S (torsion taken in full)."""
+def anchored_counts(ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int) -> Iterator[int]:
+    """The number of anchored k-sets of the box, for k = 1..max_card.  A set
+    is anchored iff it meets the low face of every free axis, so by
+    inclusion-exclusion over the sets S of low faces that it misses, it is
+    the sum over S of (-1)^|S| C(N_S, k), with N_S the box points off the
+    faces in S (torsion taken in full).  No set has more than the N box
+    points, so k stops at N."""
     widths = [hi - lo + 1 for lo, hi in box]
     tors = math.prod(ctx.torsion_moduli)
-    count = 0
-    for S in itertools.product((0, 1), repeat=len(widths)):
-        n_s = tors * math.prod(w - s for w, s in zip(widths, S))
-        count += (-1) ** sum(S) * sum(math.comb(n_s, k) for k in range(1, max_card + 1))
-    return count
+    terms = [((-1) ** sum(S), tors * math.prod(w - s for w, s in zip(widths, S)))
+             for S in itertools.product((0, 1), repeat=len(widths))]
+    for k in range(1, min(max_card, terms[0][1]) + 1):  # terms[0] misses no face: N
+        yield sum(sign * math.comb(n_s, k) for sign, n_s in terms)
+
+
+def canonical_count(ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int) -> int:
+    """len(canonical_subsets(ctx, box, max_card)), without listing the sets."""
+    return sum(anchored_counts(ctx, box, max_card))
 
 
 def _first_minimum(
@@ -356,21 +379,22 @@ def signed_permutations(dims: Sequence[int]) -> list[tuple[tuple[int, ...], tupl
     return [(perm, signs) for perm in perms for signs in itertools.product((1, -1), repeat=d)]
 
 
-def set_images(sets: Sequence[Sequence[Vec]], dims: Sequence[int]) -> np.ndarray:
-    """The (|G|, n) array whose row g holds, for each of the n sets, the index
-    in `sets` of its image under the g-th of the box's signed permutations
+def set_images(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """The (|G|, n) array whose row g holds, for each of n sets, the index of
+    its image under the g-th of the box's signed permutations
     (`signed_permutations`, the identity first), translated to min 0 per
-    axis.  The sets must be anchored (min 0 per axis), sorted and closed
-    under these maps, as canonical_subsets lists a box's; ValueError
-    otherwise.
+    axis.  The sets are given by their padded_points, the (n, width, d)
+    array, and must be anchored (min 0 per axis), sorted and closed under
+    these maps, as canonical_subsets lists a box's; ValueError otherwise.
+    A set's padding repeats its first point, which no set holds twice.
 
     A set's key is its sorted cells, each its C-order index on the box plus
     1, padded with 0 and written big-endian, so keys compare bytewise as the
     sets' tuples do, in a box of any size: the sets' own keys are sorted, and
     each image is found by binary search."""
-    points = padded_points(sets)
     n, width, d = points.shape
-    padding = np.arange(width) >= np.array([len(s) for s in sets])[:, None]
+    padding = np.zeros((n, width), dtype=bool)
+    padding[:, 1:] = (points[:, 1:] == points[:, :1]).all(axis=2)
     cells = math.prod(dims)
     axes = [points[..., a] for a in range(d)]
     tops = [x.max(axis=1, keepdims=True) for x in axes]  # each set's extent; its min is 0
@@ -476,10 +500,9 @@ def _refuse_wide_window(
     table, with `levels` U_k, is sure to pass _TABLE_LIMIT.  At a cardinality
     above 1 each of the N box points is in some set, so _pair_counts gives
     every U_k, box point and set a row: levels * N * canonical_count rows.
-    A box of the wrong arity is left to box_points, which names it."""
-    if max_card > 1 and len(box) == ctx.free_rank:
-        n = math.prod(hi - lo + 1 for lo, hi in box) * math.prod(ctx.torsion_moduli)
-        _check_table(levels * n * canonical_count(ctx, box, max_card), 1, "at least ")
+    box_size refuses a box of the wrong arity or of too many points first."""
+    if max_card > 1:
+        _check_table(levels * box_size(ctx, box) * canonical_count(ctx, box, max_card), 1, "at least ")
 
 
 def _require_strategy(cfg: SearchConfig, quantity: str, runs: tuple[str, ...]) -> None:
@@ -518,6 +541,7 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     room = cfg.max_cardinality - len(U)
     if room < 0:
         raise ValueError("max_cardinality below |U|")
+    room = min(room, len(extra))  # no set holds more than the box
     if room > 0:  # every box point is in some set, as in _refuse_wide_window
         n_sets = sum(math.comb(len(extra), k) for k in range(room + 1))
         _check_table(len(pts) * n_sets, 1, "at least ")

@@ -4,6 +4,7 @@ oracle."""
 import dataclasses
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -271,6 +272,53 @@ def test_counterexample_is_first_minimum(ce_first):
     }
 
 
+@pytest.mark.parametrize("dims, dim", window_dims(sorted(set(WINDOWS) - {(33,)})))
+def test_cached_rows_decode_to_the_sumsets(dims, dim):
+    # each class's cached row r of a pair is row r of its A+B from
+    # groups.sumset, in a word of A+B or straddling two, as in (3, 7) and
+    # (2, 12); a row of (33,) spans 65 bits, which no recheck reads
+    scan = scan_of(dims, dim)
+    _, _, pairs = window(dims)
+    sumsets = {(i, j): AB for i, j, _, AB in pairs}
+    for cls, (ci, cj) in scan.classes.items():
+        rows = bitscan._class_rows(scan, cls)
+        assert rows.shape == (math.prod(bitscan.sum_shape(dims)[1:]), len(ci))
+        for k, (i, j) in enumerate(zip(ci.tolist(), cj.tolist())):
+            got = {(x,) if len(dims) == 1 else (x, r)
+                   for r, row in enumerate(rows[:, k].tolist()) for x in range(64) if row >> x & 1}
+            assert got == set(sumsets[i, j].points)
+
+
+@pytest.mark.parametrize("cells", [1, 37, 4099])
+def test_recheck_block_changes_nothing(monkeypatch, cells):
+    # V = {0, 4, 8} on (12,) names the 5,533rd of its class's 5,714 pairs,
+    # past the first block of every size here; a fresh cache is filled and
+    # read in blocks of that size
+    scan = bitscan.build_scan((12,), 6, 1)
+    V = [(0,), (4,), (8,)]
+    want = bitscan.verify_subset_beta(scan, V)
+    monkeypatch.setattr(bitscan, "_BLOCK_CELLS", cells)
+    fresh = dataclasses.replace(scan)
+    assert not fresh._rows
+    assert bitscan.verify_subset_beta(fresh, V) == want
+    assert np.array_equal(fresh._rows[(3, 1)], scan._rows[(3, 1)])
+
+
+def test_second_v_of_a_class_forms_no_sums(monkeypatch):
+    # the rows of a class are formed once, by its first V; the second V of
+    # the class reads them and calls _pack_sums no more
+    scan = bitscan.build_scan((5, 4), 4, 2)
+    calls = []
+    pack = bitscan._pack_sums
+    monkeypatch.setattr(bitscan, "_pack_sums", lambda *args: calls.append(1) or pack(*args))
+    first = bitscan.verify_subset_beta(scan, [(0, 0), (1, 0), (0, 1)])
+    assert calls
+    calls.clear()
+    second = bitscan.verify_subset_beta(scan, [(0, 0), (1, 0), (1, 1)])
+    assert not calls
+    assert first["checked_pairs"] == second["checked_pairs"] > 0
+
+
 @functools.lru_cache(maxsize=None)
 def scan_5x4(dim):
     return bitscan.build_scan((5, 4), 4, dim)
@@ -354,17 +402,44 @@ def test_screen_class_is_not_stored():
         assert ci is scan_5x4(dim).surv_i and cj is scan_5x4(dim).surv_j
 
 
+def held_bytes(scan):
+    """The bytes of the distinct ndarrays a scan's fields hold."""
+    held = {id(a): a for f in dataclasses.fields(scan) for a in ndarrays(getattr(scan, f.name))}
+    return sum(a.nbytes for a in held.values())
+
+
 def test_scan_retains_pairs_only():
-    # the 5x4 scan at cardinality 4 keeps its survivors as (i, j) and its
-    # 2,532 sets' masks and offsets.  For 1-D V that is 228,851 survivors and
-    # 1.9 MiB of ndarrays, where keeping each survivor's |A+B|, |A||B| and
-    # two packed words took 10.5 MiB; a 2-D V reads Ruzsa's bound alone,
-    # which leaves 5,175 survivors and 0.14 MiB
+    # a freshly built 5x4 scan at cardinality 4 keeps its survivors as (i, j)
+    # and its 2,532 sets' masks and offsets.  For 1-D V that is 228,851
+    # survivors and 1.9 MiB of ndarrays, where keeping each survivor's
+    # |A+B|, |A||B| and two packed words took 10.5 MiB; a 2-D V reads
+    # Ruzsa's bound alone, which leaves 5,175 survivors and 0.14 MiB.  (The
+    # scans of scan_5x4 are rechecked by other tests, and so hold rows.)
     for dim, survivors, mib in [(1, 228851, 4), (2, 5175, 0.25)]:
-        scan = scan_5x4(dim)
-        held = {id(a): a for f in dataclasses.fields(scan) for a in ndarrays(getattr(scan, f.name))}
+        scan = bitscan.build_scan((5, 4), 4, dim)
         assert len(scan.surv_i) == survivors
-        assert sum(a.nbytes for a in held.values()) < mib * 2**20
+        assert held_bytes(scan) < mib * 2**20
+
+
+@pytest.mark.parametrize("dim, vs", [
+    (1, [[(0, 0), (1, 0), (2, 0)], [(0, 0), (1, 0), (2, 0), (3, 0)]]),
+    (2, [[(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1), (1, 1)]]),
+])
+def test_rechecked_scan_keeps_rows_only(dim, vs):
+    # a recheck keeps the 7 rows of A+B (9 bits each, in a uint16) of each
+    # pair of its class on 5x4, 2 bytes per row per pair, and nothing more:
+    # after one V per class, 14 x (228,851 + 3,761) bytes (3.1 MiB) for 1-D
+    # V and 14 x (5,175 + 75) for 2-D V
+    scan = bitscan.build_scan((5, 4), 4, dim)
+    fresh = held_bytes(scan)
+    for V in vs:
+        bitscan.verify_subset_beta(scan, V)
+    assert sorted(scan._rows) == sorted(scan.classes)
+    kept = 0
+    for cls, rows in scan._rows.items():
+        assert rows.dtype == np.uint16 and rows.shape == (7, len(scan.classes[cls][0]))
+        kept += 2 * 7 * len(scan.classes[cls][0])
+    assert held_bytes(scan) == fresh + kept
 
 
 def ndarrays(value):

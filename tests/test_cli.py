@@ -238,6 +238,59 @@ class TestEstimateCommand:
         assert docs[0] == docs[1]
 
 
+HUGE = "100000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "beta", "--set", "U01", "--box", "0..2", "--max-card", HUGE],
+    ["estimate", "alpha", "--set", "U01", "--box", "0..2", "--max-card", HUGE],
+    ["conjecture", "scan", "--id", "log_span", "--box=0..2", "--max-size", HUGE, "--max-card", "2"],
+], ids=["beta", "alpha", "log_span"])
+def test_cardinality_past_the_box_stops_at_its_points(argv, u01, tmp_path, capsys):
+    # no set of the 3 points of 0..2 has more than 3, so a cardinality of
+    # 10^11 reports what 3 does, apart from the config it echoes
+    reports = []
+    for card in (HUGE, "3"):
+        out = tmp_path / f"{card}.txt"
+        args = [u01 if a == "U01" else card if a == HUGE else a for a in argv]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        if argv[0] == "estimate":
+            doc = json.loads(out.read_text())
+            del doc["config"], doc["manifest"]
+            reports.append((doc, capsys.readouterr().err))
+        else:
+            reports.append((out.read_text(), capsys.readouterr().err))
+    assert reports[0] == reports[1] and reports[0][0]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["estimate", "beta", "--set", "U01", "--box=0..99999999999999999999", "--max-card", "1"], "box"),
+    (["estimate", "alpha", "--set", "U01", "--box=0..99999999999999999999", "--max-card", "2"], "box"),
+    (["conjecture", "scan", "--id", "log_span", "--box=0..99999999999999999999", "--max-size", "1"],
+     "box"),
+    (["conjecture", "scan", "--id", "log_span", "--box=0..99999999999999999999", "--max-size", HUGE],
+     "box"),
+    (["conjecture", "scan", "--id", "doubling_tripling", "--box=0..99999999999999999999",
+      "--max-size", "3"], "box"),
+    (["conjecture", "scan", "--id", "doubling_tripling", "--box=0..4000000", "--max-size", "2"],
+     "window"),
+], ids=["beta", "alpha", "log_span_size_1", "log_span_size_10^11", "doubling_tripling",
+        "doubling_tripling_4000001_points"])
+def test_box_too_large_to_list_exits_64(argv, error, u01, capsys, monkeypatch):
+    # refused with one line that names the box, and no traceback: by
+    # search.box_points past 2^27 points, and a scan's candidates before
+    # they are listed
+    def listing(*args):
+        raise AssertionError("the candidates were listed")
+
+    monkeypatch.setattr(conjectures, "enumerate_canonical", listing)
+    assert cli.main([u01 if a == "U01" else a for a in argv]) == 64
+    err = capsys.readouterr().err
+    box = next(a for a in argv if a.startswith("--box=")).removeprefix("--box=")
+    assert err.startswith(f"error: the {error} {box} ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestQuasicubeCommand:
     def test_gen_then_check(self, tmp_path):
         out = tmp_path / "q.txt"

@@ -97,6 +97,17 @@ class TestCanonicalEnumeration:
         for k, count in enumerate(counts, 1):
             assert canonical_count(ctx, box, k) == len(canonical_subsets(ctx, box, k)) == count
 
+    @pytest.mark.parametrize("ctx, box", [
+        (Z1, ((3, 6),)), (Z2, ((0, 1), (0, 1))), (GroupContext(1, (2,)), ((-1, 0),)),
+        (GroupContext(0, (3,)), ()),
+    ], ids=["Z", "Z2", "ZxZ2", "Z3"])
+    def test_cardinality_stops_at_the_box(self, ctx, box):
+        # no set holds more than the box's N points, so a cardinality of
+        # 10^11 counts and lists what N does, at once
+        n = len(box_points(ctx, box))
+        assert canonical_count(ctx, box, 10**11) == canonical_count(ctx, box, n)
+        assert canonical_subsets(ctx, box, 10**11) == canonical_subsets(ctx, box, n)
+
 
 def anchored(dims, k):
     return canonical_subsets(GroupContext(len(dims)), [(0, w - 1) for w in dims], k)
@@ -111,7 +122,7 @@ class TestSetImages:
     @pytest.mark.parametrize("dims, k, order", BOXES, ids=str)
     def test_each_row_permutes_the_sets(self, dims, k, order):
         sets = anchored(dims, k)
-        images = search.set_images(sets, dims)
+        images = search.set_images(search.padded_points(sets), dims)
         assert images.shape == (order, len(sets)) == (len(search.signed_permutations(dims)), len(sets))
         assert images[0].tolist() == list(range(len(sets)))  # the identity first
         for row in images:
@@ -123,7 +134,7 @@ class TestSetImages:
         # axis and sorted, found by value in the list
         sets = anchored(dims, k)
         index = {s: m for m, s in enumerate(sets)}
-        images = search.set_images(sets, dims)
+        images = search.set_images(search.padded_points(sets), dims)
         for g, (perm, signs) in enumerate(search.signed_permutations(dims)):
             for m in random.Random(g).sample(range(len(sets)), min(len(sets), 300)):
                 img = [tuple(s * p[a] for a, s in zip(perm, signs)) for p in sets[m]]
@@ -136,7 +147,7 @@ class TestSetImages:
         # square, an L-tromino by a reflection in the diagonal, {0} by all
         dims = (3, 3)
         sets = anchored(dims, 4)
-        images = search.set_images(sets, dims)
+        images = search.set_images(search.padded_points(sets), dims)
         for s, fixed in [(((0, 0), (0, 1), (1, 0), (1, 1)), 8), (((0, 1), (1, 0), (1, 2), (2, 1)), 8),
                          (((0, 0), (0, 1), (1, 0)), 2), (((0, 0),), 8)]:
             assert (images[:, sets.index(s)] == sets.index(s)).sum() == fixed
@@ -145,7 +156,7 @@ class TestSetImages:
     def test_sumset_sizes_are_invariant(self, dims, k):
         # |gA + gB| = |A + B| on sampled pairs, through groups.sumset
         sets = anchored(dims, k)
-        images = search.set_images(sets, dims)
+        images = search.set_images(search.padded_points(sets), dims)
         ctx = GroupContext(len(dims))
         size = lambda i, j: len(sumset(ps(ctx, sets[i]), ps(ctx, sets[j])))
         rng = random.Random(5)
@@ -156,9 +167,9 @@ class TestSetImages:
     def test_refuses_sets_it_cannot_index(self):
         sets = anchored((3, 3), 2)
         with pytest.raises(ValueError, match="closed"):  # {(0,0), (0,1)} lacks its transpose
-            search.set_images([s for s in sets if s != ((0, 0), (1, 0))], (3, 3))
+            search.set_images(search.padded_points([s for s in sets if s != ((0, 0), (1, 0))]), (3, 3))
         with pytest.raises(ValueError, match="sorted"):
-            search.set_images(sets[::-1], (3, 3))
+            search.set_images(search.padded_points(sets[::-1]), (3, 3))
 
 
 class TestBetaEstimate:
