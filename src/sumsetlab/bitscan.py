@@ -33,6 +33,13 @@ its class's pairs.  A 2-D V reads Ruzsa's bound alone, so on the 5x4 window
 at cardinality 4 its scan keeps 5,175 survivors, where the collinear screen
 of a 1-D V keeps 228,851.
 
+The window is enumerated once, as arrays: search.anchored_sets lists each
+anchored set as a row of box-point indices, padded with its first point,
+with the sizes alongside, and the build reads every set's bit offsets,
+mask and size straight from those rows.  The scan keeps the sizes, masks
+and offsets, not the sets' tuples: a set's tuple is read off its offsets
+(`ExhaustiveBetaScan.points_of`) only for a pair a counterexample names.
+
 Grid packing: a point's bit is its search.bit_index on the grid of A+B,
 2k-1 cells along an axis k wide (`sum_shape`), first axis fastest: (x, y)
 maps to bit y*(2w-1) + x, so all sums A+B stay in distinct rows.  A fits
@@ -43,22 +50,24 @@ mask shifted by the offsets of A's points, for the build and for the rows
 of a class.
 
 The recheck reads each pair's A+B as its rows, 2w-1 bits each, kept per
-class with the scan (`_class_rows`): the first V of a class forms them
-through `_pack_sums`, block by block, and every later V reads them.  They
-take 2 bytes per row per pair on 5x4 and 6x6 (uint16; 71 KiB for the 5,175
-pairs of 2-D V on 5x4, 3.1 MiB for the 228,851 of 1-D V, 48.8 MiB for the
-2,328,592 of 1-D V on 6x6), where the packed words would take 8 or 16
-bytes per pair and uint64 rows 8 per row.  Row r of A+B+V is the OR of row
-r-y of A+B shifted by x over the points (x, y) of V, in the narrowest
+class with the scan beside the pair's |A||B| (`_class_rows`): the first V
+of a class forms them through `_pack_sums`, block by block, and every
+later V reads them.  The rows take 2 bytes per row per pair on 5x4 and 6x6
+(uint16; 71 KiB for the 5,175 pairs of 2-D V on 5x4, 3.1 MiB for the
+228,851 of 1-D V, 48.8 MiB for the 2,328,592 of 1-D V on 6x6), where the
+packed words would take 8 or 16 bytes per pair and uint64 rows 8 per row,
+and |A||B| 2 bytes per pair.  Row r of A+B+V is the OR of row r-y of
+A+B shifted by x over the points (x, y) of V, in the narrowest
 unsigned dtype that holds it, formed for blocks of pairs of about
 _BLOCK_CELLS output cells so that the buffers stay in cache.  Only that OR
-depends on V.
+depends on V; V's dimension is read off its points, with no rank computed.
 
 The build screens each symmetry class of pairs once.  A signed coordinate
 permutation g of the box maps anchored sets to anchored sets, re-anchored,
 and keeps |gA + gB| = |A + B|, |gA| = |A| and |gB| = |B|, so the screen and
 every class test give a pair's whole orbit the same verdict.  With
-search.set_images giving each g as a permutation of the set indices, the
+search.set_images giving each g as a permutation of the set indices (each
+set found by an integer key of its index row), the
 build forms A_i+B_j only for the rows i that are least in their orbits,
 against the columns j whose orbit minimum is at least i: every unordered
 pair has an image of that form.  The columns are ordered by orbit minimum,
@@ -68,9 +77,10 @@ each row paired with every column from the block's first row on, each
 shift writing in place into buffers allocated once per build for the
 largest block.  Cells left of a row's suffix are real sumsets too, so the
 Cauchy-Davenport check covers the whole block, and only their screen hits
-are dropped.  Each hit is mapped by every g and folded to i <= j, and one
-sort of the int64 keys i n + j (with the hit's class bits) lists the
-survivors once, i-major.  On the 5x4 window at cardinality 4 the build forms
+are dropped.  Of a failing orbit's hits only its least pair, folded to
+i <= j, is kept; it is mapped by every g and folded, and one sort of the
+int64 keys i n + j (with the hit's class bits) lists the survivors once,
+i-major.  On the 5x4 window at cardinality 4 the build forms
 0.93M cells for its 3.21M pairs (709 of 2,532 rows), and on 6x6 22.0M for
 164.3M.  The pairs it records, and so every verdict, depend only on the
 box, the cardinality and the dimension served.
@@ -84,8 +94,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import GroupContext, PointSet, dimension
-from .search import bit_index, canonical_subsets, padded_points, set_images
+from .groups import GroupContext
+from .search import anchored_sets, bit_index, canonical_subsets, set_images
 
 Pt = tuple[int, ...]
 
@@ -119,9 +129,9 @@ def failure_tables(dim: int, width: int) -> dict[tuple[int, int], np.ndarray]:
 class ExhaustiveBetaScan:
     dims: tuple[int, ...]
     dim: int  # the dimension of the V of at least three points it serves
-    sets: list[tuple[Pt, ...]]
+    sizes: np.ndarray  # each anchored set's size, in search.anchored_sets order
     masks: np.ndarray  # each set's bits, one uint64 word
-    shifts: np.ndarray  # each set's bit offsets, padded to one width with its first
+    shifts: np.ndarray  # each set's bit offsets in order, padded to one width with its first
     # the surviving pairs (i, j), i-major, as int32 (n < 2^31 in any window that
     # fits in memory), and per class (v, dim) of CLASSES the survivors, in
     # order, whose certificate for it fails; the class (MAX_V, dim) is
@@ -130,10 +140,15 @@ class ExhaustiveBetaScan:
     surv_j: np.ndarray
     classes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     pair_count: int
-    # per class, the rows of A+B of its pairs (`_class_rows`), formed by its
-    # first recheck; dataclasses.replace starts with none
-    _rows: dict[tuple[int, int], np.ndarray] = field(
+    # per class, the rows of A+B of its pairs and their |A||B| (`_class_rows`),
+    # formed by its first recheck; dataclasses.replace starts with none
+    _rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    def points_of(self, i: int) -> tuple[Pt, ...]:
+        """Set i as a tuple of points, read off its bit offsets."""
+        shifts = self.shifts[i, :self.sizes[i]]
+        return tuple(zip(*(x.tolist() for x in np.unravel_index(shifts, sum_shape(self.dims), order="F"))))
 
 
 def sum_shape(dims: Sequence[int]) -> list[int]:
@@ -181,11 +196,12 @@ def _pack_sums(b: np.ndarray, columns, words: list[np.ndarray], tmp: np.ndarray)
                 shift(b, by, out=word)
 
 
-def _class_rows(scan: ExhaustiveBetaScan, cls: tuple[int, int]) -> np.ndarray:
+def _class_rows(scan: ExhaustiveBetaScan, cls: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The rows of A+B of the pairs of class `cls`, a (rows, pairs) array in
     the narrowest unsigned dtype that holds a row's 2w-1 bits (uint16 on the
-    5x4 and 6x6 windows), formed on the class's first use and kept with the
-    scan: every V of the class reads the same rows.
+    5x4 and 6x6 windows), and their |A||B| as uint16 (at most 64^2), formed
+    on the class's first use and kept with the scan: every V of the class
+    reads the same arrays.
 
     Row r is the 2w-1 bits from bit r(2w-1) of the pair's words.  With a zero
     word past the last, it is (w[k] >> s) | (w[k+1] << (64 - s)) for every
@@ -208,7 +224,7 @@ def _class_rows(scan: ExhaustiveBetaScan, cls: tuple[int, int]) -> np.ndarray:
                 bits = np.right_shift(w[k], np.uint64(s), out=scratch)
                 bits |= w[k + 1] << np.uint64(64 - s)
                 rows[r, p0:p1] = bits & row_mask
-        scan._rows[cls] = rows
+        scan._rows[cls] = rows, (scan.sizes[i] * scan.sizes[j]).astype(np.uint16)
     return scan._rows[cls]
 
 
@@ -241,12 +257,10 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     d = len(dims)
     if not 1 <= dim <= d:
         raise ValueError(f"a V of dimension {dim} does not fit a {d}-dimensional box")
-    sets = anchored_subsets(dims, max_card)
-    n = len(sets)
-    sizes = np.array([len(s) for s in sets], dtype=np.int64)
+    points, index, sizes = anchored_sets(GroupContext(d), [(0, k - 1) for k in dims], max_card)
+    n = len(sizes)
     # each set's bits, padded to one width with its first
-    points = padded_points(sets)
-    shifts = bit_index(points, sum_shape(dims), d).astype(np.uint64)
+    shifts = bit_index(points, sum_shape(dims), d).astype(np.uint64)[index]
     masks = np.bitwise_or.reduce(np.uint64(1) << shifts, axis=1)
     width = shifts.shape[1]
     fails = failure_tables(dim, width)
@@ -256,8 +270,9 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     # The build's columns are the sets by orbit minimum, so the columns of
     # row i, the sets whose orbit minimum is >= i, are a suffix from its own
     # column; its rows are the sets least in their orbits.
-    images = set_images(points, dims)
+    images = set_images(index, dims).astype(np.int32)  # n < 2^31, as surv_i
     least = images.min(axis=0)
+    fixed = (images[1:] == images[0]).any(axis=0)  # by a map other than the identity
     order = np.argsort(least, kind="stable").astype(np.int32)
     rows = np.flatnonzero(least[order] == order)
     o_masks, o_shifts, o_sizes = masks[order], shifts[order], sizes[order]
@@ -301,22 +316,30 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     del bufs, tmp, words
 
     # |A+B|, |A| and |B| are the same on a pair's whole orbit, and so are its
-    # class flags: each hit stands for its images under every map, folded to
-    # i <= j, and one sort of the keys (i n + j, flags) lists every survivor
+    # class flags.  A failing orbit is kept by one hit, its least pair folded
+    # to i <= j, which every other hit of the orbit folds to under some map g.
+    # As no image of i or j lies below i, such a g has g i = i or g j = i, so
+    # only the hits whose row a map fixes, or whose column lies in the row's
+    # orbit, are tested.  Each kept hit stands for its images under every
+    # map, and one sort of the keys (i n + j, flags) lists every survivor
     # once, i-major
     i, j, flags = map(np.concatenate, zip(*hits))
     del hits
+    t = np.flatnonzero(fixed[i] | (least[j] == i))
+    a, b = images[:, i[t]], images[:, j[t]]
+    below = np.minimum(a, b, dtype=np.int64) * n + np.maximum(a, b) < i[t] * np.int64(n) + j[t]
+    i, j, flags = (np.delete(x, t[below.any(axis=0)]) for x in (i, j, flags))
+    del t, a, b, below
     keys = np.empty((len(images), len(i)), dtype=np.int64)
-    a, b = np.empty_like(i), np.empty_like(i)
     for key, image in zip(keys, images):
-        np.take(image, i, out=a, mode="clip")  # in range; "raise" would buffer out
-        np.take(image, j, out=b, mode="clip")
+        a, b = image[i], image[j]
         np.minimum(a, b, out=key)
         key *= n
         key += np.maximum(a, b, out=a)
         key <<= len(others)
         key |= flags
-    del key, i, j, a, b
+        del a, b  # before the next map's
+    del key, i, j
     keys = keys.ravel()
     keys.sort()
     first = np.empty(len(keys), dtype=bool)
@@ -330,11 +353,12 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     surv_i, surv_j = (np.empty(len(keys), dtype=np.int32) for _ in range(2))
     np.floor_divide(keys, n, out=surv_i, casting="unsafe")
     np.remainder(keys, n, out=surv_j, casting="unsafe")
+    del keys
     classes = {screen: (surv_i, surv_j)}
     for bit, cls in enumerate(others):
         hit = (flags & (1 << bit)) != 0
         classes[cls] = (surv_i[hit], surv_j[hit])
-    return ExhaustiveBetaScan(dims, dim, sets, masks, shifts, surv_i, surv_j, classes, n * (n + 1) // 2)
+    return ExhaustiveBetaScan(dims, dim, sizes, masks, shifts, surv_i, surv_j, classes, n * (n + 1) // 2)
 
 
 def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict:
@@ -361,10 +385,13 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     if reason is not None:
         raise ValueError(reason)
     v = len(vpts)
-    dim_v = dimension(PointSet.of(GroupContext(d), vpts))
     result = {"pair_count": scan.pair_count, "counterexample": None, "checked_pairs": 0}
-    if (v, dim_v) not in CLASSES:  # at most two points: every certificate holds
+    if v < 3:  # at most two points: every certificate holds
         return result
+    # V's dimension, 1 when every point lies on the line through its first
+    # two, taken in the plane (a 1-D V on the x axis)
+    (x0, y0), (x1, y1), *more = (p + (0,) * (2 - d) for p in vpts)
+    dim_v = 1 if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in more) else 2
     if dim_v != scan.dim:
         raise ValueError(f"V is {dim_v}-dimensional, but the scan serves dimension {scan.dim}")
     # the pairs whose certificate fails for V's class
@@ -376,7 +403,7 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     # fits the narrowest unsigned dtype of 2w-1 + max x bits, at most one
     # uint64 by the width check.  A block of about _BLOCK_CELLS output cells
     # keeps the buffers in cache.
-    rows = _class_rows(scan, (v, dim_v))
+    rows, ab = _class_rows(scan, (v, dim_v))
     height = len(rows)
     dtype = np.min_scalar_type((1 << (sum_shape(scan.dims)[0] + vpts[-1][0])) - 1)
     at = [(dtype.type(p[0]), p[1] if d > 1 else 0) for p in vpts]  # V's points (x, y)
@@ -395,16 +422,14 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
         for x, y in rest:
             o[y:y + height] |= np.left_shift(w, x, out=sh)
         t[p0:p1] = np.bitwise_count(o).sum(axis=0, dtype=np.uint16)  # t < 2^16
-    sizes = np.bitwise_count(scan.masks).astype(np.int64)
-    ab = sizes[i] * sizes[j]
-    slack = t * t - v * v * ab
+    slack = t * t - np.multiply(ab, v * v, dtype=np.int64)
     if slack.min() < 0:
         # the first minimum of t^2/ab, as pairs are stored i-major: t < 2^16 and
         # ab <= 2^12, so distinct ratios differ by far more than float rounding
         k = int(np.argmin(t * t / ab))
         result["counterexample"] = {
-            "A": scan.sets[i[k]],
-            "B": scan.sets[j[k]],
+            "A": scan.points_of(i[k]),
+            "B": scan.points_of(j[k]),
             "slack": int(slack[k]),
         }
     return result

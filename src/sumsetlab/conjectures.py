@@ -22,6 +22,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .groups import GroupContext, PointSet, Vec
 from .laws import check_quasicube_beta
 from .quasicube import log_span_check
@@ -30,13 +32,13 @@ from .search import (
     _TABLE_LIMIT,
     alpha_estimate,
     anchored_counts,
+    anchored_sets,
     beta_estimate,
     box_size,
     box_str,
-    canonical_subsets,
     frac_str,
     json_value,
-    padded_points,
+    point_tuples,
     set_images,
     signed_permutations,
     variant_estimates,
@@ -137,17 +139,18 @@ def enumerate_canonical(d: int, side: int, max_size: int) -> list[tuple[Vec, ...
     """Anchored box subsets that are minimal in their unimodular class: no
     signed permutation maps one below itself.  The subsets are sorted, so
     that is no image at a lower index (`set_images`)."""
-    sets = canonical_subsets(GroupContext(d), ((0, side - 1),) * d, max_size)
-    least = set_images(padded_points(sets), (side,) * d).min(axis=0)
-    return [pts for k, pts in enumerate(sets) if least[k] == k]
+    points, index, sizes = anchored_sets(GroupContext(d), ((0, side - 1),) * d, max_size)
+    least = set_images(index, (side,) * d).min(axis=0)
+    minima = np.flatnonzero(least == np.arange(len(least)))
+    return point_tuples(points, index[minima], sizes[minima])
 
 
 def _refuse_long_listing(d: int, side: int, max_size: int) -> None:
     """Refuse a candidate window before it is listed when the listing is
-    sure to pass _TABLE_LIMIT.  canonical_subsets tries each of the N box
-    points after the sets it extends, about N steps per set, so a window is
-    refused, as search._refuse_wide_window refuses a pair table of N rows
-    per set, once N times its count of sets passes _TABLE_LIMIT at 8 bytes
+    sure to pass _TABLE_LIMIT.  anchored_sets extends each set by up to the
+    N box points after it, about N steps per set, so a window is
+    refused, as search._refuse_counted refuses a pair table of N rows per
+    set, once N times its count of sets passes _TABLE_LIMIT at 8 bytes
     each.  The sets are counted size by size, and counting stops there."""
     ctx, box = GroupContext(d), ((0, side - 1),) * d
     n, count = box_size(ctx, box), 0

@@ -211,35 +211,64 @@ def box_points(ctx: GroupContext, box: Sequence[tuple[int, int]]) -> list[Vec]:
     return sorted(pts, key=ctx.sort_key)
 
 
+def anchored_sets(
+    ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """canonical_subsets as arrays: the (N, arity) int64 box points, in
+    box_points order; each set's point indices, ascending and padded with
+    its first, an (n, width) intp array; and the n sizes.
+
+    A point's mask marks the free axes on whose low face it lies, and a set
+    is anchored iff its masks OR to full.  The k-sets grow from the
+    (k-1)-sets by later points only, while the masks of the set, the point
+    and the points after it OR to full (at the last size, of the set and the
+    point).  The sets are then sorted as their tuples compare."""
+    pts = box_points(ctx, box)
+    n, d = len(pts), ctx.free_rank
+    points = np.array(pts, dtype=np.int64).reshape(n, -1)
+    top = min(max_card, n)
+    if top < 1:
+        return points, np.zeros((0, 0), dtype=np.intp), np.zeros(0, dtype=np.intp)
+    full = (1 << d) - 1
+    low = np.zeros(n, dtype=np.intp)
+    for i in range(d):
+        low |= (points[:, i] == box[i][0]) << i
+    later = np.zeros(n, dtype=np.intp)  # the OR of the masks of the points after each
+    later[:-1] = np.bitwise_or.accumulate(low[:0:-1])[::-1]
+    # ok[at_top][m, j]: point j may grow a set of mask m
+    ok = [(np.arange(full + 1)[:, None] | low | reach) == full for reach in (later, 0)]
+    rows, masks = np.zeros((1, top), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    sets = []
+    for k in range(1, top + 1):
+        last = rows[:, k - 2, None] if k > 1 else -1
+        owner, point = np.nonzero(ok[k == top][masks] & (np.arange(n) > last))
+        rows, masks = rows[owner], masks[owner] | low[point]
+        rows[:, k - 1] = point
+        if k == 1:  # a set's first point pads it
+            rows[:, 1:] = point[:, None]
+        sets.append(rows[masks == full])
+    index = np.concatenate(sets)
+    sizes = np.repeat(np.arange(1, top + 1), [len(s) for s in sets])
+    # each point's rank among the tuples: a row of ranks, 0 past the set's
+    # size, compares as the set's tuple of points does
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=pts.__getitem__)] = np.arange(1, n + 1)
+    order = np.lexsort(np.where(np.arange(top) < sizes[:, None], rank[index], 0).T[::-1])
+    return points, index[order], sizes[order]
+
+
 def canonical_subsets(
     ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int
 ) -> list[tuple[Vec, ...]]:
-    """Subsets of the box, min-corner anchored at the box origin, sorted.
+    """Subsets of the box, min-corner anchored at the box origin, sorted:
+    representatives of box subsets modulo free translation, as tuples."""
+    return point_tuples(*anchored_sets(ctx, box, max_card))
 
-    These are representatives of box subsets modulo free translation.  Each
-    box point carries the bitmask of the free axes on which it sits at the
-    box's low end; a set is anchored iff the OR of its points' masks is full
-    (with free rank 0 every mask and the full mask are 0, so every set is).
-    The sets are built point by point in combination order, carrying the OR
-    of the prefix."""
-    pts = box_points(ctx, box)
-    d = ctx.free_rank
-    full = (1 << d) - 1
-    low = [sum(1 << i for i in range(d) if q[i] == box[i][0]) for q in pts]
-    n = len(pts)
-    out: list[tuple[Vec, ...]] = []
 
-    def extend(prefix: tuple[Vec, ...], mask: int, start: int, k: int) -> None:
-        if k == 1:  # the last point: keep the sets whose mask is full
-            out.extend([prefix + (pts[j],) for j in range(start, n) if mask | low[j] == full])
-            return
-        for j in range(start, n - k + 1):
-            extend(prefix + (pts[j],), mask | low[j], j + 1, k - 1)
-
-    for k in range(1, min(max_card, n) + 1):
-        extend((), 0, 0, k)
-    out.sort()
-    return out
+def point_tuples(points: np.ndarray, index: np.ndarray, sizes: np.ndarray) -> list[tuple[Vec, ...]]:
+    """The rows of `index`, cut to their sizes, as tuples of `points`."""
+    pts = list(map(tuple, points.tolist()))
+    return [tuple(pts[j] for j in row[:k]) for row, k in zip(index.tolist(), sizes.tolist())]
 
 
 def anchored_counts(ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int) -> Iterator[int]:
@@ -263,13 +292,13 @@ def canonical_count(ctx: GroupContext, box: Sequence[tuple[int, int]], max_card:
 
 
 def _first_minimum(
-    sets: Sequence[tuple[Vec, ...]],
+    sizes: np.ndarray,
     cfg: SearchConfig,
     eval_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[tuple[int, int, int], tuple[Vec, ...], tuple[Vec, ...], int, bool]:
-    """Scan the pairs of `sets` in i-major order, up to the node ceiling, and
-    return (key, A, B, nodes, complete) for the first strict minimum of the
-    ratio key (numerator, |A|, |B|), the arguments of _report.
+) -> tuple[tuple[int, int, int], int, int, int, bool]:
+    """Scan the pairs of sets of these sizes in i-major order, up to the node
+    ceiling, and return (key, i, j, nodes, complete) for the first strict
+    minimum (A_i, B_j) of the ratio key (numerator, |A|, |B|).
 
     Row i pairs A_i with every B_j, with B_i alone (isomeric) or with the
     B_j of equal size (isometric).  The stream of rows is cut at the ceiling,
@@ -283,8 +312,7 @@ def _first_minimum(
     go, in stream order, through the exact compare_ratios, which keeps the
     first strict minimum.  The first exact minimum of the whole stream always
     passes the screen, so it is the pair returned."""
-    n = len(sets)
-    sizes = np.array([len(s) for s in sets])
+    n = len(sizes)
     # row i pairs A_i with B_j for j in members[base[i]:base[i] + length[i]]
     if cfg.variant == "isometric":
         members = np.argsort(sizes, kind="stable")  # by size, then index
@@ -321,8 +349,7 @@ def _first_minimum(
             if best is None or (key != best and compare_ratios(*key, *best, cfg.p) < 0):
                 best, best_ij, best_r = key, (i, j), float(r[k])
     assert best is not None
-    i, j = best_ij
-    return best, sets[i], sets[j], nodes, total <= nodes
+    return best, *best_ij, nodes, total <= nodes
 
 
 def _report(
@@ -379,24 +406,22 @@ def signed_permutations(dims: Sequence[int]) -> list[tuple[tuple[int, ...], tupl
     return [(perm, signs) for perm in perms for signs in itertools.product((1, -1), repeat=d)]
 
 
-def set_images(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+def set_images(index: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """The (|G|, n) array whose row g holds, for each of n sets, the index of
     its image under the g-th of the box's signed permutations
     (`signed_permutations`, the identity first), translated to min 0 per
-    axis.  The sets are given by their padded_points, the (n, width, d)
-    array, and must be anchored (min 0 per axis), sorted and closed under
-    these maps, as canonical_subsets lists a box's; ValueError otherwise.
-    A set's padding repeats its first point, which no set holds twice.
+    axis.  The sets are the index rows of anchored_sets on the box of these
+    dims from the origin, where a point's index is its cell's C-order index;
+    they must be anchored, sorted and closed under the maps (ValueError).
 
-    A set's key is its sorted cells, each its C-order index on the box plus
-    1, padded with 0 and written big-endian, so keys compare bytewise as the
-    sets' tuples do, in a box of any size: the sets' own keys are sorted, and
-    each image is found by binary search."""
-    n, width, d = points.shape
+    A set's key, its sorted cells + 1 padded with 0, is read as int64 digits
+    in base cells + 1 where they fit, else as big-endian bytes: either
+    compares as the sets' tuples, so each image is found by binary search."""
+    n, width = index.shape
     padding = np.zeros((n, width), dtype=bool)
-    padding[:, 1:] = (points[:, 1:] == points[:, :1]).all(axis=2)
+    padding[:, 1:] = index[:, 1:] == index[:, :1]
     cells = math.prod(dims)
-    axes = [points[..., a] for a in range(d)]
+    axes = np.unravel_index(index, dims)
     tops = [x.max(axis=1, keepdims=True) for x in axes]  # each set's extent; its min is 0
 
     def cells_of(coords: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -406,10 +431,13 @@ def set_images(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
         cell[cell > cells] = 0  # then below every cell
         return cell
 
-    def keys(cell: np.ndarray) -> np.ndarray:
-        return cell.astype(">u8").view(f"S{8 * width}").ravel()
+    fits = (cells + 1) ** width <= 1 << 63
+    digits = (cells + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64) if fits else None
 
-    own_cells = cells_of(tuple(axes))
+    def keys(cell: np.ndarray) -> np.ndarray:
+        return cell @ digits if fits else cell.astype(">u8").view(f"S{8 * width}").ravel()
+
+    own_cells = cells_of(axes)
     own = keys(own_cells)
     if not np.all(own[1:] > own[:-1]):
         raise ValueError("the sets are not sorted and distinct")
@@ -426,11 +454,12 @@ def set_images(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
 
 
 def _pair_counts(
-    sets: Sequence[tuple[Vec, ...]], addends: Sequence[Sequence[Vec]], ctx: GroupContext
+    points: np.ndarray, addends: Sequence[Sequence[Vec]], ctx: GroupContext
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The table kernel of every exhaustive pair scan: eval_pairs(I, J), whose
     row k is the int64 array of |A + B + U_k| over the pairs (A_I[t], B_J[t]),
-    for the K sets U_k of `addends`.  Beta passes [U], alpha [{0}] (U is
+    for the K sets U_k of `addends`, of sets given by their (n, width, arity)
+    points padded with their first.  Beta passes [U], alpha [{0}] (U is
     folded into its candidate sets) and gamma the level sets of f.
 
     Every A+B+U_k lies on one grid, translated to its min: along a free axis
@@ -449,7 +478,6 @@ def _pair_counts(
     popcount of the OR of table[k Q n + slot[i] + j]: a block of pairs is a
     few row gathers, ORs and one popcount."""
     d = ctx.free_rank
-    points = padded_points(sets)
     n, width, arity = points.shape
     lo = points.min(axis=(0, 1))
     ext = points.max(axis=(0, 1)) - lo
@@ -493,16 +521,30 @@ def _check_table(rows: int, words: int, at_least: str = "") -> None:
             f"limit of {_TABLE_LIMIT}; narrow the box or lower the cardinality")
 
 
-def _refuse_wide_window(
-    ctx: GroupContext, box: Sequence[tuple[int, int]], max_card: int, levels: int
-) -> None:
-    """Refuse a window of canonical_subsets before it is listed when its pair
-    table, with `levels` U_k, is sure to pass _TABLE_LIMIT.  At a cardinality
-    above 1 each of the N box points is in some set, so _pair_counts gives
-    every U_k, box point and set a row: levels * N * canonical_count rows.
-    box_size refuses a box of the wrong arity or of too many points first."""
-    if max_card > 1:
-        _check_table(levels * box_size(ctx, box) * canonical_count(ctx, box, max_card), 1, "at least ")
+def _refuse_counted(rows_per_set: int, counts: Iterator[int]) -> None:
+    """Refuse a window, before it is listed, once the sets counted size by
+    size from `counts` need a pair table past _TABLE_LIMIT at this many rows
+    each (_pair_counts gives a set a row per U_k and box point it uses)."""
+    count = 0
+    for k_sets in counts:
+        count += k_sets
+        _check_table(rows_per_set * count, 1, "at least ")
+
+
+def _window_minimum(
+    ctx: GroupContext, cfg: SearchConfig, addends: Sequence[Sequence[Vec]],
+    numerators: Callable[[np.ndarray], np.ndarray],
+) -> tuple[tuple, tuple[Vec, ...], tuple[Vec, ...], int, bool]:
+    """_report's (key, A, B, nodes, complete) of the window's anchored sets,
+    keyed on `numerators` of their counts against `addends`.  box_size, then
+    _refuse_counted, refuse a window too large to list."""
+    if cfg.max_cardinality > 1:  # then every box point is in some set
+        rows = len(addends) * box_size(ctx, cfg.box)
+        _refuse_counted(rows, anchored_counts(ctx, cfg.box, cfg.max_cardinality))
+    points, index, sizes = anchored_sets(ctx, cfg.box, cfg.max_cardinality)
+    counts = _pair_counts(points[index], addends, ctx)
+    key, i, j, *rest = _first_minimum(sizes, cfg, lambda I, J: numerators(counts(I, J)))
+    return key, *point_tuples(points, index[[i, j]], sizes[[i, j]]), *rest
 
 
 def _require_strategy(cfg: SearchConfig, quantity: str, runs: tuple[str, ...]) -> None:
@@ -520,10 +562,7 @@ def beta_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     ctx = U.context
     if cfg.strategy == "hill_climb":
         return _beta_hill_climb(U, cfg)
-    _refuse_wide_window(ctx, cfg.box, cfg.max_cardinality, 1)
-    sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
-    counts = _pair_counts(sets, [U.points], ctx)
-    return _report("beta", cfg, *_first_minimum(sets, cfg, lambda I, J: counts(I, J)[0]))
+    return _report("beta", cfg, *_window_minimum(ctx, cfg, [U.points], lambda counts: counts[0]))
 
 
 def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
@@ -542,16 +581,16 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     if room < 0:
         raise ValueError("max_cardinality below |U|")
     room = min(room, len(extra))  # no set holds more than the box
-    if room > 0:  # every box point is in some set, as in _refuse_wide_window
-        n_sets = sum(math.comb(len(extra), k) for k in range(room + 1))
-        _check_table(len(pts) * n_sets, 1, "at least ")
+    if room > 0:  # every box point is in some set
+        _refuse_counted(len(pts), (math.comb(len(extra), k) for k in range(room + 1)))
     sets = []
     for k in range(0, room + 1):
         for combo in itertools.combinations(extra, k):
             sets.append(tuple(sorted(U.points + combo)))
     sets.sort()
-    counts = _pair_counts(sets, [[ctx.zero()]], ctx)
-    return _report("alpha", cfg, *_first_minimum(sets, cfg, lambda I, J: counts(I, J)[0]))
+    counts = _pair_counts(padded_points(sets), [[ctx.zero()]], ctx)
+    key, i, j, *rest = _first_minimum(np.array([len(s) for s in sets]), cfg, lambda I, J: counts(I, J)[0])
+    return _report("alpha", cfg, key, sets[i], sets[j], *rest)
 
 
 def variant_estimates(
@@ -654,13 +693,10 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     ctx = f.context
     weights, denom = _int_weights(f)
     tops = sorted(set(weights), reverse=True)
-    _refuse_wide_window(ctx, cfg.box, cfg.max_cardinality, len(tops))
-    sets = canonical_subsets(ctx, cfg.box, cfg.max_cardinality)
     levels = [[x for (x, _), w in zip(f.entries, weights) if w >= t] for t in tops]
-    counts = _pair_counts(sets, levels, ctx)
     # Python ints: a weight may scale far past int64 (1e-300 is m / 2^1049)
     steps = np.array([t - s for t, s in zip(tops, tops[1:] + [0])], dtype=object)
-    (s, a, b), *rest = _first_minimum(sets, cfg, lambda I, J: steps @ counts(I, J).astype(object))
+    (s, a, b), *rest = _window_minimum(ctx, cfg, levels, lambda counts: steps @ counts.astype(object))
     num = Fraction(s, denom) if f.exact else _quotient(s, denom)
     return _report("gamma", cfg, (num, a, b), *rest)
 

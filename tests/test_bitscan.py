@@ -3,6 +3,7 @@ oracle."""
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -45,6 +46,11 @@ def window_dims(windows):
 def scan_of(dims, dim):
     """The scan of a window for the V of dimension dim."""
     return bitscan.build_scan(dims, WINDOWS[dims], dim)
+
+
+def scan_sets(scan):
+    """Every set of a scan as a tuple of points."""
+    return [scan.points_of(m) for m in range(len(scan.sizes))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,7 +125,7 @@ def test_build_matches_brute_force(dims, dim):
         (i, j, ab, AB) for i, j, ab, AB in pairs
         if any(certificate(len(AB), v, dim) ** 2 < v * v * ab for v in range(2, bitscan.MAX_V + 1))
     ]
-    assert scan.sets == sets and scan.dim == dim
+    assert scan_sets(scan) == sets and scan.dim == dim
     assert list(zip(scan.surv_i.tolist(), scan.surv_j.tolist())) == [(i, j) for i, j, _, _ in unsafe]
     assert sorted(scan.classes) == [c for c in bitscan.CLASSES if c[1] == dim]
     for (v, k), (ci, cj) in scan.classes.items():
@@ -161,13 +167,15 @@ def test_block_height_changes_nothing(monkeypatch, dims, dim, cells):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-# anchored_subsets patched to hand the build a "set" {0, 0} of size 2 whose
+# anchored_sets patched to hand the build a "set" {0, 0} of size 2 whose
 # mask holds one bit, so |A+A| = 1 < 2 + 2 - 1
 BROKEN_SETS = """
 import sys
+import numpy as np
 from sumsetlab import bitscan
 
-bitscan.anchored_subsets = lambda dims, card: [((0,), (0,))]
+points, index, sizes = np.zeros((1, 1), dtype=np.int64), np.zeros((1, 2), dtype=np.intp), np.array([2])
+bitscan.anchored_sets = lambda ctx, box, card: (points, index, sizes)
 try:
     bitscan.build_scan((5,), 4, 1)
 except AssertionError as err:
@@ -237,52 +245,42 @@ def test_counterexample_minimizes_the_ratio():
     assert res["counterexample"] == {"A": AB, "B": AB, "slack": -32}
 
 
-@pytest.mark.parametrize("ce_first", [True, False])
-def test_counterexample_is_first_minimum(ce_first):
-    # a twin scan of four sets stores the counterexample's A and B under both
-    # of its pairs' indices, but names the first pair after the
-    # counterexample and the other after another survivor: the two pairs tie
-    # at the minimum, and the first pair stored is named
+@pytest.mark.parametrize("plain_first", [True, False])
+def test_counterexample_is_first_minimum(plain_first):
+    # a twin scan of four sets holds two pairs that tie at the minimum: (A, B)
+    # and its mirror image (A, B') under x -> -x, each set re-anchored, since
+    # V = {0, 1, 2} is symmetric.  Both give |A+B+V| = |{0..9}| = 10, slack
+    # 10^2 - 3^2 * 16, and the pair stored first is named
     scan = scan_of((6,), 1)
-    V = [(0,), (1,), (2,)]
-    ce = bitscan.verify_subset_beta(scan, V)["counterexample"]
-    k = next(k for k in range(len(scan.surv_i))
-             if (scan.sets[scan.surv_i[k]], scan.sets[scan.surv_j[k]]) == (ce["A"], ce["B"]))
-    other = 0 if k else 1
+    where = {scan.points_of(m): m for m in range(len(scan.sizes))}
+    A, B, B2 = ((0,), (1,), (2,), (3,)), ((0,), (1,), (2,), (4,)), ((0,), (2,), (3,), (4,))
+    stored = [where[s] for s in (A, B, A, B2)]
     twin_i, twin_j = np.array([0, 2]), np.array([1, 3])
-    if not ce_first:
+    if not plain_first:
         twin_i, twin_j = twin_i[::-1], twin_j[::-1]
-    stored = [scan.surv_i[k], scan.surv_j[k]] * 2
-    named = [scan.surv_i[k], scan.surv_j[k], scan.surv_i[other], scan.surv_j[other]]
-    # each class lists both twins or neither, as it lists the counterexample or not
     twin = dataclasses.replace(
-        scan,
-        sets=[scan.sets[m] for m in named], masks=scan.masks[stored], shifts=scan.shifts[stored],
-        surv_i=twin_i, surv_j=twin_j,
-        classes={c: (twin_i, twin_j) if np.any((ci == scan.surv_i[k]) & (cj == scan.surv_j[k]))
-                 else (twin_i[:0], twin_j[:0]) for c, (ci, cj) in scan.classes.items()},
+        scan, sizes=scan.sizes[stored], masks=scan.masks[stored], shifts=scan.shifts[stored],
+        surv_i=twin_i, surv_j=twin_j, classes={c: (twin_i, twin_j) for c in scan.classes},
     )
-    res = bitscan.verify_subset_beta(twin, V)
-    first = k if ce_first else other
+    res = bitscan.verify_subset_beta(twin, [(0,), (1,), (2,)])
     assert res["checked_pairs"] == 2
-    assert res["counterexample"] == {
-        "A": scan.sets[scan.surv_i[first]],
-        "B": scan.sets[scan.surv_j[first]],
-        "slack": ce["slack"],
-    }
+    assert res["counterexample"] == {"A": A, "B": B if plain_first else B2, "slack": 10 * 10 - 9 * 16}
 
 
 @pytest.mark.parametrize("dims, dim", window_dims(sorted(set(WINDOWS) - {(33,)})))
 def test_cached_rows_decode_to_the_sumsets(dims, dim):
     # each class's cached row r of a pair is row r of its A+B from
     # groups.sumset, in a word of A+B or straddling two, as in (3, 7) and
-    # (2, 12); a row of (33,) spans 65 bits, which no recheck reads
+    # (2, 12); a row of (33,) spans 65 bits, which no recheck reads.  Its
+    # cached |A||B| is the pair's
     scan = scan_of(dims, dim)
     _, _, pairs = window(dims)
     sumsets = {(i, j): AB for i, j, _, AB in pairs}
+    products = {(i, j): ab for i, j, ab, _ in pairs}
     for cls, (ci, cj) in scan.classes.items():
-        rows = bitscan._class_rows(scan, cls)
+        rows, ab = bitscan._class_rows(scan, cls)
         assert rows.shape == (math.prod(bitscan.sum_shape(dims)[1:]), len(ci))
+        assert ab.dtype == np.uint16 and ab.tolist() == [products[p] for p in zip(ci.tolist(), cj.tolist())]
         for k, (i, j) in enumerate(zip(ci.tolist(), cj.tolist())):
             got = {(x,) if len(dims) == 1 else (x, r)
                    for r, row in enumerate(rows[:, k].tolist()) for x in range(64) if row >> x & 1}
@@ -301,7 +299,8 @@ def test_recheck_block_changes_nothing(monkeypatch, cells):
     fresh = dataclasses.replace(scan)
     assert not fresh._rows
     assert bitscan.verify_subset_beta(fresh, V) == want
-    assert np.array_equal(fresh._rows[(3, 1)], scan._rows[(3, 1)])
+    for got, want in zip(fresh._rows[(3, 1)], scan._rows[(3, 1)]):
+        assert np.array_equal(got, want)
 
 
 def test_second_v_of_a_class_forms_no_sums(monkeypatch):
@@ -358,6 +357,44 @@ def test_build_peak_stays_near_the_survivors():
     assert peak < 6.5 * 2**20, peak
 
 
+def test_orbit_keys_peak_stays_near_the_survivors():
+    # the 1-D window (12,) at cardinality 6 keeps 328,170 survivors from
+    # 165,394 orbit representatives (|G| = 2).  Expanding every screened hit
+    # by every map peaked at 8.66 MiB; with one hit per orbit, and the
+    # images gathered as int32, it peaks near 6.2 MiB
+    tracemalloc.start()
+    try:
+        scan = bitscan.build_scan((12,), 6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scan.surv_i) == 328170
+    assert peak < 6.5 * 2**20, peak
+
+
+# sha256 of each scan's surv_i, surv_j and class arrays, (v, dim) in order,
+# each with its dtype, as the build made them before the window was
+# enumerated as arrays
+SCAN_DIGESTS = {
+    ((5, 4), 4, 1): "f1f9a504dd5e1a5f90e9a9d584871ed627d1c856c8094bca3f1dd52061a98bb6",
+    ((5, 4), 4, 2): "14c4d7c6796b788ca24d41da7e3d1cce1eb04f1e9fe93479485670658d1e74d5",
+    ((5, 5), 4, 1): "1a952f3fb9cfa8d094d22dfeff133c0b0d876007073df121f8744678821b62dd",
+    ((5, 5), 4, 2): "ba055707cf67413321a984a9db04c21bae862af6080a316017fb12197faf61f8",
+    ((6, 6), 4, 1): "1cfefa94e91a3bee859d999285a6d55020280b2717e51aa42e60ab315757abf5",
+    ((6, 6), 4, 2): "debf0d1237ae5592b241cc3500ccb30ba548b92821e83638637fe6dc1c99b9c4",
+    ((12,), 6, 1): "1bbfde54f2317c0114c321760ada51d83f3edaf0d427f77cc84c94b3a3e56145",
+}
+
+
+@pytest.mark.parametrize("dims, card, dim", sorted(SCAN_DIGESTS), ids=str)
+def test_scan_arrays_are_pinned(dims, card, dim):
+    scan = scan_5x4(dim) if (dims, card) == ((5, 4), 4) else bitscan.build_scan(dims, card, dim)
+    digest = hashlib.sha256()
+    for a in [scan.surv_i, scan.surv_j, *(a for c in sorted(scan.classes) for a in scan.classes[c])]:
+        digest.update(a.dtype.str.encode() + a.tobytes())
+    assert digest.hexdigest() == SCAN_DIGESTS[dims, card, dim]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_screen_limit_matches_the_closed_form(dim):
     # the scan for V of dimension dim screens at the count of |A+B| values
@@ -410,10 +447,10 @@ def held_bytes(scan):
 
 def test_scan_retains_pairs_only():
     # a freshly built 5x4 scan at cardinality 4 keeps its survivors as (i, j)
-    # and its 2,532 sets' masks and offsets.  For 1-D V that is 228,851
-    # survivors and 1.9 MiB of ndarrays, where keeping each survivor's
-    # |A+B|, |A||B| and two packed words took 10.5 MiB; a 2-D V reads
-    # Ruzsa's bound alone, which leaves 5,175 survivors and 0.14 MiB.  (The
+    # and its 2,532 sets' sizes, masks and offsets.  For 1-D V that is
+    # 228,851 survivors and 1.9 MiB of ndarrays, where keeping each
+    # survivor's |A+B|, |A||B| and two packed words took 10.5 MiB; a 2-D V
+    # reads Ruzsa's bound alone, which leaves 5,175 survivors and 0.16 MiB.  (The
     # scans of scan_5x4 are rechecked by other tests, and so hold rows.)
     for dim, survivors, mib in [(1, 228851, 4), (2, 5175, 0.25)]:
         scan = bitscan.build_scan((5, 4), 4, dim)
@@ -427,18 +464,20 @@ def test_scan_retains_pairs_only():
 ])
 def test_rechecked_scan_keeps_rows_only(dim, vs):
     # a recheck keeps the 7 rows of A+B (9 bits each, in a uint16) of each
-    # pair of its class on 5x4, 2 bytes per row per pair, and nothing more:
-    # after one V per class, 14 x (228,851 + 3,761) bytes (3.1 MiB) for 1-D
-    # V and 14 x (5,175 + 75) for 2-D V
+    # pair of its class on 5x4, 2 bytes per row per pair, and the pair's
+    # |A||B| in a uint16, and nothing more: after one V per class, 16 x
+    # (228,851 + 3,761) bytes (3.5 MiB) for 1-D V and 16 x (5,175 + 75) for
+    # 2-D V
     scan = bitscan.build_scan((5, 4), 4, dim)
     fresh = held_bytes(scan)
     for V in vs:
         bitscan.verify_subset_beta(scan, V)
     assert sorted(scan._rows) == sorted(scan.classes)
     kept = 0
-    for cls, rows in scan._rows.items():
-        assert rows.dtype == np.uint16 and rows.shape == (7, len(scan.classes[cls][0]))
-        kept += 2 * 7 * len(scan.classes[cls][0])
+    for cls, (rows, ab) in scan._rows.items():
+        pairs = len(scan.classes[cls][0])
+        assert rows.dtype == ab.dtype == np.uint16 and rows.shape == (7, pairs) and ab.shape == (pairs,)
+        kept += 2 * 8 * pairs
     assert held_bytes(scan) == fresh + kept
 
 
@@ -480,7 +519,7 @@ def test_pair_count_is_canonical_count(dims):
     n = canonical_count(GroupContext(len(dims)), [(0, k - 1) for k in dims], card)
     for dim in range(1, len(dims) + 1):
         scan = scan_5x4(dim) if dims == (5, 4) else scan_of(dims, dim)
-        assert len(scan.sets) == n and scan.pair_count == n * (n + 1) // 2
+        assert len(scan.sizes) == n and scan.pair_count == n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("dim, V", [

@@ -167,18 +167,21 @@ class TestEstimateCommand:
         assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("quantity, flag, text, need", [
-        ("beta", "--set", "0 0\n1 0\n", 900 * 439_066_526 * 8),
+        ("beta", "--set", "0 0\n1 0\n", 900 * (1 + 1_740 + 1_134_480) * 8),
         ("alpha", "--set", "0 0\n1 0\n", 900 * (1 + 898 + 898 * 897 // 2) * 8),
-        ("gamma", "--fn", "0 0 1\n1 0 1\n", 900 * 439_066_526 * 8),
+        ("gamma", "--fn", "0 0 1\n1 0 1\n", 900 * (1 + 1_740 + 1_134_480) * 8),
     ])
     def test_wide_window_refused_before_listing(self, quantity, flag, text, need, tmp_path,
                                                 capsys, monkeypatch):
         # 439,066,526 anchored sets of at most 4 points of 0..29 x 0..29, each
-        # with a table row per box point: refused from their count alone
+        # with a table row per box point: refused from their count alone,
+        # counted size by size up to the 1,136,221 sets of at most 3 points,
+        # where the table passes the limit (alpha: its sets of U and at most
+        # 2 of the other 898 points)
         def listing(*args):
             raise AssertionError("the window was listed")
 
-        monkeypatch.setattr(search, "canonical_subsets", listing)
+        monkeypatch.setattr(search, "anchored_sets", listing)
         path = tmp_path / "in.txt"
         path.write_text("group 2\n" + text)
         argv = ["estimate", quantity, flag, str(path), "--box", "0..29,0..29", "--max-card", "4"]
@@ -188,6 +191,26 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: the pair table of this scan needs at least {need} bytes")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("quantity, need", [
+        ("beta", 10_000 * (1 + 9_999 + 9_999 * 9_998 // 2) * 8),
+        ("alpha", 10_000 * (1 + 9_998 + 9_998 * 9_997 // 2) * 8),
+    ])
+    def test_huge_cardinality_refused_at_once(self, quantity, need, u01, capsys, monkeypatch):
+        # --max-card 10^11 on 0..9999: the count of sets passes the limit at
+        # three points, where the counting stops; summing every size up to
+        # the 10,000 points took more than 10 s
+        def listing(*args):
+            raise AssertionError("the window was listed")
+
+        monkeypatch.setattr(search, "anchored_sets", listing)
+        argv = ["estimate", quantity, "--set", u01, "--box=0..9999", "--max-card", "100000000000"]
+        start = time.perf_counter()
+        assert cli.main(argv) == 64
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == (f"error: the pair table of this scan needs at least {need} bytes, above the limit "
+                       f"of {search._TABLE_LIMIT}; narrow the box or lower the cardinality\n")
 
     def test_p_validation(self, u01):
         code = cli.main(

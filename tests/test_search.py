@@ -109,8 +109,48 @@ class TestCanonicalEnumeration:
         assert canonical_subsets(ctx, box, 10**11) == canonical_subsets(ctx, box, n)
 
 
+@st.composite
+def windows(draw):
+    # a group of free rank 0-2 with up to two torsion moduli, a box of 1-4
+    # points per free axis from lo in -2..2, and a cardinality up to two
+    # past the box's N points
+    d = draw(st.integers(0, 2))
+    moduli = tuple(draw(st.lists(st.integers(2, 3), max_size=2 if d < 2 else 1)))
+    box = tuple((lo, lo + draw(st.integers(0, 3))) for lo in draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    ctx = GroupContext(d, moduli)
+    n = len(box_points(ctx, box))
+    return ctx, box, draw(st.integers(1, min(n + 2, 5)))
+
+
+@given(windows())
+@example((GroupContext(1, (2,)), ((-1, 1),), 3))  # torsion: the tuples sort away from box order
+@example((GroupContext(0, (3, 2)), (), 7))  # free rank 0: every set, up to all 6 points
+@example((GroupContext(2), ((1, 2), (-2, 0)), 9))  # lo != 0, cardinality past N = 6
+@settings(max_examples=60, deadline=None)
+def test_anchored_sets_match_brute_force(window):
+    # every subset of at most k box points, by itertools, kept when its min
+    # on each free axis is the box's low end, in tuple order; and the arrays
+    # behind it: indices into the box points, ascending, padded with the first
+    ctx, box, k = window
+    pts = box_points(ctx, box)
+    want = sorted(
+        c for r in range(1, k + 1) for c in itertools.combinations(pts, r)
+        if all(min(q[i] for q in c) == box[i][0] for i in range(ctx.free_rank))
+    )
+    points, index, sizes = search.anchored_sets(ctx, box, k)
+    assert [tuple(p) for p in points.tolist()] == pts
+    assert index.shape == (len(want), min(k, len(pts)))
+    assert sizes.tolist() == [len(s) for s in want]
+    for row, size, s in zip(index.tolist(), sizes.tolist(), want):
+        assert row == [pts.index(q) for q in s] + [pts.index(s[0])] * (len(row) - size)
+    assert canonical_subsets(ctx, box, k) == want
+    assert canonical_count(ctx, box, k) == len(want)
+
+
 def anchored(dims, k):
-    return canonical_subsets(GroupContext(len(dims)), [(0, w - 1) for w in dims], k)
+    """A box's anchored sets as tuples and as the index rows set_images reads."""
+    ctx, box = GroupContext(len(dims)), [(0, w - 1) for w in dims]
+    return canonical_subsets(ctx, box, k), search.anchored_sets(ctx, box, k)[1]
 
 
 class TestSetImages:
@@ -121,8 +161,8 @@ class TestSetImages:
 
     @pytest.mark.parametrize("dims, k, order", BOXES, ids=str)
     def test_each_row_permutes_the_sets(self, dims, k, order):
-        sets = anchored(dims, k)
-        images = search.set_images(search.padded_points(sets), dims)
+        sets, index = anchored(dims, k)
+        images = search.set_images(index, dims)
         assert images.shape == (order, len(sets)) == (len(search.signed_permutations(dims)), len(sets))
         assert images[0].tolist() == list(range(len(sets)))  # the identity first
         for row in images:
@@ -132,22 +172,31 @@ class TestSetImages:
     def test_images_match_the_maps(self, dims, k, order):
         # written out: p -> (signs[a] p[perm[a]])_a, translated to min 0 per
         # axis and sorted, found by value in the list
-        sets = anchored(dims, k)
-        index = {s: m for m, s in enumerate(sets)}
-        images = search.set_images(search.padded_points(sets), dims)
+        sets, index = anchored(dims, k)
+        where = {s: m for m, s in enumerate(sets)}
+        images = search.set_images(index, dims)
         for g, (perm, signs) in enumerate(search.signed_permutations(dims)):
             for m in random.Random(g).sample(range(len(sets)), min(len(sets), 300)):
-                img = [tuple(s * p[a] for a, s in zip(perm, signs)) for p in sets[m]]
-                low = [min(axis) for axis in zip(*img)]
-                want = tuple(sorted(tuple(c - lo for c, lo in zip(q, low)) for q in img))
-                assert images[g, m] == index[want]
+                assert images[g, m] == where[image_of(sets[m], perm, signs)]
+
+    @pytest.mark.parametrize("dims, k", [((5, 4), 4), ((5, 5), 4), ((6, 6), 4), ((12,), 6), ((3, 3, 3), 3),
+                                         ((16,), 16)], ids=str)
+    def test_keys_find_every_image(self, dims, k):
+        # every image of every set, found by value: the int64 key of each
+        # window but (16,) at 16 points, whose base-17 keys of 16 digits
+        # pass int64 and are compared as bytes
+        sets, index = anchored(dims, k)
+        images = search.set_images(index, dims)
+        where = {s: m for m, s in enumerate(sets)}
+        for g, (perm, signs) in enumerate(search.signed_permutations(dims)):
+            assert images[g].tolist() == [where[image_of(s, perm, signs)] for s in sets]
 
     def test_stabilizers_are_kept(self):
         # the unit square and the 2x2 cross are fixed by all 8 maps of the
         # square, an L-tromino by a reflection in the diagonal, {0} by all
         dims = (3, 3)
-        sets = anchored(dims, 4)
-        images = search.set_images(search.padded_points(sets), dims)
+        sets, index = anchored(dims, 4)
+        images = search.set_images(index, dims)
         for s, fixed in [(((0, 0), (0, 1), (1, 0), (1, 1)), 8), (((0, 1), (1, 0), (1, 2), (2, 1)), 8),
                          (((0, 0), (0, 1), (1, 0)), 2), (((0, 0),), 8)]:
             assert (images[:, sets.index(s)] == sets.index(s)).sum() == fixed
@@ -155,8 +204,8 @@ class TestSetImages:
     @pytest.mark.parametrize("dims, k", [((4, 3), 3), ((3, 3), 4), ((7,), 4)], ids=str)
     def test_sumset_sizes_are_invariant(self, dims, k):
         # |gA + gB| = |A + B| on sampled pairs, through groups.sumset
-        sets = anchored(dims, k)
-        images = search.set_images(search.padded_points(sets), dims)
+        sets, index = anchored(dims, k)
+        images = search.set_images(index, dims)
         ctx = GroupContext(len(dims))
         size = lambda i, j: len(sumset(ps(ctx, sets[i]), ps(ctx, sets[j])))
         rng = random.Random(5)
@@ -165,11 +214,19 @@ class TestSetImages:
             assert {size(row[i], row[j]) for row in images} == {size(i, j)}
 
     def test_refuses_sets_it_cannot_index(self):
-        sets = anchored((3, 3), 2)
+        sets, index = anchored((3, 3), 2)
         with pytest.raises(ValueError, match="closed"):  # {(0,0), (0,1)} lacks its transpose
-            search.set_images(search.padded_points([s for s in sets if s != ((0, 0), (1, 0))]), (3, 3))
+            search.set_images(index[[s != ((0, 0), (1, 0)) for s in sets]], (3, 3))
         with pytest.raises(ValueError, match="sorted"):
-            search.set_images(search.padded_points(sets[::-1]), (3, 3))
+            search.set_images(index[::-1], (3, 3))
+
+
+def image_of(s, perm, signs):
+    """The set's image under p -> (signs[a] p[perm[a]])_a, translated to min
+    0 per axis, sorted."""
+    img = [tuple(sg * p[a] for a, sg in zip(perm, signs)) for p in s]
+    low = [min(axis) for axis in zip(*img)]
+    return tuple(sorted(tuple(c - lo for c, lo in zip(q, low)) for q in img))
 
 
 class TestBetaEstimate:
@@ -804,8 +861,9 @@ GUARDED_WINDOWS = [  # (estimate, its first argument, box, max_cardinality), all
 
 @pytest.mark.parametrize("estimate, arg, box, card", GUARDED_WINDOWS)
 def test_window_bound_never_passes_the_table(estimate, arg, box, card, monkeypatch):
-    # the bytes a scan is refused on before it lists its window are at most
-    # those of the pair table it then sizes, so a window whose table fits runs
+    # the bytes a scan is refused on before it lists its window, checked
+    # once per size on the sets counted so far, are at most those of the
+    # pair table it then sizes, so a window whose table fits runs
     calls = []
     check = search._check_table
 
@@ -815,8 +873,9 @@ def test_window_bound_never_passes_the_table(estimate, arg, box, card, monkeypat
 
     monkeypatch.setattr(search, "_check_table", spy)
     estimate(arg, SearchConfig(box=box, max_cardinality=card))
-    (bound, at_least), (table, exact) = calls
-    assert (at_least, exact) == ("at least ", "") and 0 < bound <= table
+    *bounds, (table, exact) = calls
+    assert exact == "" and {at_least for _, at_least in bounds} == {"at least "}
+    assert 0 < bounds[-1][0] <= table
 
 
 def test_window_of_the_wrong_arity_is_named():
@@ -866,15 +925,16 @@ def test_scans_match_brute_force_in_small_blocks(block, monkeypatch):
 
 def synthetic_scan(sizes, nums, p, dtype):
     """_first_minimum over sets of the given sizes, with nums[i][j] the
-    numerator of the pair (i, j); returns its (key, A, B, nodes, complete)
-    and the sets."""
+    numerator of the pair (i, j); returns its (key, A, B, nodes, complete),
+    with the sets A and B of the pair it names, and the sets."""
     sets = [tuple((10 * i + k,) for k in range(size)) for i, size in enumerate(sizes)]
     cfg = SearchConfig(box=((0, 0),), max_cardinality=1, p=p)
 
     def eval_pairs(I, J):
         return np.array([nums[i][j] for i, j in zip(I.tolist(), J.tolist())], dtype=dtype)
 
-    return search._first_minimum(sets, cfg, eval_pairs), sets
+    key, i, j, nodes, complete = search._first_minimum(np.array(sizes), cfg, eval_pairs)
+    return (key, sets[i], sets[j], nodes, complete), sets
 
 
 BIG = 10**6  # a numerator that never competes
