@@ -60,7 +60,8 @@ and |A||B| 2 bytes per pair.  Row r of A+B+V is the OR of row r-y of
 A+B shifted by x over the points (x, y) of V, in the narrowest
 unsigned dtype that holds it, formed for blocks of pairs of about
 _BLOCK_CELLS output cells so that the buffers stay in cache.  Only that OR
-depends on V; V's dimension is read off its points, with no rank computed.
+depends on V; `scan_dimension` reads V's dimension off its points, with no
+rank computed, and so picks the scan that V reads.
 
 The build screens each symmetry class of pairs once.  A signed coordinate
 permutation g of the box maps anchored sets to anchored sets, re-anchored,
@@ -361,6 +362,16 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     return ExhaustiveBetaScan(dims, dim, sizes, masks, shifts, surv_i, surv_j, classes, n * (n + 1) // 2)
 
 
+def scan_dimension(v_points: Sequence[Pt]) -> Optional[int]:
+    """The dimension of the scan that decides V, given by its distinct points
+    in one or two free coordinates: None at |V| <= 2, which reads no scan,
+    else 1 when every point lies on the line through the first two, else 2."""
+    if len(v_points) < 3:
+        return None
+    (x0, y0), (x1, y1), *more = (tuple(p) + (0,) * (2 - len(p)) for p in v_points)
+    return 1 if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in more) else 2
+
+
 def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict:
     """Decide exactly whether min |A+B+V|^2 / (|A||B|) over the scanned
     pairs is |V|^2, attained at the singleton pair.
@@ -386,12 +397,9 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
         raise ValueError(reason)
     v = len(vpts)
     result = {"pair_count": scan.pair_count, "counterexample": None, "checked_pairs": 0}
-    if v < 3:  # at most two points: every certificate holds
+    dim_v = scan_dimension(vpts)
+    if dim_v is None:  # at most two points: every certificate holds
         return result
-    # V's dimension, 1 when every point lies on the line through its first
-    # two, taken in the plane (a 1-D V on the x axis)
-    (x0, y0), (x1, y1), *more = (p + (0,) * (2 - d) for p in vpts)
-    dim_v = 1 if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in more) else 2
     if dim_v != scan.dim:
         raise ValueError(f"V is {dim_v}-dimensional, but the scan serves dimension {scan.dim}")
     # the pairs whose certificate fails for V's class

@@ -12,10 +12,10 @@ sorted lines, LF-terminated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
-from .functional import WeightedFunction
-from .groups import GroupContext, PointSet
+from .functional import Weight, WeightedFunction
+from .groups import GroupContext, PointSet, Vec
 
 
 class FormatError(ValueError):
@@ -56,28 +56,37 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
-def parse_point_set(text: str) -> PointSet:
+def _parse_rows(text: str, weighted: bool) -> tuple[GroupContext, dict[Vec, Optional[Weight]]]:
+    """The header's group and each line's reduced point, with its weight when
+    `weighted` (else None), in line order.  A line is checked whole, in turn:
+    its length, its coordinates, a repeated point, then its weight."""
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty input")
     ctx = _parse_header(lines[0])
-    pts = []
-    seen = set()
+    rows: dict[Vec, Optional[Weight]] = {}
     for line in lines[1:]:
         toks = line.split()
-        if len(toks) != ctx.arity:
-            raise FormatError(f"expected {ctx.arity} coordinates, got {line!r}")
+        if len(toks) != ctx.arity + weighted:
+            raise FormatError(f"expected {ctx.arity} coordinates{' and a weight' * weighted}, got {line!r}")
         try:
-            p = ctx.reduce(tuple(int(t) for t in toks))
+            p = ctx.reduce(tuple(int(t) for t in toks[:ctx.arity]))
         except ValueError as e:
             raise FormatError(str(e))
-        if p in seen:
-            raise FormatError(f"duplicate point {p}")
-        seen.add(p)
-        pts.append(p)
-    if not pts:
-        raise FormatError("point set has no points")
-    return PointSet.of(ctx, pts)
+        if p in rows:
+            raise FormatError(f"duplicate coordinate line for {p}" if weighted else f"duplicate point {p}")
+        w = _parse_weight(toks[-1]) if weighted else None
+        if w is not None and w < 0:
+            raise FormatError("negative weight")
+        rows[p] = w
+    if not rows:
+        raise FormatError("function has no support" if weighted else "point set has no points")
+    return ctx, rows
+
+
+def parse_point_set(text: str) -> PointSet:
+    ctx, rows = _parse_rows(text, weighted=False)
+    return PointSet.of(ctx, rows)
 
 
 def _format_header(ctx: GroupContext) -> str:
@@ -119,31 +128,9 @@ def _format_weight(w: Union[Fraction, float]) -> str:
 
 
 def parse_function(text: str) -> WeightedFunction:
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    ctx = _parse_header(lines[0])
-    entries = []
-    seen = set()
-    for line in lines[1:]:
-        toks = line.split()
-        if len(toks) != ctx.arity + 1:
-            raise FormatError(f"expected {ctx.arity} coordinates and a weight, got {line!r}")
-        try:
-            p = ctx.reduce(tuple(int(t) for t in toks[:-1]))
-        except ValueError as e:
-            raise FormatError(str(e))
-        if p in seen:
-            raise FormatError(f"duplicate coordinate line for {p}")
-        seen.add(p)
-        w = _parse_weight(toks[-1])
-        if isinstance(w, float) and w < 0 or isinstance(w, Fraction) and w < 0:
-            raise FormatError("negative weight")
-        entries.append((p, w))
-    if not entries:
-        raise FormatError("function has no support")
+    ctx, rows = _parse_rows(text, weighted=True)
     try:
-        return WeightedFunction.of(ctx, entries)
+        return WeightedFunction.of(ctx, rows)
     except ValueError as e:
         raise FormatError(str(e))
 

@@ -120,8 +120,8 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     # wide boxes or V's, and the isometric and isomeric variants
     if (cfg.variant == "unrestricted" and ctx.is_torsion_free and ctx.free_rank == len(dims)
             and bitscan.unsupported(dims, v_free) is None):
-        dim_v = dimension(V)
-        if (len(V), dim_v) in bitscan.CLASSES:
+        dim_v = bitscan.scan_dimension(v_free)
+        if dim_v is not None:
             key = (dims, cfg.max_cardinality, dim_v)
             if key not in _SCAN_CACHE:
                 _SCAN_CACHE[key] = bitscan.build_scan(*key)

@@ -5,15 +5,18 @@ finite search yields an upper bound together with a witness; reports carry
 the witness and are replayable: the reported value is recomputable from the
 witness alone.  Exhaustive enumeration runs over canonical representatives
 modulo translation (every target ratio is translation invariant), anchoring
-the min-corner of each set at the box origin.  Every scan is one sequential
-pass over the pairs in i-major order, evaluated in blocks of about
-_BLOCK_PAIRS pairs.  Beta, alpha and the gamma indicator scan share one
-numpy kernel (_pair_counts): once per scan, every B+U, translated by every
-point a set uses, is packed into uint64 words at the bits bit_index gives
-(torsion axes wrap), so |A+B+U| of a pair is the popcount of an OR of table
-rows.  Gamma runs it with the level sets of f as its U's and sums the counts
-with integer weights (the layer-cake identity).  A float log-ratio screens
-each block, and only the pairs near its minimum reach the exact comparison.
+the min-corner of each set at the box origin (alpha's sets contain U
+instead).  Every scan takes its sets as rows of box-point indices padded
+with each row's first, with the sizes alongside, and only the reported pair
+becomes tuples (point_tuples).  Every scan is one sequential pass over the
+pairs in i-major order, evaluated in blocks of about _BLOCK_PAIRS pairs.
+Beta, alpha and the gamma indicator scan share one numpy kernel
+(_pair_counts): once per scan, every B+U, translated by every point a set
+uses, is packed into uint64 words at the bits bit_index gives (torsion axes
+wrap), so |A+B+U| of a pair is the popcount of an OR of table rows.  Gamma
+runs it with the level sets of f as its U's and sums the counts with
+integer weights (the layer-cake identity).  A float log-ratio screens each
+block, and only the pairs near its minimum reach the exact comparison.
 Ties break to the first minimising pair, so reports are deterministic.
 
 Every scan keys its pairs on integer numerators: beta and alpha on the
@@ -375,16 +378,6 @@ def report_values(s: Fraction | float, a: int, b: int, p: Fraction) -> tuple[flo
     return ratio_float(s, a, b, p), (Fraction(s) * s / (a * b) if exact else None)
 
 
-def padded_points(sets: Sequence[Sequence[Vec]]) -> np.ndarray:
-    """The (n, width, arity) int64 array of the points of n sets, each set
-    padded to the width of the largest with its first point (OR-ing the
-    same bit twice changes nothing)."""
-    width, arity = max(len(s) for s in sets), len(sets[0][0])
-    chain = itertools.chain.from_iterable  # one flat run of ints converts fastest
-    flat = chain(chain(s + s[:1] * (width - len(s)) for s in sets))
-    return np.fromiter(flat, dtype=np.int64, count=len(sets) * width * arity).reshape(len(sets), width, arity)
-
-
 def bit_index(points: np.ndarray, shape: Sequence[int], free_rank: int) -> np.ndarray:
     """The bit of each point (the last axis of `points`) on a grid of this
     shape, first axis fastest.  A free axis must hold the point, so a sum
@@ -454,38 +447,37 @@ def set_images(index: np.ndarray, dims: Sequence[int]) -> np.ndarray:
 
 
 def _pair_counts(
-    points: np.ndarray, addends: Sequence[Sequence[Vec]], ctx: GroupContext
+    points: np.ndarray, index: np.ndarray, addends: Sequence[Sequence[Vec]], ctx: GroupContext
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The table kernel of every exhaustive pair scan: eval_pairs(I, J), whose
     row k is the int64 array of |A + B + U_k| over the pairs (A_I[t], B_J[t]),
-    for the K sets U_k of `addends`, of sets given by their (n, width, arity)
-    points padded with their first.  Beta passes [U], alpha [{0}] (U is
-    folded into its candidate sets) and gamma the level sets of f.
+    for the K sets U_k of `addends`, of sets given as the (n, width) rows of
+    `index` into the (N, arity) `points`, each padded with its first.  Beta
+    passes [U], alpha [{0}] (U is folded into its candidate sets) and gamma
+    the level sets of f.
 
     Every A+B+U_k lies on one grid, translated to its min: along a free axis
-    the sets' extent ext twice plus that of the union of the U_k, 2 ext +
-    ext(U) + 1 cells, so sums never wrap, and along a torsion axis its
-    modulus.  A point's bit is its bit_index on that grid.
+    the extent ext of the points the sets use twice, plus that of the union
+    of the U_k, 2 ext + ext(U) + 1 cells, so sums never wrap, and along a
+    torsion axis its modulus.  A point's bit is its bit_index on that grid.
 
     A+B+U is the union over q in A of q + B + U.  So the kernel builds one
     table: every B_j + U_k translated by every point q that a set uses, each
     packed into W = ceil(cells / 64) uint64 words, at row (k Q + index of q)
-    n + j.  That is K * Q * n * W * 8 bytes for Q distinct points, and a
-    table above _TABLE_LIMIT is refused with ValueError before it is
-    allocated.  The distinct q are found by their bit on the sets' own grid,
-    ext + 1 cells along a free axis.  Row i of `slot` holds the rows of A_i's
-    points, padded with its first, so the count of (i, j) under U_k is the
-    popcount of the OR of table[k Q n + slot[i] + j]: a block of pairs is a
-    few row gathers, ORs and one popcount."""
+    n + j.  That is K * Q * n * W * 8 bytes for the Q distinct indices of
+    `index`, and a table above _TABLE_LIMIT is refused with ValueError before
+    it is allocated.  Row i of `slot` holds the rows of A_i's points, padded
+    with its first, so the count of (i, j) under U_k is the popcount of the
+    OR of table[k Q n + slot[i] + j]: a block of pairs is a few row gathers,
+    ORs and one popcount."""
     d = ctx.free_rank
-    n, width, arity = points.shape
-    lo = points.min(axis=(0, 1))
-    ext = points.max(axis=(0, 1)) - lo
-    flat = points.reshape(n * width, arity)
-    own = bit_index(flat - lo, [*(ext + 1)[:d], *ctx.torsion_moduli], d)
-    _, first, inverse = np.unique(own, return_index=True, return_inverse=True)
-    shifts = flat[first]
+    n, width = index.shape
+    arity = points.shape[1]
+    used, inverse = np.unique(index, return_inverse=True)
+    shifts = points[used]
     slot = inverse.reshape(n, width) * n
+    lo = shifts.min(axis=0)
+    ext = shifts.max(axis=0) - lo
     us = [np.array(u, dtype=np.int64).reshape(len(u), arity) for u in addends]
     ulo, uhi = np.concatenate(us).min(axis=0), np.concatenate(us).max(axis=0)
     shape = [*(2 * ext + uhi - ulo + 1)[:d], *ctx.torsion_moduli]
@@ -494,14 +486,15 @@ def _pair_counts(
     _check_table(rows, words)
     table = np.zeros((rows, words), dtype=np.uint64)
     packed = table.view(np.uint8).reshape(len(us), len(shifts), n, -1)
+    sets = points[index]
     for level, u in zip(packed, us):
         # B_j + U_k less the min of A+B+U, so that q + bu[j] is q + B_j + U_k on the grid
-        bu = (points[:, :, None] + (u - ulo - 2 * lo)).reshape(n, width * len(u), arity)
+        bu = (sets[:, :, None] + (u - ulo - 2 * lo)).reshape(n, width * len(u), arity)
         for k, q in enumerate(shifts):
             abu = np.zeros((n, cells), dtype=bool)
             abu[np.arange(n)[:, None], bit_index(q + bu, shape, d)] = True
             level[k, :, : -(-cells // 8)] = np.packbits(abu, axis=1)
-    del bu, abu
+    del sets, bu, abu
     first_row = np.arange(len(us))[:, None] * (len(shifts) * n)  # of each U_k's rows
 
     def eval_pairs(I: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -531,18 +524,24 @@ def _refuse_counted(rows_per_set: int, counts: Iterator[int]) -> None:
         _check_table(rows_per_set * count, 1, "at least ")
 
 
-def _window_minimum(
-    ctx: GroupContext, cfg: SearchConfig, addends: Sequence[Sequence[Vec]],
-    numerators: Callable[[np.ndarray], np.ndarray],
-) -> tuple[tuple, tuple[Vec, ...], tuple[Vec, ...], int, bool]:
-    """_report's (key, A, B, nodes, complete) of the window's anchored sets,
-    keyed on `numerators` of their counts against `addends`.  box_size, then
-    _refuse_counted, refuse a window too large to list."""
+def _anchored_window(ctx: GroupContext, cfg: SearchConfig, addends: int) -> tuple[np.ndarray, ...]:
+    """anchored_sets of the window, to scan against this many addends; box_size,
+    then _refuse_counted, refuse a window too large to list."""
     if cfg.max_cardinality > 1:  # then every box point is in some set
-        rows = len(addends) * box_size(ctx, cfg.box)
-        _refuse_counted(rows, anchored_counts(ctx, cfg.box, cfg.max_cardinality))
-    points, index, sizes = anchored_sets(ctx, cfg.box, cfg.max_cardinality)
-    counts = _pair_counts(points[index], addends, ctx)
+        _refuse_counted(addends * box_size(ctx, cfg.box), anchored_counts(ctx, cfg.box, cfg.max_cardinality))
+    return anchored_sets(ctx, cfg.box, cfg.max_cardinality)
+
+
+def _window_minimum(
+    ctx: GroupContext, cfg: SearchConfig, window: tuple[np.ndarray, ...],
+    addends: Sequence[Sequence[Vec]], numerators: Callable[[np.ndarray], np.ndarray],
+) -> tuple[tuple, tuple[Vec, ...], tuple[Vec, ...], int, bool]:
+    """_report's (key, A, B, nodes, complete) of the window's sets, given as
+    anchored_sets gives them (points, index rows, sizes), keyed on
+    `numerators` of their counts against `addends`.  Only the reported pair
+    becomes tuples."""
+    points, index, sizes = window
+    counts = _pair_counts(points, index, addends, ctx)
     key, i, j, *rest = _first_minimum(sizes, cfg, lambda I, J: numerators(counts(I, J)))
     return key, *point_tuples(points, index[[i, j]], sizes[[i, j]]), *rest
 
@@ -562,7 +561,8 @@ def beta_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
     ctx = U.context
     if cfg.strategy == "hill_climb":
         return _beta_hill_climb(U, cfg)
-    return _report("beta", cfg, *_window_minimum(ctx, cfg, [U.points], lambda counts: counts[0]))
+    window = _anchored_window(ctx, cfg, 1)
+    return _report("beta", cfg, *_window_minimum(ctx, cfg, window, [U.points], lambda counts: counts[0]))
 
 
 def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
@@ -572,25 +572,25 @@ def alpha_estimate(U: PointSet, cfg: SearchConfig) -> EstimateReport:
         raise ValueError("U must be nonempty")
     _require_strategy(cfg, "alpha", ("exhaustive",))
     ctx = U.context
-    pts = box_points(ctx, cfg.box)
-    upts = set(U.points)
-    if not upts <= set(pts):
+    # the box points in tuple order, so that rows of ascending indices sort as the sets' tuples
+    pts = sorted(box_points(ctx, cfg.box))
+    at = {q: k for k, q in enumerate(pts)}
+    if not set(U.points) <= at.keys():
         raise ValueError("U must lie inside the search box for alpha")
-    extra = [q for q in pts if q not in upts]
+    u = [at[q] for q in U.points]
+    extra = sorted(set(range(len(pts))) - set(u))
     room = cfg.max_cardinality - len(U)
     if room < 0:
         raise ValueError("max_cardinality below |U|")
     room = min(room, len(extra))  # no set holds more than the box
     if room > 0:  # every box point is in some set
         _refuse_counted(len(pts), (math.comb(len(extra), k) for k in range(room + 1)))
-    sets = []
-    for k in range(0, room + 1):
-        for combo in itertools.combinations(extra, k):
-            sets.append(tuple(sorted(U.points + combo)))
-    sets.sort()
-    counts = _pair_counts(padded_points(sets), [[ctx.zero()]], ctx)
-    key, i, j, *rest = _first_minimum(np.array([len(s) for s in sets]), cfg, lambda I, J: counts(I, J)[0])
-    return _report("alpha", cfg, key, sets[i], sets[j], *rest)
+    sets = sorted(tuple(sorted(u + list(combo)))
+                  for k in range(room + 1) for combo in itertools.combinations(extra, k))
+    width = len(U) + room
+    index = np.array([s + s[:1] * (width - len(s)) for s in sets], dtype=np.intp)
+    window = np.array(pts, dtype=np.int64).reshape(len(pts), -1), index, np.array([len(s) for s in sets])
+    return _report("alpha", cfg, *_window_minimum(ctx, cfg, window, [[ctx.zero()]], lambda counts: counts[0]))
 
 
 def variant_estimates(
@@ -696,7 +696,8 @@ def gamma_indicator_estimate(f: WeightedFunction, cfg: SearchConfig) -> Estimate
     levels = [[x for (x, _), w in zip(f.entries, weights) if w >= t] for t in tops]
     # Python ints: a weight may scale far past int64 (1e-300 is m / 2^1049)
     steps = np.array([t - s for t, s in zip(tops, tops[1:] + [0])], dtype=object)
-    (s, a, b), *rest = _window_minimum(ctx, cfg, levels, lambda counts: steps @ counts.astype(object))
+    window = _anchored_window(ctx, cfg, len(levels))
+    (s, a, b), *rest = _window_minimum(ctx, cfg, window, levels, lambda counts: steps @ counts.astype(object))
     num = Fraction(s, denom) if f.exact else _quotient(s, denom)
     return _report("gamma", cfg, (num, a, b), *rest)
 

@@ -1,17 +1,17 @@
 """Acceptance gate: ten end-to-end criteria, one test (pass/fail line) each.
 
-Criteria 1 and 4 run through the installed CLI in subprocesses so the
-byte-determinism rerun of criterion 10 exercises the real artifact stream;
-the runs are cached at module scope and shared between criteria.
+Criteria 1 and 4 run through the CLI of this checkout in subprocesses, so
+the byte-determinism rerun of criterion 10 exercises the real artifact
+stream; the runs are cached at module scope and shared between criteria.
 """
 
 import functools
 import json
 import subprocess
 import sys
-import tempfile
 from fractions import Fraction
-from pathlib import Path
+
+import pytest
 
 from sumsetlab.groups import GroupContext, PointSet
 from sumsetlab.laws import run_suite
@@ -25,23 +25,31 @@ from sumsetlab.search import (
 )
 
 F = Fraction
-_WORKDIR = Path(tempfile.mkdtemp(prefix="acceptance-"))
 
 DELTAS = [i / 10 for i in range(11)]
 PS = [2.0, 1.5, 3.0]
 R_MAX = 8
 
 
-@functools.lru_cache(maxsize=None)
-def cli_suite_run(suite: str, threads: int) -> str:
-    out = _WORKDIR / f"{suite}-t{threads}.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-m", "sumsetlab.cli", "laws", "run",
-         "--suite", suite, "--threads", str(threads), "--out", str(out)],
-        capture_output=True, text=True, timeout=1800,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return out.read_text()
+@pytest.fixture(scope="module")
+def cli_suite_run(tmp_path_factory, src_env):
+    """run(suite, threads), the output of one CLI `laws run`, run once per
+    argument pair into pytest's session temp directory, which pytest prunes
+    (it keeps the last three sessions')."""
+    workdir = tmp_path_factory.mktemp("acceptance")
+
+    @functools.lru_cache(maxsize=None)
+    def run(suite: str, threads: int) -> str:
+        out = workdir / f"{suite}-t{threads}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumsetlab.cli", "laws", "run",
+             "--suite", suite, "--threads", str(threads), "--out", str(out)],
+            capture_output=True, text=True, timeout=1800, env=src_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return out.read_text()
+
+    return run
 
 
 def split_run(text: str):
@@ -57,7 +65,7 @@ def report(n: int, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def test_criterion_01_quasicube_beta_exact():
+def test_criterion_01_quasicube_beta_exact(cli_suite_run):
     # every subset of 25 seeded quasicubes (d <= 2): exhaustive scan over
     # [-2,3]^d at cardinality 4, exact minimum ratio^2 = |V|^2 at singletons
     verdict_lines, summary = split_run(cli_suite_run("quasicube", 4))
@@ -130,7 +138,7 @@ def test_criterion_03_c_p_constant():
            f"c_2 exact, minimizer violations: {len(minimizer_bad)}")
 
 
-def test_criterion_04_rearrangement():
+def test_criterion_04_rearrangement(cli_suite_run):
     verdict_lines, summary = split_run(cli_suite_run("rearrangement", 1))
     verdicts = [json.loads(l) for l in verdict_lines]
     report(4, summary["failures"] == 0 and len(verdicts) == 200,
@@ -173,7 +181,7 @@ def test_criterion_09_trivial_bounds_freiman():
            "10 windows + 500 random sets")
 
 
-def test_criterion_10_thread_determinism():
+def test_criterion_10_thread_determinism(cli_suite_run):
     # rerun criteria 1 and 4 at the other thread count; verdict lines must be
     # byte-identical.  The trailing summary line embeds the run manifest
     # (invocation flags and wall clock), so it is compared with the manifest

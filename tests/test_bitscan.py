@@ -6,13 +6,11 @@ import functools
 import hashlib
 import itertools
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,12 +181,10 @@ except AssertionError as err:
 """
 
 
-def test_cauchy_davenport_check_runs_under_optimize():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+def test_cauchy_davenport_check_runs_under_optimize(src_env):
     done = subprocess.run(
         [sys.executable, "-O", "-c", BROKEN_SETS],
-        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, env=src_env,
     )
     assert done.returncode == 0, done.stderr
     assert "Cauchy-Davenport" in done.stdout and done.stdout.startswith("1 "), done.stdout

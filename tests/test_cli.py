@@ -85,6 +85,51 @@ class TestFunctionFormat:
         assert io_formats.parse_function(text) == f
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    ("point", "", "empty input"),
+    ("point", "# only a comment\n", "empty input"),
+    ("point", "grp 1\n0\n", "expected 'group' header, got 'grp 1'"),
+    ("point", "group\n0\n", "header must be 'group <free_rank> [mod <m1> ...]'"),
+    ("point", "group x\n0\n", "header must be 'group <free_rank> [mod <m1> ...]'"),
+    ("point", "group 1 foo 2\n0\n", "unexpected header token 'foo'"),
+    ("point", "group 1 mod x\n0 0\n", "moduli must be integers"),
+    ("point", "group 1 mod\n0\n", "'mod' requires at least one modulus"),
+    ("point", "group -1\n", "free_rank must be nonnegative"),
+    ("point", "group 1 mod 1\n0 0\n", "torsion moduli must all be >= 2"),
+    ("point", "group 2\n0\n", "expected 2 coordinates, got '0'"),
+    ("point", "group 2\n0 0 0\n", "expected 2 coordinates, got '0 0 0'"),
+    ("point", "group 1\nx\n", "invalid literal for int() with base 10: 'x'"),
+    ("point", "group 1\n1.5\n", "invalid literal for int() with base 10: '1.5'"),
+    ("point", "group 1\n0\n0\n", "duplicate point (0,)"),
+    ("point", "group 1 mod 2\n0 0\n0 2\n", "duplicate point (0, 0)"),
+    ("point", "group 1\n", "point set has no points"),
+    ("function", "", "empty input"),
+    ("function", "grp 1\n0 1\n", "expected 'group' header, got 'grp 1'"),
+    ("function", "group 1 mod\n0 1\n", "'mod' requires at least one modulus"),
+    ("function", "group 1\n0\n", "expected 1 coordinates and a weight, got '0'"),
+    ("function", "group 1\n0 1 2\n", "expected 1 coordinates and a weight, got '0 1 2'"),
+    ("function", "group 1\nx 1\n", "invalid literal for int() with base 10: 'x'"),
+    ("function", "group 1\n0 1\n0 2\n", "duplicate coordinate line for (0,)"),
+    ("function", "group 1 mod 2\n0 0 1\n0 2 1\n", "duplicate coordinate line for (0, 0)"),
+    ("function", "group 1\n", "function has no support"),
+    ("function", "group 1\n0 1/0\n", "bad rational weight '1/0'"),
+    ("function", "group 1\n0 1/x\n", "bad rational weight '1/x'"),
+    ("function", "group 1\n0 1.x\n", "bad decimal weight '1.x'"),
+    ("function", "group 1\n0 x\n", "bad weight token 'x'"),
+    ("function", "group 1\n0 inf\n", "bad weight token 'inf'"),
+    ("function", "group 1\n0 -1/2\n", "negative weight"),
+    ("function", "group 1\n0 -1.5\n", "negative weight"),
+    ("function", "group 1\n0 -3\n", "negative weight"),
+    ("function", "group 1\n0 1e999\n", "weights must be finite, got inf"),
+])
+def test_single_fault_messages(parse, text, message):
+    # each input has one fault, and the parser names it in these words
+    parser = io_formats.parse_point_set if parse == "point" else io_formats.parse_function
+    with pytest.raises(io_formats.FormatError) as err:
+        parser(text)
+    assert str(err.value) == message
+
+
 @pytest.fixture
 def u01(tmp_path):
     p = tmp_path / "u01.txt"

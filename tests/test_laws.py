@@ -1,12 +1,10 @@
 """Verdict checks for the proved inequalities, plus the seeded suites."""
 
 import itertools
-import os
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -409,12 +407,10 @@ for variant in ("unrestricted", "isomeric"):
 """
 
 
-def test_witness_replay_runs_under_optimize():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+def test_witness_replay_runs_under_optimize(src_env):
     done = subprocess.run(
         [sys.executable, "-O", "-c", FORGED_KERNELS],
-        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, env=src_env,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == ("1 witness of V = ((0, 0), (0, 1), (1, 0)) replays to 5^2/2, not 17/2\n"

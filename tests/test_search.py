@@ -4,14 +4,12 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,14 +628,14 @@ def test_rank_zero_contexts(ctx, pts, beta_nodes, alpha_nodes):
 
 
 def test_bit_index_layout():
-    pts = search.padded_points([((0, 1), (2, 0)), ((1, 2),)])
-    assert pts.shape == (2, 2, 2) and pts[1].tolist() == [[1, 2], [1, 2]]
+    # two sets of points, the second padded with its first
+    pts = np.array([[[0, 1], [2, 0]], [[1, 2], [1, 2]]])
     # first axis fastest; the second, a torsion axis, wraps modulo 3
     assert search.bit_index(pts, (3, 3), 1).tolist() == [[3, 2], [7, 7]]
     assert search.bit_index(np.array([1, 4]), (3, 3), 1) == 4
     with pytest.raises(ValueError):  # a free coordinate off the grid
         search.bit_index(np.array([3, 0]), (3, 3), 1)
-    assert search.bit_index(search.padded_points([((),), ((), ())]), (), 0).tolist() == [[0, 0]] * 2
+    assert search.bit_index(np.zeros((2, 2, 0), dtype=np.int64), (), 0).tolist() == [[0, 0]] * 2
 
 
 def report_fields(r):
@@ -1239,14 +1237,12 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.module
 
 
 @pytest.mark.parametrize("scipy", ["blocked", "importable"])
-def test_descent_runs_without_scipy(scipy):
+def test_descent_runs_without_scipy(scipy, src_env):
     # blocked: the descent needs no scipy; importable: nothing imports it
     # anyway, as a lazy import with a fallback would
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE, scipy],
-        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, env=src_env,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[:2] == ["1.8341996954988742", "[]"], done.stdout
