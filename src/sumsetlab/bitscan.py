@@ -59,9 +59,16 @@ packed words would take 8 or 16 bytes per pair and uint64 rows 8 per row,
 and |A||B| 2 bytes per pair.  Row r of A+B+V is the OR of row r-y of
 A+B shifted by x over the points (x, y) of V, in the narrowest
 unsigned dtype that holds it, formed for blocks of pairs of about
-_BLOCK_CELLS output cells so that the buffers stay in cache.  Only that OR
-depends on V; `scan_dimension` reads V's dimension off its points, with no
-rank computed, and so picks the scan that V reads.
+8 _BLOCK_CELLS bytes (256 KiB) so that the buffers stay in cache, and
+counted byte by byte (`_sumset_sizes`): numpy's bitwise_count is fastest on
+uint8.  Only that OR depends on V; `scan_dimension` reads V's dimension off
+its points, with no rank computed, and so picks the scan that V reads.
+
+Both kernels, build_scan and verify_subset_beta, run inside one scoped
+numpy state (`_small_buffer`): a ufunc buffer of _BUFSIZE elements, not
+numpy's 8,192, so that the build's broadcast shifts over rows of a few
+thousand columns take numpy's fast loop.  Leaving the scope restores the
+caller's buffer size and error state.
 
 The build screens each symmetry class of pairs once.  A signed coordinate
 permutation g of the box maps anchored sets to anchored sets, re-anchored,
@@ -90,6 +97,7 @@ box, the cardinality and the dimension served.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from math import prod
 from typing import Optional, Sequence
 
@@ -104,7 +112,23 @@ MAX_V = 4  # the largest |V| the certificates of build_scan cover
 # the (|V|, dim V) classes a scan lists failing survivors for: a V of at
 # most two points is always certified, and v points span at most v-1 dimensions
 CLASSES = tuple((v, k) for v in range(3, MAX_V + 1) for k in (1, 2) if k < v)
-_BLOCK_CELLS = 1 << 15  # about this many cells per numpy call: sums A+B, or rows of A+B+V in a recheck
+_BLOCK_CELLS = 1 << 15  # about this many uint64 cells (256 KiB) per numpy call: sums A+B, or rows of A+B+V in a recheck
+_BUFSIZE = 1024  # numpy's ufunc buffer, in elements, inside the kernels (numpy's default is 8192)
+
+
+def _small_buffer(kernel):
+    """Run a bit-scan kernel with numpy's ufunc buffer at _BUFSIZE elements;
+    leaving the errstate scope restores the caller's buffer size and error
+    state (numpy >= 2.0).  numpy's buffered loops copy a broadcast operand
+    through the buffer whenever a row is shorter than half of it, so with
+    the default buffer a build shift on the 5x4 window, rows of 2,520
+    columns, takes about 3.5 times as long as with this one."""
+    @wraps(kernel)
+    def run(*args, **kwargs):
+        with np.errstate():
+            np.setbufsize(_BUFSIZE)
+            return kernel(*args, **kwargs)
+    return run
 
 
 def certified_size(s, v: int, dim: int):
@@ -229,6 +253,45 @@ def _class_rows(scan: ExhaustiveBetaScan, cls: tuple[int, int]) -> tuple[np.ndar
     return scan._rows[cls]
 
 
+def _sumset_sizes(rows: np.ndarray, width: int, v_points: Sequence[Pt]) -> np.ndarray:
+    """|A+B+V| as int64 for each pair whose rows of A+B, `width` bits each,
+    are a column of `rows` (`_class_rows`), for V given by its points (x,)
+    or (x, y), min 0 per axis, at most one uint64 wide (`unsupported`).
+
+    Row r of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, in the
+    narrowest unsigned dtype of width + max x bits.  Its popcount is taken
+    byte by byte, on a uint8 view, where numpy's bitwise_count is fastest:
+    each byte column is summed over the rows in the narrowest dtype that
+    holds 8 top, for the top rows of A+B+V, and a pair's bytes are then
+    added.  A block holds about 8 _BLOCK_CELLS bytes of rows of A+B+V, so
+    that the buffers stay in cache."""
+    height = len(rows)
+    at = [(p[0], p[1] if len(p) > 1 else 0) for p in v_points]
+    dtype = np.min_scalar_type((1 << (width + max(x for x, _ in at))) - 1)
+    size = dtype.itemsize
+    top = height + max(y for _, y in at)  # the rows of A+B+V
+    acc = np.min_scalar_type(8 * top)
+    (x0, y0), *rest = ((dtype.type(x), y) for x, y in at)
+    pairs = rows.shape[1]
+    block = max(1, 8 * _BLOCK_CELLS // (top * size))
+    tmp, out = (np.empty((k, min(block, pairs)), dtype=dtype) for k in (height, top))
+    t = np.empty(pairs, dtype=np.int64)
+    for p0 in range(0, pairs, block):
+        p1 = min(p0 + block, pairs)
+        o, sh = out[:, :p1 - p0], tmp[:, :p1 - p0]
+        w = rows[:, p0:p1].astype(dtype, copy=False)
+        # the first point writes its rows, and the others OR into theirs
+        o[:y0] = o[y0 + height:] = 0
+        np.left_shift(w, x0, out=o[y0:y0 + height])
+        for x, y in rest:
+            o[y:y + height] |= np.left_shift(w, x, out=sh)
+        counts = np.bitwise_count(o.view(np.uint8)).sum(axis=0, dtype=acc)
+        t[p0:p1] = counts[::size]
+        for b in range(1, size):
+            t[p0:p1] += counts[b::size]
+    return t
+
+
 def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]:
     """Nonempty box subsets with min coordinate 0 in every axis, sorted.
 
@@ -237,6 +300,7 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
     return canonical_subsets(GroupContext(len(dims)), [(0, n - 1) for n in dims], max_card)
 
 
+@_small_buffer
 def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaScan:
     """One popcount pass over a pair of each symmetry class of canonical
     unordered pairs, block by block of rows, recording i-major every pair
@@ -372,6 +436,7 @@ def scan_dimension(v_points: Sequence[Pt]) -> Optional[int]:
     return 1 if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in more) else 2
 
 
+@_small_buffer
 def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict:
     """Decide exactly whether min |A+B+V|^2 / (|A||B|) over the scanned
     pairs is |V|^2, attained at the singleton pair.
@@ -407,29 +472,8 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     result["checked_pairs"] = len(i)
     if not len(i):
         return result
-    # Row r of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V; it
-    # fits the narrowest unsigned dtype of 2w-1 + max x bits, at most one
-    # uint64 by the width check.  A block of about _BLOCK_CELLS output cells
-    # keeps the buffers in cache.
     rows, ab = _class_rows(scan, (v, dim_v))
-    height = len(rows)
-    dtype = np.min_scalar_type((1 << (sum_shape(scan.dims)[0] + vpts[-1][0])) - 1)
-    at = [(dtype.type(p[0]), p[1] if d > 1 else 0) for p in vpts]  # V's points (x, y)
-    top = height + max(y for _, y in at)  # the rows of A+B+V
-    (x0, y0), *rest = at
-    block = max(1, _BLOCK_CELLS // top)
-    tmp, out = (np.empty((k, min(block, len(i))), dtype=dtype) for k in (height, top))
-    t = np.empty(len(i), dtype=np.int64)
-    for p0 in range(0, len(i), block):
-        p1 = min(p0 + block, len(i))
-        o, sh = out[:, :p1 - p0], tmp[:, :p1 - p0]
-        w = rows[:, p0:p1].astype(dtype, copy=False)
-        # the first point writes its rows, and the others OR into theirs
-        o[:y0] = o[y0 + height:] = 0
-        np.left_shift(w, x0, out=o[y0:y0 + height])
-        for x, y in rest:
-            o[y:y + height] |= np.left_shift(w, x, out=sh)
-        t[p0:p1] = np.bitwise_count(o).sum(axis=0, dtype=np.uint16)  # t < 2^16
+    t = _sumset_sizes(rows, sum_shape(scan.dims)[0], vpts)
     slack = t * t - np.multiply(ab, v * v, dtype=np.int64)
     if slack.min() < 0:
         # the first minimum of t^2/ab, as pairs are stored i-major: t < 2^16 and

@@ -115,10 +115,19 @@ def frac_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_JSON_SCALARS = frozenset((int, str, float, bool, type(None)))
+
+
 def json_value(x: object) -> object:
     """The JSON form of a report, verdict or config: a dataclass becomes the
     dict of its fields, a tuple or list a list and a Fraction "num/den",
-    recursively; every other value is left as it is."""
+    recursively; every other value is left as it is.  The exact types that
+    come most, the JSON scalars, tuples and lists, are dispatched first."""
+    kind = type(x)
+    if kind in _JSON_SCALARS:
+        return x
+    if kind is tuple or kind is list:
+        return [json_value(v) for v in x]
     if is_dataclass(x):
         return {f.name: json_value(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, Fraction):
@@ -399,6 +408,15 @@ def signed_permutations(dims: Sequence[int]) -> list[tuple[tuple[int, ...], tupl
     return [(perm, signs) for perm in perms for signs in itertools.product((1, -1), repeat=d)]
 
 
+def _compose(
+    h: tuple[tuple[int, ...], tuple[int, ...]], k: tuple[tuple[int, ...], tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (perm, signs) of p -> h(k(p)), for maps of signed_permutations:
+    perm[i] = pk[ph[i]] and signs[i] = sh[i] sk[ph[i]]."""
+    (ph, sh), (pk, sk) = h, k
+    return tuple(pk[i] for i in ph), tuple(s * sk[i] for s, i in zip(sh, ph))
+
+
 def set_images(index: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """The (|G|, n) array whose row g holds, for each of n sets, the index of
     its image under the g-th of the box's signed permutations
@@ -435,14 +453,37 @@ def set_images(index: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     if not np.all(own[1:] > own[:-1]):
         raise ValueError("the sets are not sorted and distinct")
     moves = signed_permutations(dims)
+    move_at = {move: g for g, move in enumerate(moves)}
     images = np.empty((len(moves), n), dtype=np.intp)
-    for g, (perm, signs) in enumerate(moves):
+    images[0] = np.arange(n)
+    # A product of maps found is filled by one gather, (h k)(S) = h(k(S)):
+    # images[h][images[k]], as re-anchoring commutes with the maps.  Only the
+    # maps that are no such product are searched, last first, as the last
+    # move every axis: two searches on a rectangle or a square
+    found, searched = {0}, []
+    for g in reversed(range(len(moves))):
+        if g in found:
+            continue
+        perm, signs = moves[g]
         # axis k of the image is axis perm[k] of the set, reflected in its extent where signs[k] < 0
         image = cells_of(tuple(axes[a] if s > 0 else tops[a] - axes[a] for a, s in zip(perm, signs)))
         at = np.searchsorted(own, keys(image))
         if not np.array_equal(own_cells[np.minimum(at, n - 1)], image):
             raise ValueError("the sets are not closed under the box's symmetries")
         images[g] = at
+        # every map the searched ones generate is h s for a map h found and a
+        # searched s, so the maps found times the searched ones close them
+        searched.append(g)
+        found.add(g)
+        new = list(found)
+        while new:
+            h = new.pop()
+            for k in searched:
+                c = move_at[_compose(moves[h], moves[k])]
+                if c not in found:
+                    np.take(images[h], images[k], out=images[c])
+                    found.add(c)
+                    new.append(c)
     return images
 
 

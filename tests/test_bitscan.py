@@ -285,9 +285,10 @@ def test_cached_rows_decode_to_the_sumsets(dims, dim):
 
 @pytest.mark.parametrize("cells", [1, 37, 4099])
 def test_recheck_block_changes_nothing(monkeypatch, cells):
-    # V = {0, 4, 8} on (12,) names the 5,533rd of its class's 5,714 pairs,
-    # past the first block of every size here; a fresh cache is filled and
-    # read in blocks of that size
+    # V = {0, 4, 8} on (12,) names the 5,533rd of its class's 5,714 pairs;
+    # a fresh cache is filled in blocks of that many pairs, past the first
+    # block at every size here, and read in blocks of that many uint64 cells
+    # (2 pairs a cell at one uint32 row of A+B+V a pair: 2, 74 and 8,198)
     scan = bitscan.build_scan((12,), 6, 1)
     V = [(0,), (4,), (8,)]
     want = bitscan.verify_subset_beta(scan, V)
@@ -297,6 +298,68 @@ def test_recheck_block_changes_nothing(monkeypatch, cells):
     assert bitscan.verify_subset_beta(fresh, V) == want
     for got, want in zip(fresh._rows[(3, 1)], scan._rows[(3, 1)]):
         assert np.array_equal(got, want)
+
+
+# (window, dim, V, dtype of the rows of A+B, of a row of A+B+V, and of the
+# per-byte column sums): rows of A+B in uint8, uint16 and uint64 words, and
+# sums in uint8 (8 top <= 255) and uint16, the latter on (2, 12), whose V
+# spans rows 0..22 of A+B+V past the 23 of A+B: top = 45, 8 top = 360
+SIZE_CASES = [
+    ((3, 3), 2, ((0, 0), (1, 0), (0, 1)), np.uint8, np.uint8, np.uint8),
+    ((3, 3), 2, ((0, 0), (2, 1), (1, 2), (2, 2)), np.uint8, np.uint8, np.uint8),
+    ((5, 4), 2, ((0, 0), (1, 0), (0, 1), (1, 1)), np.uint16, np.uint16, np.uint8),
+    ((32,), 1, ((0,), (1,)), np.uint64, np.uint64, np.uint8),
+    ((2, 12), 1, ((0, 0), (1, 11), (2, 22)), np.uint8, np.uint8, np.uint16),
+]
+
+
+@pytest.mark.parametrize("dims, dim, V, rows_type, out_type, sum_type", SIZE_CASES, ids=str)
+def test_sumset_sizes_match_groups_sumset(dims, dim, V, rows_type, out_type, sum_type):
+    # _sumset_sizes gives |A+B+V| for every pair of every class, read off
+    # the class's cached rows, as groups.sumset does; V need not be of the
+    # class or of the scan's dimension here, the rows alone are read
+    scan = scan_5x4(dim) if dims == (5, 4) else scan_of(dims, dim)
+    width, *higher = bitscan.sum_shape(dims)
+    top = math.prod(higher) + max(p[-1] for p in V) * (len(dims) > 1)
+    assert np.min_scalar_type((1 << (width + max(p[0] for p in V))) - 1) == out_type
+    assert np.min_scalar_type(8 * top) == sum_type
+    ctx = GroupContext(len(dims))
+    U = PointSet.of(ctx, V)
+    sets = {}
+
+    def of(m):
+        if m not in sets:
+            sets[m] = PointSet.of(ctx, scan.points_of(m))
+        return sets[m]
+
+    for cls, (ci, cj) in scan.classes.items():
+        rows, _ = bitscan._class_rows(scan, cls)
+        assert rows.dtype == rows_type
+        got = bitscan._sumset_sizes(rows, width, V)
+        assert got.dtype == np.int64
+        assert got.tolist() == [len(sumset(sumset(of(i), of(j)), U)) for i, j in zip(ci.tolist(), cj.tolist())]
+
+
+def test_kernels_leave_numpy_state_as_they_found_it(monkeypatch):
+    # the kernels run with numpy's ufunc buffer at _BUFSIZE, and the
+    # caller's buffer size and error state are back when they return or raise
+    seen = []
+    pack = bitscan._pack_sums
+    monkeypatch.setattr(bitscan, "_pack_sums", lambda *args: seen.append(np.getbufsize()) or pack(*args))
+    with np.errstate(over="raise", under="warn"):
+        np.setbufsize(4096)
+        state = np.getbufsize(), np.geterr()
+        scan = bitscan.build_scan((6,), 4, 1)
+        assert (np.getbufsize(), np.geterr()) == state
+        assert bitscan.verify_subset_beta(scan, [(0,), (1,), (2,)])["counterexample"]
+        assert (np.getbufsize(), np.geterr()) == state
+        assert seen and set(seen) == {bitscan._BUFSIZE}
+        with pytest.raises(ValueError):
+            bitscan.build_scan((6,), 4, 2)
+        assert (np.getbufsize(), np.geterr()) == state
+        with pytest.raises(ValueError):
+            bitscan.verify_subset_beta(scan, [(1,), (2,), (3,)])
+        assert (np.getbufsize(), np.geterr()) == state
 
 
 def test_second_v_of_a_class_forms_no_sums(monkeypatch):

@@ -1,6 +1,7 @@
 """Estimation of the doubling/tripling functionals and two-point closed forms."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -210,6 +211,26 @@ class TestSetImages:
         for _ in range(200):
             i, j = rng.randrange(len(sets)), rng.randrange(len(sets))
             assert {size(row[i], row[j]) for row in images} == {size(i, j)}
+
+    @pytest.mark.parametrize("dims, k", [((5, 4), 4), ((6, 6), 4), ((3, 3, 3), 4)], ids=str)
+    def test_products_match_the_searched_maps(self, dims, k, monkeypatch):
+        # the maps filled as products of maps found (one of three on 5x4,
+        # five of seven on 6x6) equal the maps searched one by one: with
+        # every product named the identity, which is always found,
+        # set_images searches every map
+        index = search.anchored_sets(GroupContext(len(dims)), [(0, w - 1) for w in dims], k)[1]
+        composed = search.set_images(index, dims)
+        identity = search.signed_permutations(dims)[0]
+        monkeypatch.setattr(search, "_compose", lambda h, k: identity)
+        assert np.array_equal(composed, search.set_images(index, dims))
+
+    def test_compose_is_the_product_of_the_maps(self):
+        # _compose(h, k) sends p to h(k(p)), for every pair of the 48 maps of a cube
+        moves = search.signed_permutations((3, 3, 3))
+        apply = lambda move, p: tuple(sg * p[a] for a, sg in zip(*move))
+        points = [(1, 2, 3), (-4, 0, 5)]
+        for h, k in itertools.product(moves, repeat=2):
+            assert all(apply(search._compose(h, k), p) == apply(h, apply(k, p)) for p in points)
 
     def test_refuses_sets_it_cannot_index(self):
         sets, index = anchored((3, 3), 2)
@@ -638,6 +659,50 @@ def test_bit_index_layout():
     assert search.bit_index(np.zeros((2, 2, 0), dtype=np.int64), (), 0).tolist() == [[0, 0]] * 2
 
 
+def json_cases():
+    """Values of every kind json_value meets: a report, a verdict with a
+    counterexample, a scan state with a near ledger, a config, and bools,
+    nested tuples and Fractions."""
+    from sumsetlab.conjectures import ScanState
+    from sumsetlab.laws import Verdict
+
+    cfg = SearchConfig(box=((-2, 3), (0, 1)), max_cardinality=4, p=F(3, 2), variant="isometric", node_ceiling=77)
+    report = search.EstimateReport(
+        quantity="beta", p=F(3, 2), variant="isometric", value_float=1.25, value_exact=None,
+        witness_a=((0, 0), (1, 0)), witness_b=((0, 1),), nodes=12, complete=False,
+        config=cfg.echo(), tool_version="0.0.0")
+    verdict = Verdict(
+        law="quasicube_beta", holds=False, margin=F(-7, 9),
+        inputs={"V": [[0, 0], [1, 2]], "box": ((0, 4), (0, 3))},
+        counterexample={"A": ((0, 0), (1, 0)), "B": [(1, 1)], "ratio": F(25, 9), "exact": True},
+        note="pinned")
+    state = ScanState("log_span", 64, 210, 60, 4, [], None, cfg.echo(), out_bytes=4096)
+    rng = random.Random(5)
+    for idx in range(12):
+        state.push_near(F(rng.randint(0, 90), rng.randint(1, 7)), {"index": idx, "V": [[idx, 0], [0, idx % 3]]})
+    state.counterexample = {"index": 7, "V": [[0, 0], [1, 2]], "ratio_squared": "7/3"}
+    mixed = {"flags": (True, False, None), "nested": ((1, (2, (3, F(1, 3)))), [F(5), "x", 2.5]),
+             "fraction": F(-4, 6), "empty": ((), [])}
+    return {"report": report, "verdict": verdict, "state": state, "config": cfg, "mixed": mixed}
+
+
+# sha256 of json.dumps(json_value(x), sort_keys=True) for each of
+# json_cases(), as json_value gave them before it dispatched on exact types
+JSON_DIGESTS = {
+    "report": "360abe4ed413de7fe7a5a13455dc8f93d2513bc02e44880a5faf957ca8de97b7",
+    "verdict": "f6ee72b68121d9ff637f6f2858b8fe1d3da5ebf851f1c1d50fa59e1ad14c9a23",
+    "state": "b3cbfb6c89acb54c6bab7ab1e83645bd17bd691d6efb207692edfe19e541f02d",
+    "config": "d853655e882acab36c2136d64f5031f7edf8a5d607b4507f2a13fff4c66df934",
+    "mixed": "7c06163712261440f7b0611d42c12bbe0c9d3d5fd4b1bf15fe940d7d8240fe49",
+}
+
+
+def test_json_bytes_are_pinned():
+    for name, value in json_cases().items():
+        text = json.dumps(search.json_value(value), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == JSON_DIGESTS[name], (name, text)
+
+
 def report_fields(r):
     return {k: getattr(r, k) for k in
             ("value_float", "value_exact", "witness_a", "witness_b", "nodes", "complete")}
@@ -660,6 +725,9 @@ def scan_cases(draw, max_points=2):
 @given(scan_cases())
 @example((ZT3, [(0, 2), (1, 1)], SearchConfig(box=((0, 1),), max_cardinality=3)))
 @example((Z2T, [(0, 0, 0), (1, 0, 1)], SearchConfig(box=((0, 1), (0, 1)), max_cardinality=3)))
+# alpha's witness is U itself, (1,0,1) before (1,1,0) as tuples but after it
+# by the torsion-first key of box_points
+@example((Z2T, [(1, 0, 1), (1, 1, 0)], SearchConfig(box=((0, 1), (0, 1)), max_cardinality=2)))
 @example((Z1, [(7,), (-5,)], SearchConfig(box=((-1, 2),), max_cardinality=3, variant="isometric")))
 @example((Z1, [(0,), (40,)], SearchConfig(box=((0, 40),), max_cardinality=2)))
 @settings(max_examples=60, deadline=None)
