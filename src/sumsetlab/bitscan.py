@@ -64,18 +64,30 @@ counted byte by byte (`_sumset_sizes`): numpy's bitwise_count is fastest on
 uint8.  Only that OR depends on V; `scan_dimension` reads V's dimension off
 its points, with no rank computed, and so picks the scan that V reads.
 
-Both kernels, build_scan and verify_subset_beta, run inside one scoped
-numpy state (`_small_buffer`): a ufunc buffer of _BUFSIZE elements, not
-numpy's 8,192, so that the build's broadcast shifts over rows of a few
-thousand columns take numpy's fast loop.  Leaving the scope restores the
-caller's buffer size and error state.
+The kernels that form sums, build_scan and the recheck's `_form_rows`,
+run inside one scoped numpy state (`_small_buffer`): a ufunc buffer of
+_BUFSIZE elements, not numpy's 8,192, so that their broadcast shifts over
+rows of a few thousand columns take numpy's fast loop.  Leaving the scope
+restores the caller's buffer size and error state.  `_sumset_sizes` shifts
+by scalars only and runs as fast with either buffer, so a V whose class
+rows are formed already enters no scope, which would cost it about 3 us.
+
+A verdict costs about what its kernels cost: on the 5x4 window at
+cardinality 4 (2-vCPU Xeon, numpy 2.4.6) a three-point V's recheck of 75
+pairs takes about 23 us, 13 of them in _sumset_sizes, and the verdict
+around it about 19 more; a V of at most two points reads no scan and takes
+about 9 us.  numpy reduces or sorts along a short axis many times slower
+than it runs the same work as column-wise ufuncs, so the set masks, keys and
+extents are ORed, shifted and compared column by column.
 
 The build screens each symmetry class of pairs once.  A signed coordinate
 permutation g of the box maps anchored sets to anchored sets, re-anchored,
 and keeps |gA + gB| = |A + B|, |gA| = |A| and |gB| = |B|, so the screen and
 every class test give a pair's whole orbit the same verdict.  With
 search.set_images giving each g as a permutation of the set indices (each
-set found by an integer key of its index row), the
+set keyed by its box cells as a bitmask, one uint64 up to 64 cells, so
+that a key needs no order within a row, and the keys of the sets and of
+their images are matched by one sort each), the
 build forms A_i+B_j only for the rows i that are least in their orbits,
 against the columns j whose orbit minimum is at least i: every unordered
 pair has an image of that form.  The columns are ordered by orbit minimum,
@@ -97,7 +109,7 @@ box, the cardinality and the dimension served.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import reduce, wraps
 from math import prod
 from typing import Optional, Sequence
 
@@ -226,31 +238,36 @@ def _class_rows(scan: ExhaustiveBetaScan, cls: tuple[int, int]) -> tuple[np.ndar
     the narrowest unsigned dtype that holds a row's 2w-1 bits (uint16 on the
     5x4 and 6x6 windows), and their |A||B| as uint16 (at most 64^2), formed
     on the class's first use and kept with the scan: every V of the class
-    reads the same arrays.
+    reads the same arrays."""
+    if cls not in scan._rows:
+        scan._rows[cls] = _form_rows(scan, *scan.classes[cls])
+    return scan._rows[cls]
+
+
+@_small_buffer
+def _form_rows(scan: ExhaustiveBetaScan, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of A+B of the pairs (i, j) and their |A||B| (`_class_rows`).
 
     Row r is the 2w-1 bits from bit r(2w-1) of the pair's words.  With a zero
     word past the last, it is (w[k] >> s) | (w[k+1] << (64 - s)) for every
     row, straddling two words or not, as numpy shifts by 64 to 0."""
-    if cls not in scan._rows:
-        i, j = scan.classes[cls]
-        width, *higher = sum_shape(scan.dims)
-        rows = np.empty((prod(higher), len(i)), dtype=np.min_scalar_type((1 << width) - 1))
-        row_mask = np.uint64((1 << width) - 1)
-        # scratch, then the words of A+B and a zero word past them
-        tmp, *words = (np.zeros(min(_BLOCK_CELLS, len(i)), dtype=np.uint64)
-                       for _ in range(sum_words(scan.dims) + 2))
-        for p0 in range(0, len(i), _BLOCK_CELLS):
-            p1 = min(p0 + _BLOCK_CELLS, len(i))
-            scratch, *w = (buf[:p1 - p0] for buf in (tmp, *words))
-            columns = (scan.shifts[i[p0:p1], k] for k in range(scan.shifts.shape[1]))
-            _pack_sums(scan.masks[j[p0:p1]], columns, w[:-1], scratch)
-            for r in range(len(rows)):
-                k, s = divmod(r * width, 64)
-                bits = np.right_shift(w[k], np.uint64(s), out=scratch)
-                bits |= w[k + 1] << np.uint64(64 - s)
-                rows[r, p0:p1] = bits & row_mask
-        scan._rows[cls] = rows, (scan.sizes[i] * scan.sizes[j]).astype(np.uint16)
-    return scan._rows[cls]
+    width, *higher = sum_shape(scan.dims)
+    rows = np.empty((prod(higher), len(i)), dtype=np.min_scalar_type((1 << width) - 1))
+    row_mask = np.uint64((1 << width) - 1)
+    # scratch, then the words of A+B and a zero word past them
+    tmp, *words = (np.zeros(min(_BLOCK_CELLS, len(i)), dtype=np.uint64)
+                   for _ in range(sum_words(scan.dims) + 2))
+    for p0 in range(0, len(i), _BLOCK_CELLS):
+        p1 = min(p0 + _BLOCK_CELLS, len(i))
+        scratch, *w = (buf[:p1 - p0] for buf in (tmp, *words))
+        columns = (scan.shifts[i[p0:p1], k] for k in range(scan.shifts.shape[1]))
+        _pack_sums(scan.masks[j[p0:p1]], columns, w[:-1], scratch)
+        for r in range(len(rows)):
+            k, s = divmod(r * width, 64)
+            bits = np.right_shift(w[k], np.uint64(s), out=scratch)
+            bits |= w[k + 1] << np.uint64(64 - s)
+            rows[r, p0:p1] = bits & row_mask
+    return rows, (scan.sizes[i] * scan.sizes[j]).astype(np.uint16)
 
 
 def _sumset_sizes(rows: np.ndarray, width: int, v_points: Sequence[Pt]) -> np.ndarray:
@@ -265,30 +282,34 @@ def _sumset_sizes(rows: np.ndarray, width: int, v_points: Sequence[Pt]) -> np.nd
     holds 8 top, for the top rows of A+B+V, and a pair's bytes are then
     added.  A block holds about 8 _BLOCK_CELLS bytes of rows of A+B+V, so
     that the buffers stay in cache."""
-    height = len(rows)
-    at = [(p[0], p[1] if len(p) > 1 else 0) for p in v_points]
-    dtype = np.min_scalar_type((1 << (width + max(x for x, _ in at))) - 1)
+    height, pairs = rows.shape
+    # V's points as (y, x), sorted, so that the first has y = 0 (V has min 0
+    # per axis); a shift by a Python int keeps the dtype of the rows
+    (_, x0), *rest = at = sorted((p[1] if len(p) > 1 else 0, p[0]) for p in v_points)
+    dtype = np.min_scalar_type((1 << (width + max(x for _, x in at))) - 1)
     size = dtype.itemsize
-    top = height + max(y for _, y in at)  # the rows of A+B+V
+    top = height + at[-1][0]  # the rows of A+B+V
     acc = np.min_scalar_type(8 * top)
-    (x0, y0), *rest = ((dtype.type(x), y) for x, y in at)
-    pairs = rows.shape[1]
     block = max(1, 8 * _BLOCK_CELLS // (top * size))
-    tmp, out = (np.empty((k, min(block, pairs)), dtype=dtype) for k in (height, top))
+    buf = np.empty((top + height, min(block, pairs)), dtype=dtype)  # rows of A+B+V, then scratch
     t = np.empty(pairs, dtype=np.int64)
     for p0 in range(0, pairs, block):
         p1 = min(p0 + block, pairs)
-        o, sh = out[:, :p1 - p0], tmp[:, :p1 - p0]
-        w = rows[:, p0:p1].astype(dtype, copy=False)
-        # the first point writes its rows, and the others OR into theirs
-        o[:y0] = o[y0 + height:] = 0
-        np.left_shift(w, x0, out=o[y0:y0 + height])
-        for x, y in rest:
+        o, sh, s = buf[:top, :p1 - p0], buf[top:, :p1 - p0], t[p0:p1]
+        w = rows[:, p0:p1] if rows.dtype == dtype else rows[:, p0:p1].astype(dtype)
+        # the first point writes rows 0 to height, and the others OR into theirs
+        if top > height:
+            o[height:] = 0
+        np.left_shift(w, x0, out=o[:height])
+        for y, x in rest:
             o[y:y + height] |= np.left_shift(w, x, out=sh)
         counts = np.bitwise_count(o.view(np.uint8)).sum(axis=0, dtype=acc)
-        t[p0:p1] = counts[::size]
-        for b in range(1, size):
-            t[p0:p1] += counts[b::size]
+        if size == 1:
+            s[:] = counts
+        else:
+            np.add(counts[::size], counts[1::size], out=s)
+            for b in range(2, size):
+                s += counts[b::size]
     return t
 
 
@@ -326,7 +347,7 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     n = len(sizes)
     # each set's bits, padded to one width with its first
     shifts = bit_index(points, sum_shape(dims), d).astype(np.uint64)[index]
-    masks = np.bitwise_or.reduce(np.uint64(1) << shifts, axis=1)
+    masks = reduce(np.bitwise_or, np.left_shift(np.uint64(1), shifts.T))  # by columns, as set_images keys
     width = shifts.shape[1]
     fails = failure_tables(dim, width)
     screen = (MAX_V, dim)
@@ -432,11 +453,12 @@ def scan_dimension(v_points: Sequence[Pt]) -> Optional[int]:
     else 1 when every point lies on the line through the first two, else 2."""
     if len(v_points) < 3:
         return None
-    (x0, y0), (x1, y1), *more = (tuple(p) + (0,) * (2 - len(p)) for p in v_points)
+    if len(v_points[0]) == 1:
+        return 1
+    (x0, y0), (x1, y1), *more = v_points
     return 1 if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in more) else 2
 
 
-@_small_buffer
 def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict:
     """Decide exactly whether min |A+B+V|^2 / (|A||B|) over the scanned
     pairs is |V|^2, attained at the singleton pair.
@@ -454,9 +476,8 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     vpts = sorted({tuple(p) for p in v_points})
     if not vpts or any(len(p) != d for p in vpts):
         raise ValueError("V must be nonempty with matching dimension")
-    for i in range(d):
-        if min(p[i] for p in vpts) != 0:
-            raise ValueError("V must be normalized to min coordinate 0")
+    if any(min(axis) != 0 for axis in zip(*vpts)):
+        raise ValueError("V must be normalized to min coordinate 0")
     reason = unsupported(scan.dims, vpts)
     if reason is not None:
         raise ValueError(reason)

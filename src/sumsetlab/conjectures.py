@@ -37,7 +37,6 @@ from .search import (
     box_size,
     box_str,
     frac_str,
-    json_value,
     point_tuples,
     set_images,
     signed_permutations,
@@ -100,7 +99,9 @@ _JSON_TYPES = {  # what ScanState.from_json_dict accepts for each field
 
 
 def save_state(state: ScanState, path: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename.  Every
+    field of a ScanState is JSON already (lists, dicts, strings, numbers and
+    None), so the fields are dumped as they are, with no json_value walk."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -108,7 +109,7 @@ def save_state(state: ScanState, path: str) -> None:
         raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:  # json.dumps runs the C encoder, json.dump the Python one
-            fh.write(json.dumps(json_value(state), sort_keys=True) + "\n")
+            fh.write(json.dumps({f.name: getattr(state, f.name) for f in fields(state)}, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,6 +12,7 @@ Suites bundle seeded instance generators so failures replay from the seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -81,11 +82,13 @@ def _pts(A: PointSet | Sequence[Vec]) -> list[list[int]]:
 
 
 def _normalized_free(V: PointSet) -> tuple[Vec, ...]:
-    d = V.context.free_rank
-    mins = [min(p[i] for p in V.points) for i in range(d)]
-    return tuple(
-        tuple(p[i] - mins[i] for i in range(d)) for p in V.points
-    )
+    """V's free coordinates, translated to min 0 per axis, in V's order:
+    V's own points when they are that already."""
+    pts, d = V.points, V.context.free_rank
+    lows = [min(axis) for axis in zip(*pts)][:d]
+    if len(pts[0]) == d and not any(lows):
+        return pts
+    return tuple([tuple([c - lo for c, lo in zip(p, lows)]) for p in pts])
 
 
 # bit scans by (dims, max_card, dim V), kept for the life of the process: a
@@ -93,6 +96,14 @@ def _normalized_free(V: PointSet) -> tuple[Vec, ...]:
 # otherwise pay the whole build.  Each window and V dimension holds at most
 # one scan; the stock suite and a log-span scan build one each.
 _SCAN_CACHE: dict[tuple, bitscan.ExhaustiveBetaScan] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_count(dims: tuple[int, ...], max_card: int) -> int:
+    """The canonical unordered pairs of a torsion-free window of these dims,
+    counted once per window: a suite checks many V on one window."""
+    n = canonical_count(GroupContext(len(dims)), [(0, k - 1) for k in dims], max_card)
+    return n * (n + 1) // 2
 
 
 def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Verdict:
@@ -127,8 +138,8 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
                 _SCAN_CACHE[key] = bitscan.build_scan(*key)
             res = bitscan.verify_subset_beta(_SCAN_CACHE[key], v_free)
         else:  # at most two points: every pair's certificate holds, so no scan is built
-            n = canonical_count(ctx, cfg.box, cfg.max_cardinality)
-            res = {"pair_count": n * (n + 1) // 2, "counterexample": None, "checked_pairs": 0}
+            res = {"pair_count": _pair_count(dims, cfg.max_cardinality), "counterexample": None,
+                   "checked_pairs": 0}
         ce, margin = res["counterexample"], Fraction(0)
         if ce is not None:  # the scan anchors A and B at the origin: move them to the box's low corner
             A, B = ([[c + lo for c, (lo, _) in zip(q, cfg.box)] for q in ce[k]] for k in ("A", "B"))

@@ -29,6 +29,7 @@ divided, so a float-mode report rounds once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -107,7 +108,12 @@ class SearchConfig:
             raise ValueError("node_ceiling must be >= 1")
 
     def echo(self) -> dict:
-        return json_value(self)
+        """json_value(self), built straight from the fields: every field is
+        a JSON scalar but box, (lo, hi) pairs, and p, a Fraction."""
+        p = self.p
+        return {"box": [[lo, hi] for lo, hi in self.box], "max_cardinality": self.max_cardinality,
+                "p": f"{p.numerator}/{p.denominator}", "variant": self.variant, "strategy": self.strategy,
+                "seed": self.seed, "node_ceiling": self.node_ceiling}
 
 
 def frac_str(x: Fraction | int) -> str:
@@ -417,41 +423,53 @@ def _compose(
     return tuple(pk[i] for i in ph), tuple(s * sk[i] for s, i in zip(sh, ph))
 
 
+def _cell_keys(cells: np.ndarray, words: int) -> np.ndarray:
+    """The sets whose cells are the columns of `cells`, a (width, n) array,
+    as bitmask keys: a (words, n) uint64 array whose word w of set t ORs
+    bit c - 64 w over the cells c of the set (numpy shifts past the width to
+    0, so each cell sets a bit of one word).  Equal keys are equal sets of
+    cells, in any order and with any repeats."""
+    return np.array([functools.reduce(np.bitwise_or, np.left_shift(
+        np.uint64(1), cells - 64 * w, dtype=np.uint64, casting="unsafe")) for w in range(words)])
+
+
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """The order that sorts distinct (words, n) keys: numpy's quicksort for
+    one word, which is several times faster than a stable sort, else
+    np.lexsort."""
+    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+
+
 def set_images(index: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """The (|G|, n) array whose row g holds, for each of n sets, the index of
     its image under the g-th of the box's signed permutations
     (`signed_permutations`, the identity first), translated to min 0 per
     axis.  The sets are the index rows of anchored_sets on the box of these
-    dims from the origin, where a point's index is its cell's C-order index;
-    they must be anchored, sorted and closed under the maps (ValueError).
+    dims from the origin, where a point's index is its cell's C-order index:
+    ascending rows, padded with their first.  They must be sorted and
+    distinct (ValueError), anchored, and closed under the maps (ValueError).
 
-    A set's key, its sorted cells + 1 padded with 0, is read as int64 digits
-    in base cells + 1 where they fit, else as big-endian bytes: either
-    compares as the sets' tuples, so each image is found by binary search."""
-    n, width = index.shape
-    padding = np.zeros((n, width), dtype=bool)
-    padding[:, 1:] = index[:, 1:] == index[:, :1]
-    cells = math.prod(dims)
-    axes = np.unravel_index(index, dims)
-    tops = [x.max(axis=1, keepdims=True) for x in axes]  # each set's extent; its min is 0
-
-    def cells_of(coords: tuple[np.ndarray, ...]) -> np.ndarray:
-        cell = np.ravel_multi_index(coords, dims) + 1
-        cell[padding] = cells + 1
-        cell.sort(axis=1)  # padding last,
-        cell[cell > cells] = 0  # then below every cell
-        return cell
-
-    fits = (cells + 1) ** width <= 1 << 63
-    digits = (cells + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64) if fits else None
-
-    def keys(cell: np.ndarray) -> np.ndarray:
-        return cell @ digits if fits else cell.astype(">u8").view(f"S{8 * width}").ravel()
-
-    own_cells = cells_of(axes)
-    own = keys(own_cells)
-    if not np.all(own[1:] > own[:-1]):
+    Such rows compare as the sets' tuples do, padding included, so their
+    order is checked on the rows.  A set's key is its cells as a bitmask
+    (`_cell_keys`), which needs no order within a row and no padding mask.
+    A map permutes the sets, so its images' keys, sorted, are the own keys
+    sorted, and the set at each place of the one sort goes to the set at
+    the same place of the other.  Every array op runs along the sets, on the
+    columns of the rows, as numpy reduces or sorts along a short axis many
+    times slower."""
+    n = len(index)
+    cols = np.ascontiguousarray(index.T)
+    earlier = np.zeros(max(n - 1, 0), dtype=bool)  # row t below row t+1, from the last column back
+    for c in cols[::-1]:
+        earlier = np.where(c[:-1] == c[1:], earlier, c[:-1] < c[1:])
+    if not earlier.all():
         raise ValueError("the sets are not sorted and distinct")
+    words = -(-math.prod(dims) // 64)
+    axes = np.unravel_index(cols, dims)
+    tops = [x.max(axis=0) for x in axes]  # each set's extent; its min is 0
+    own = _cell_keys(cols, words)
+    by_key = _key_order(own)
+    own = own[:, by_key]
     moves = signed_permutations(dims)
     move_at = {move: g for g, move in enumerate(moves)}
     images = np.empty((len(moves), n), dtype=np.intp)
@@ -466,11 +484,12 @@ def set_images(index: np.ndarray, dims: Sequence[int]) -> np.ndarray:
             continue
         perm, signs = moves[g]
         # axis k of the image is axis perm[k] of the set, reflected in its extent where signs[k] < 0
-        image = cells_of(tuple(axes[a] if s > 0 else tops[a] - axes[a] for a, s in zip(perm, signs)))
-        at = np.searchsorted(own, keys(image))
-        if not np.array_equal(own_cells[np.minimum(at, n - 1)], image):
+        coords = tuple(axes[a] if s > 0 else tops[a] - axes[a] for a, s in zip(perm, signs))
+        image = _cell_keys(np.ravel_multi_index(coords, dims), words)
+        at = _key_order(image)
+        if not np.array_equal(image[:, at], own):
             raise ValueError("the sets are not closed under the box's symmetries")
-        images[g] = at
+        images[g, at] = by_key
         # every map the searched ones generate is h s for a map h found and a
         # searched s, so the maps found times the searched ones close them
         searched.append(g)
@@ -542,7 +561,13 @@ def _pair_counts(
         acc = table[slot[I, 0] + J + first_row]
         for k in range(1, width):
             acc |= table[slot[I, k] + J + first_row]
-        return np.bitwise_count(acc).sum(axis=2, dtype=np.int64)
+        # the words' popcounts summed word by word: a sum along the short
+        # last axis takes numpy several times as long
+        pop = np.bitwise_count(acc)
+        counts = pop[..., 0].astype(np.int64)
+        for w in range(1, words):
+            counts += pop[..., w]
+        return counts
 
     return eval_pairs
 

@@ -132,6 +132,33 @@ class TestScanState:
         assert path.read_text() == ref.getvalue() + "\n"
 
 
+    @pytest.mark.parametrize("kind", ["full_ledger", "counterexample", "log_span", "doubling_tripling"])
+    def test_saved_bytes_are_the_json_value_form(self, tmp_path, kind):
+        # save_state dumps the fields as they are, every one JSON already:
+        # the bytes are those of the json_value walk, for a full ledger with
+        # no counterexample and no out_bytes, for a disproof's counterexample,
+        # and for the states two scans save after a shard
+        path = tmp_path / "state.json"
+        if kind in ("full_ledger", "counterexample"):
+            rng = random.Random(13)
+            s = ScanState("doubling_tripling", 64, 500, 60, 4, [], None,
+                          {"d": 2, "side": 3, "max_size": 4, "search": SearchConfig(
+                              box=((0, 1), (0, 2)), max_cardinality=4, p=F(3, 2)).echo()})
+            for idx in range(conjectures.NEAR_LEDGER_SIZE + (kind == "full_ledger") * 50):
+                U = [[rng.randint(0, 2), rng.randint(0, 2)] for _ in range(rng.randint(1, 4))]
+                s.push_near(F(rng.randint(-9, 90), rng.randint(1, 7)), {"index": idx, "U": U})
+            if kind == "counterexample":
+                s.counterexample = {"index": 9, "V": [[0, 0], [1, 2]], "A": [[0, 0], [1, 0]], "B": [[1, 1]],
+                                    "ratio_squared": "7/3"}
+            save_state(s, str(path))
+        else:
+            cfg = SearchConfig(box=((0, 1), (0, 2)), max_cardinality=3)
+            scan = scan_log_span if kind == "log_span" else scan_doubling_tripling
+            s = scan(2, 2, 4, cfg, checkpoint_path=str(path), shard_size=4, max_shards=1)
+            assert s.cursor == 4 and s.near
+        assert path.read_text() == json.dumps(json_value(s), sort_keys=True) + "\n"
+
+
 class TestLogSpanScan:
     CFG = SearchConfig(box=((-2, 3),), max_cardinality=3)
 

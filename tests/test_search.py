@@ -181,9 +181,8 @@ class TestSetImages:
     @pytest.mark.parametrize("dims, k", [((5, 4), 4), ((5, 5), 4), ((6, 6), 4), ((12,), 6), ((3, 3, 3), 3),
                                          ((16,), 16)], ids=str)
     def test_keys_find_every_image(self, dims, k):
-        # every image of every set, found by value: the int64 key of each
-        # window but (16,) at 16 points, whose base-17 keys of 16 digits
-        # pass int64 and are compared as bytes
+        # every image of every set, found by value, on windows whose cell
+        # keys fit one word, with sets of up to 16 points
         sets, index = anchored(dims, k)
         images = search.set_images(index, dims)
         where = {s: m for m, s in enumerate(sets)}
@@ -238,6 +237,58 @@ class TestSetImages:
             search.set_images(index[[s != ((0, 0), (1, 0)) for s in sets]], (3, 3))
         with pytest.raises(ValueError, match="sorted"):
             search.set_images(index[::-1], (3, 3))
+
+    @pytest.mark.parametrize("dims, k", [((3, 3), 3), ((7,), 4), ((9, 9), 2)], ids=str)
+    def test_refuses_repeated_or_unordered_sets(self, dims, k):
+        # the order is read off the index rows, as the cell keys carry none:
+        # a set listed twice, two sets swapped, the first or the last set
+        # moved, each on one-word keys and on the two-word keys of 9x9
+        sets, index = anchored(dims, k)
+        n = len(sets)
+        assert search.set_images(index, dims).shape[1] == n
+        for rows in ([*range(n // 2), n // 2, *range(n // 2, n)], [0, 2, 1, *range(3, n)],
+                     [*range(1, n), 0], [n - 1, *range(n - 1)]):
+            with pytest.raises(ValueError, match="sorted"):
+                search.set_images(index[rows], dims)
+
+    @pytest.mark.parametrize("dims, k", [((3, 3), 3), ((4, 2), 3), ((7,), 4), ((3, 3, 3), 2), ((9, 9), 2)],
+                             ids=str)
+    def test_refuses_sets_not_closed(self, dims, k):
+        # with one set left out, some map sends another set onto it, unless
+        # every map fixes it, as {0}: then the rest is closed, and the
+        # images are the whole window's, renumbered
+        sets, index = anchored(dims, k)
+        images = search.set_images(index, dims)
+        fixed = (images == np.arange(len(sets))).all(axis=0)
+        assert sets[0] == ((0,) * len(dims),) and fixed[0] and not fixed.all()
+        for m in [0, *random.Random(3).sample(np.flatnonzero(~fixed).tolist(), 4)]:
+            keep = np.arange(len(sets)) != m
+            if fixed[m]:
+                renumbered = np.searchsorted(np.flatnonzero(keep), images[:, keep])
+                assert np.array_equal(search.set_images(index[keep], dims), renumbered)
+            else:
+                with pytest.raises(ValueError, match="closed"):
+                    search.set_images(index[keep], dims)
+
+    # sha256 of set_images' int64 output on each window, recorded before the
+    # sets were keyed by their cells as bitmasks; (5, 5, 5) at 3 has two-word keys
+    IMAGE_DIGESTS = {
+        ((5, 4), 4): "befe9a1b1d44fbc4b0e681c4f0593de6d56eef2e69af413d8d82d7b153a316fb",
+        ((6, 6), 4): "fe7f6c15a02121779365b8c05b258335d90394118cf9af0892c2679242a02419",
+        ((3, 3, 3), 4): "98b9ba51c8b5530b55b240f0addd65c25b8d3d320b74ac84ac0922ed85d11005",
+        ((7, 7), 4): "fd8e981a1e578a218fc612f27a896ca620a6b26f4b1a23a360b89a1ed83bac37",
+        ((12,), 6): "2356766a6f6db1804c68accee6d145603c3607ceaff3fee8af2c4c2805b3065a",
+        ((16,), 16): "8f1f4e5f1181f8c131dd55bad17b8dd4f8633d31ca7d58510198d8e7562b2c53",
+        ((5, 5, 5), 3): "d32044a3adef36017a627e6338eb8974f59c58cc9428fdcd0e52e6812790f1dd",
+    }
+
+    @pytest.mark.parametrize("dims, k", list(IMAGE_DIGESTS), ids=str)
+    def test_images_are_pinned(self, dims, k):
+        index = search.anchored_sets(GroupContext(len(dims)), [(0, w - 1) for w in dims], k)[1]
+        images = search.set_images(index, dims)
+        assert images.shape == (len(search.signed_permutations(dims)), len(index))
+        digest = hashlib.sha256(images.astype(np.int64).tobytes()).hexdigest()
+        assert digest == self.IMAGE_DIGESTS[dims, k]
 
 
 def image_of(s, perm, signs):
@@ -701,6 +752,25 @@ def test_json_bytes_are_pinned():
     for name, value in json_cases().items():
         text = json.dumps(search.json_value(value), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == JSON_DIGESTS[name], (name, text)
+
+
+@pytest.mark.parametrize("variant", search.VARIANTS)
+@pytest.mark.parametrize("strategy", search.STRATEGIES)
+def test_echo_is_the_json_value_walk(variant, strategy):
+    # the echo, built straight from the fields, gives the bytes of
+    # json_value's walk of the config, in the same key order, for every
+    # field: p as an int and as Fractions, a seed, a ceiling, and a box of
+    # tuples and of lists.  A field added to SearchConfig and left out of
+    # the echo fails here
+    names = [f.name for f in dataclasses.fields(SearchConfig)]
+    for cfg in (SearchConfig(box=((-2, 3), (0, 1)), max_cardinality=4, p=F(3, 2), variant=variant,
+                             strategy=strategy, seed=17, node_ceiling=77),
+                SearchConfig(box=[[0, 5]], max_cardinality=1, p=7, variant=variant, strategy=strategy),
+                SearchConfig(box=((0, 0), (-1, 1), (2, 9)), max_cardinality=3, p=F(1000, 999),
+                             variant=variant, strategy=strategy, seed=-4, node_ceiling=1)):
+        echo = cfg.echo()
+        assert list(echo) == names
+        assert json.dumps(echo) == json.dumps(search.json_value(cfg))
 
 
 def report_fields(r):
