@@ -1,37 +1,39 @@
-"""Vectorized exhaustive tripling verification over small boxes.
+"""Vectorized exhaustive tripling verification over small 2-D boxes.
 
-Verifies, for every canonical pair (A, B) of box subsets and a given set V,
-that |A+B+V|^2 >= |V|^2 |A| |B| with exact integer arithmetic, and that
+Verifies, for every canonical pair (A, B) of box subsets and a given 2-D set
+V, that |A+B+V|^2 >= |V|^2 |A| |B| with exact integer arithmetic, and that
 equality is attained (singleton pairs give |A+B+V| = |V|).  The pair space
 is large (~10^8 for a 6x6 box at cardinality 4), so pairs are packed into
 bitmask grids and screened by one numpy popcount pass; only pairs failing an
 exact integer certificate are kept, and a class's first recheck forms their
 rows of A+B once for every V of the class.
 
-The certificate lower-bounds |X+V| from s = |X|, v = |V| and the affine
-dimension of V (`certified_size`), with X = A+B in a torsion-free group:
-- collinear V: |X+V| >= s+v-1 (project along a functional injective on
-  X, V and X+V to Z; the s+v-1 distinct sums of sorted prefixes survive);
-- 2-D V: |X+V| >= max(s,v) + 2 min(s,v) - 3 as well, Ruzsa's bound
-  |X|+d|Y|-d(d+1)/2 for |X| >= |Y| and dim(X+Y) = d (I. Z. Ruzsa, "Sum of
-  sets in several dimensions", Combinatorica 14, 1994) at d = 2, since X+V
-  holds a translate of V and so is at least 2-D (project to Z^2 if it is
-  more).
-A pair is safe for V once certified_size(s, v, dim V)^2 >= v^2 |A| |B|.  At
-v <= 2 every pair is safe: Cauchy-Davenport gives s >= a+b-1, so (s+1)^2 >=
-(a+b)^2 >= 4ab.  The bounds themselves are property-tested in the suite;
-survivors are decided by direct computation, so the scan stays exact.
+The certificate lower-bounds |X+V| from s = |X| and v = |V|
+(`certified_size`), with X = A+B in a torsion-free group and V 2-D:
+- |X+V| >= s+v-1 (project along a functional injective on X, V and X+V to
+  Z; the s+v-1 distinct sums of sorted prefixes survive);
+- |X+V| >= max(s,v) + 2 min(s,v) - 3, Ruzsa's bound |X|+d|Y|-d(d+1)/2 for
+  |X| >= |Y| and dim(X+Y) = d (I. Z. Ruzsa, "Sum of sets in several
+  dimensions", Combinatorica 14, 1994) at d = 2, since X+V holds a
+  translate of V and so is at least 2-D (project to Z^2 if it is more).
+At s = 1 the first is the larger.  A pair is safe for V once
+certified_size(s, v)^2 >= v^2 |A| |B|.  At v <= 2 every pair is safe:
+Cauchy-Davenport gives s >= a+b-1, so (s+1)^2 >= (a+b)^2 >= 4ab.  The
+bounds themselves are property-tested in the suite; survivors are decided
+by direct computation, so the scan stays exact.
 
-A scan serves the V of one dimension, `dim`: its classes are the (v, dim)
-of `CLASSES`, and its screen is the union of their failure tables.  Each
-table is a prefix in |A+B|, and (3, dim)'s lies within (MAX_V, dim)'s, so
-the screen is the certificate of (MAX_V, dim), one threshold on |A+B| per
-(|A|, |B|).  A survivor is kept as its pair (i, j) only; each class keeps,
-i-major, the survivors it fails for, and the class (MAX_V, dim), whose
-certificate is the screen, is the survivors themselves.  A V rechecks only
-its class's pairs.  A 2-D V reads Ruzsa's bound alone, so on the 5x4 window
-at cardinality 4 its scan keeps 5,175 survivors, where the collinear screen
-of a 1-D V keeps 228,851.
+A scan serves 2-D V only.  A collinear V of three or more points has the
+first bound alone, whose screen keeps far more pairs (2,328,592 on the 6x6
+window at cardinality 4, where Ruzsa's keeps 27,975), and no log-span or
+quasicube V is one: `unsupported` refuses it, and callers send it to
+search.beta_estimate.  The scan's classes are the |V| of `CLASSES`, and its
+screen is the union of their failure tables.  Each table is a prefix in
+|A+B|, and 3's lies within MAX_V's, so the screen is the certificate of
+MAX_V, one threshold on |A+B| per (|A|, |B|).  A survivor is kept as its
+pair (i, j) only; each class keeps, i-major, the survivors it fails for,
+and the class MAX_V, whose certificate is the screen, is the survivors
+themselves.  A V rechecks only its class's pairs: on the 5x4 window at
+cardinality 4 the scan keeps 5,175 survivors.
 
 The window is enumerated once, as arrays: search.anchored_sets lists each
 anchored set as a row of box-point indices, padded with its first point,
@@ -44,25 +46,23 @@ Grid packing: a point's bit is its search.bit_index on the grid of A+B,
 2k-1 cells along an axis k wide (`sum_shape`), first axis fastest: (x, y)
 maps to bit y*(2w-1) + x, so all sums A+B stay in distinct rows.  A fits
 one uint64 word, and A+B fits `sum_words` of them: one when its grid has at
-most 64 cells (every 1-D box up to 32 wide, and 2-D boxes such as 5x4),
-else two.  `_pack_sums` forms those words for many pairs at once, ORing B's
-mask shifted by the offsets of A's points, for the build and for the rows
-of a class.
+most 64 cells (boxes such as 5x4), else two.  `_pack_sums` forms those
+words for many pairs at once, ORing B's mask shifted by the offsets of A's
+points, for the build and for the rows of a class.
 
 The recheck reads each pair's A+B as its rows, 2w-1 bits each, kept per
 class with the scan beside the pair's |A||B| (`_class_rows`): the first V
 of a class forms them through `_pack_sums`, block by block, and every
 later V reads them.  The rows take 2 bytes per row per pair on 5x4 and 6x6
-(uint16; 71 KiB for the 5,175 pairs of 2-D V on 5x4, 3.1 MiB for the
-228,851 of 1-D V, 48.8 MiB for the 2,328,592 of 1-D V on 6x6), where the
-packed words would take 8 or 16 bytes per pair and uint64 rows 8 per row,
-and |A||B| 2 bytes per pair.  Row r of A+B+V is the OR of row r-y of
-A+B shifted by x over the points (x, y) of V, in the narrowest
+(uint16; 71 KiB for the 5,175 pairs on 5x4, 601 KiB for the 27,975 on
+6x6), where the packed words would take 8 or 16 bytes per pair and uint64
+rows 8 per row, and |A||B| 2 bytes per pair.  Row r of A+B+V is the OR of
+row r-y of A+B shifted by x over the points (x, y) of V, in the narrowest
 unsigned dtype that holds it, formed for blocks of pairs of about
 8 _BLOCK_CELLS bytes (256 KiB) so that the buffers stay in cache, and
 counted byte by byte (`_sumset_sizes`): numpy's bitwise_count is fastest on
-uint8.  Only that OR depends on V; `scan_dimension` reads V's dimension off
-its points, with no rank computed, and so picks the scan that V reads.
+uint8.  Only that OR depends on V; `unsupported` reads V's collinearity off
+its points, with no rank computed.
 
 The kernels that form sums, build_scan and the recheck's `_form_rows`,
 run inside one scoped numpy state (`_small_buffer`): a ufunc buffer of
@@ -103,7 +103,7 @@ int64 keys i n + j (with the hit's class bits) lists the survivors once,
 i-major.  On the 5x4 window at cardinality 4 the build forms
 0.93M cells for its 3.21M pairs (709 of 2,532 rows), and on 6x6 22.0M for
 164.3M.  The pairs it records, and so every verdict, depend only on the
-box, the cardinality and the dimension served.
+box and the cardinality.
 """
 
 from __future__ import annotations
@@ -121,9 +121,8 @@ from .search import anchored_sets, bit_index, canonical_subsets, set_images
 Pt = tuple[int, ...]
 
 MAX_V = 4  # the largest |V| the certificates of build_scan cover
-# the (|V|, dim V) classes a scan lists failing survivors for: a V of at
-# most two points is always certified, and v points span at most v-1 dimensions
-CLASSES = tuple((v, k) for v in range(3, MAX_V + 1) for k in (1, 2) if k < v)
+# the |V| a scan lists failing survivors for: a V of at most two points is always certified
+CLASSES = tuple(range(3, MAX_V + 1))
 _BLOCK_CELLS = 1 << 15  # about this many uint64 cells (256 KiB) per numpy call: sums A+B, or rows of A+B+V in a recheck
 _BUFSIZE = 1024  # numpy's ufunc buffer, in elements, inside the kernels (numpy's default is 8192)
 
@@ -143,43 +142,38 @@ def _small_buffer(kernel):
     return run
 
 
-def certified_size(s, v: int, dim: int):
-    """A lower bound on |X+V| from s = |X| (an int or an int array), v = |V|
-    and dim, the affine dimension of V, for X, V in a torsion-free group:
-    s+v-1, and for dim >= 2 also Ruzsa's max(s,v) + 2 min(s,v) - 3."""
-    bound = s + v - 1
-    if dim >= 2:
-        bound = np.maximum(bound, np.maximum(s, v) + 2 * np.minimum(s, v) - 3)
-    return bound
+def certified_size(s, v: int):
+    """A lower bound on |X+V| from s = |X| (an int or an int array) and
+    v = |V|, for X and a 2-D V in a torsion-free group: the larger of s+v-1
+    and Ruzsa's max(s,v) + 2 min(s,v) - 3."""
+    return np.maximum(s + v - 1, np.maximum(s, v) + 2 * np.minimum(s, v) - 3)
 
 
-def failure_tables(dim: int, width: int) -> dict[tuple[int, int], np.ndarray]:
-    """Where the certificate of each class (v, dim) of CLASSES fails, as a
-    boolean table over (|A+B|, |A||B|) for sets of at most `width` points:
-    at every survivor for (MAX_V, dim), the screen's own certificate.
-    |A+B| <= 128 in two words."""
+def failure_tables(width: int) -> dict[int, np.ndarray]:
+    """Where the certificate of each class v of CLASSES fails, as a boolean
+    table over (|A+B|, |A||B|) for sets of at most `width` points: at every
+    survivor for MAX_V, the screen's own certificate.  |A+B| <= 128 in two
+    words."""
     pop, ab = np.arange(129)[:, None], np.arange(width * width + 1)
-    return {(v, k): certified_size(pop, v, k) ** 2 < v * v * ab for v, k in CLASSES if k == dim}
+    return {v: certified_size(pop, v) ** 2 < v * v * ab for v in CLASSES}
 
 
 @dataclass
 class ExhaustiveBetaScan:
-    dims: tuple[int, ...]
-    dim: int  # the dimension of the V of at least three points it serves
+    dims: tuple[int, int]
     sizes: np.ndarray  # each anchored set's size, in search.anchored_sets order
     masks: np.ndarray  # each set's bits, one uint64 word
     shifts: np.ndarray  # each set's bit offsets in order, padded to one width with its first
     # the surviving pairs (i, j), i-major, as int32 (n < 2^31 in any window that
-    # fits in memory), and per class (v, dim) of CLASSES the survivors, in
-    # order, whose certificate for it fails; the class (MAX_V, dim) is
-    # (surv_i, surv_j)
+    # fits in memory), and per class v of CLASSES the survivors, in order,
+    # whose certificate for it fails; the class MAX_V is (surv_i, surv_j)
     surv_i: np.ndarray
     surv_j: np.ndarray
-    classes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+    classes: dict[int, tuple[np.ndarray, np.ndarray]]
     pair_count: int
     # per class, the rows of A+B of its pairs and their |A||B| (`_class_rows`),
     # formed by its first recheck; dataclasses.replace starts with none
-    _rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
+    _rows: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def points_of(self, i: int) -> tuple[Pt, ...]:
@@ -200,9 +194,11 @@ def sum_words(dims: Sequence[int]) -> int:
 
 
 def unsupported(dims: Sequence[int], v_points: Sequence[Pt] = ()) -> Optional[str]:
-    """Why the bit scan cannot decide V, given by its points normalized to
-    min 0 per axis, in a box of these dims; None when it can.  With no
-    points, why it cannot scan the box at all.  build_scan and
+    """Why the bit scan cannot decide V, given by its distinct points
+    normalized to min 0 per axis, in a box of these dims; None when it can.
+    With no points, why it cannot scan the box at all.  A V of at most two
+    points reads no scan, so in a 1-D box too only the box's size and V's
+    width bound it; a scan takes a 2-D box and serves 2-D V.  build_scan and
     verify_subset_beta refuse with this reason, and callers route around it."""
     d = len(dims)
     if d not in (1, 2):
@@ -210,12 +206,23 @@ def unsupported(dims: Sequence[int], v_points: Sequence[Pt] = ()) -> Optional[st
     shape = sum_shape(dims)
     if prod(shape) > 128:  # the grid of A+B, in two words
         return "box too large for the two-word bit scan"
-    v = len(set(v_points))
+    if not v_points and d == 1:
+        return "bit scan builds 2-D boxes only"
+    v = len(v_points)
     if v > MAX_V:
         return f"|V| = {v} above the scan's certificate bound {MAX_V}"
     if v_points and max(p[0] for p in v_points) + shape[0] > 64:  # a row of A+B+V in one word
         return "V too wide for the exact recheck stride"
+    if v > 2 and (d == 1 or _collinear(v_points)):
+        return "bit scan serves 2-D V only, and V is collinear"
     return None
+
+
+def _collinear(v_points: Sequence[Pt]) -> bool:
+    """Whether V's distinct points, two or more in the plane, lie on the
+    line through the first two."""
+    (x0, y0), (x1, y1), *more = v_points
+    return all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in more)
 
 
 def _pack_sums(b: np.ndarray, columns, words: list[np.ndarray], tmp: np.ndarray) -> None:
@@ -233,7 +240,7 @@ def _pack_sums(b: np.ndarray, columns, words: list[np.ndarray], tmp: np.ndarray)
                 shift(b, by, out=word)
 
 
-def _class_rows(scan: ExhaustiveBetaScan, cls: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _class_rows(scan: ExhaustiveBetaScan, cls: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of A+B of the pairs of class `cls`, a (rows, pairs) array in
     the narrowest unsigned dtype that holds a row's 2w-1 bits (uint16 on the
     5x4 and 6x6 windows), and their |A||B| as uint16 (at most 64^2), formed
@@ -251,8 +258,8 @@ def _form_rows(scan: ExhaustiveBetaScan, i: np.ndarray, j: np.ndarray) -> tuple[
     Row r is the 2w-1 bits from bit r(2w-1) of the pair's words.  With a zero
     word past the last, it is (w[k] >> s) | (w[k+1] << (64 - s)) for every
     row, straddling two words or not, as numpy shifts by 64 to 0."""
-    width, *higher = sum_shape(scan.dims)
-    rows = np.empty((prod(higher), len(i)), dtype=np.min_scalar_type((1 << width) - 1))
+    width, height = sum_shape(scan.dims)
+    rows = np.empty((height, len(i)), dtype=np.min_scalar_type((1 << width) - 1))
     row_mask = np.uint64((1 << width) - 1)
     # scratch, then the words of A+B and a zero word past them
     tmp, *words = (np.zeros(min(_BLOCK_CELLS, len(i)), dtype=np.uint64)
@@ -272,8 +279,8 @@ def _form_rows(scan: ExhaustiveBetaScan, i: np.ndarray, j: np.ndarray) -> tuple[
 
 def _sumset_sizes(rows: np.ndarray, width: int, v_points: Sequence[Pt]) -> np.ndarray:
     """|A+B+V| as int64 for each pair whose rows of A+B, `width` bits each,
-    are a column of `rows` (`_class_rows`), for V given by its points (x,)
-    or (x, y), min 0 per axis, at most one uint64 wide (`unsupported`).
+    are a column of `rows` (`_class_rows`), for V given by its points
+    (x, y), min 0 per axis, at most one uint64 wide (`unsupported`).
 
     Row r of A+B+V ORs row r-y of A+B shifted by x over (x, y) in V, in the
     narrowest unsigned dtype of width + max x bits.  Its popcount is taken
@@ -285,7 +292,7 @@ def _sumset_sizes(rows: np.ndarray, width: int, v_points: Sequence[Pt]) -> np.nd
     height, pairs = rows.shape
     # V's points as (y, x), sorted, so that the first has y = 0 (V has min 0
     # per axis); a shift by a Python int keeps the dtype of the rows
-    (_, x0), *rest = at = sorted((p[1] if len(p) > 1 else 0, p[0]) for p in v_points)
+    (_, x0), *rest = at = sorted((y, x) for x, y in v_points)
     dtype = np.min_scalar_type((1 << (width + max(x for _, x in at))) - 1)
     size = dtype.itemsize
     top = height + at[-1][0]  # the rows of A+B+V
@@ -322,36 +329,29 @@ def anchored_subsets(dims: Sequence[int], max_card: int) -> list[tuple[Pt, ...]]
 
 
 @_small_buffer
-def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaScan:
+def build_scan(dims: Sequence[int], max_card: int) -> ExhaustiveBetaScan:
     """One popcount pass over a pair of each symmetry class of canonical
-    unordered pairs, block by block of rows, recording i-major every pair
-    the integer certificate cannot clear for some V of dimension `dim` with
-    |V| <= MAX_V, and, per class (|V|, dim) of CLASSES, the survivors it
-    fails for (`ExhaustiveBetaScan.classes`).
+    unordered pairs of a 2-D box, block by block of rows, recording i-major
+    every pair the integer certificate cannot clear for some 2-D V with
+    |V| <= MAX_V, and, per class |V| of CLASSES, the survivors it fails for
+    (`ExhaustiveBetaScan.classes`).  ValueError for a box `unsupported`
+    refuses, a 1-D box among them.
 
-    The screen tests the certificate of (MAX_V, dim).  A certificate failing
-    at v fails at every larger v up to MAX_V, so no pair a V of this
-    dimension needs is dropped: the collinear bound s+v-1 fails iff
-    s-1 < v(sqrt(ab)-1), whose right side never decreases in v, and
-    tests/test_bitscan.py checks both dimensions' tables at every width up
-    to 64.  A 1-D V needs the collinear screen, which keeps far more pairs
-    than Ruzsa's, so each dimension gets its own scan."""
+    The screen tests the certificate of MAX_V.  A certificate failing at v
+    fails at every larger v up to MAX_V, so no pair a V needs is dropped:
+    tests/test_bitscan.py checks the tables at every width up to 64."""
     dims = tuple(dims)
     reason = unsupported(dims)
     if reason is not None:
         raise ValueError(reason)
-    d = len(dims)
-    if not 1 <= dim <= d:
-        raise ValueError(f"a V of dimension {dim} does not fit a {d}-dimensional box")
-    points, index, sizes = anchored_sets(GroupContext(d), [(0, k - 1) for k in dims], max_card)
+    points, index, sizes = anchored_sets(GroupContext(2), [(0, k - 1) for k in dims], max_card)
     n = len(sizes)
     # each set's bits, padded to one width with its first
-    shifts = bit_index(points, sum_shape(dims), d).astype(np.uint64)[index]
+    shifts = bit_index(points, sum_shape(dims), 2).astype(np.uint64)[index]
     masks = reduce(np.bitwise_or, np.left_shift(np.uint64(1), shifts.T))  # by columns, as set_images keys
     width = shifts.shape[1]
-    fails = failure_tables(dim, width)
-    screen = (MAX_V, dim)
-    others = [c for c in fails if c != screen]  # each a bit of a hit's class flags
+    fails = failure_tables(width)
+    others = [c for c in fails if c != MAX_V]  # each a bit of a hit's class flags
 
     # The build's columns are the sets by orbit minimum, so the columns of
     # row i, the sets whose orbit minimum is >= i, are a suffix from its own
@@ -365,7 +365,7 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     # A certificate failing at |A+B| fails below it too, so the screen fails iff
     # |A+B| < lim[|A| - 1, c], the count of its failing values, for B in column c.
     # |A+B| <= 128 and |A|, |B| <= 64: counts, limits, Cauchy-Davenport fit uint8.
-    lim = fails[screen].sum(axis=0, dtype=np.uint8)[np.arange(1, width + 1)[:, None] * o_sizes]
+    lim = fails[MAX_V].sum(axis=0, dtype=np.uint8)[np.arange(1, width + 1)[:, None] * o_sizes]
     sizes8 = o_sizes.astype(np.uint8)
 
     # blocks of rows[r0:r1], each row paired with every column from rows[r0]
@@ -440,23 +440,11 @@ def build_scan(dims: Sequence[int], max_card: int, dim: int) -> ExhaustiveBetaSc
     np.floor_divide(keys, n, out=surv_i, casting="unsafe")
     np.remainder(keys, n, out=surv_j, casting="unsafe")
     del keys
-    classes = {screen: (surv_i, surv_j)}
+    classes = {MAX_V: (surv_i, surv_j)}
     for bit, cls in enumerate(others):
         hit = (flags & (1 << bit)) != 0
         classes[cls] = (surv_i[hit], surv_j[hit])
-    return ExhaustiveBetaScan(dims, dim, sizes, masks, shifts, surv_i, surv_j, classes, n * (n + 1) // 2)
-
-
-def scan_dimension(v_points: Sequence[Pt]) -> Optional[int]:
-    """The dimension of the scan that decides V, given by its distinct points
-    in one or two free coordinates: None at |V| <= 2, which reads no scan,
-    else 1 when every point lies on the line through the first two, else 2."""
-    if len(v_points) < 3:
-        return None
-    if len(v_points[0]) == 1:
-        return 1
-    (x0, y0), (x1, y1), *more = v_points
-    return 1 if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in more) else 2
+    return ExhaustiveBetaScan(dims, sizes, masks, shifts, surv_i, surv_j, classes, n * (n + 1) // 2)
 
 
 def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict:
@@ -467,14 +455,12 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
     The result holds `counterexample` (None when the minimum is |V|^2, else
     the A and B of the first minimum and its slack |A+B+V|^2 - |V|^2 |A||B|),
     `pair_count` and `checked_pairs`, the survivors rechecked for this V:
-    those the build listed for V's (|V|, dim V) class, where its certificate
-    (collinear, or Ruzsa's for 2-D V) fails, and none at |V| <= 2.
-    ValueError for a V of at least three points whose dimension the scan
-    does not serve.
+    those the build listed for V's class |V|, where its certificate fails,
+    and none at |V| <= 2.  ValueError for a V `unsupported` refuses, a
+    collinear V of at least three points among them.
     """
-    d = len(scan.dims)
     vpts = sorted({tuple(p) for p in v_points})
-    if not vpts or any(len(p) != d for p in vpts):
+    if not vpts or any(len(p) != 2 for p in vpts):
         raise ValueError("V must be nonempty with matching dimension")
     if any(min(axis) != 0 for axis in zip(*vpts)):
         raise ValueError("V must be normalized to min coordinate 0")
@@ -483,17 +469,14 @@ def verify_subset_beta(scan: ExhaustiveBetaScan, v_points: Sequence[Pt]) -> dict
         raise ValueError(reason)
     v = len(vpts)
     result = {"pair_count": scan.pair_count, "counterexample": None, "checked_pairs": 0}
-    dim_v = scan_dimension(vpts)
-    if dim_v is None:  # at most two points: every certificate holds
+    if v <= 2:  # every certificate holds
         return result
-    if dim_v != scan.dim:
-        raise ValueError(f"V is {dim_v}-dimensional, but the scan serves dimension {scan.dim}")
     # the pairs whose certificate fails for V's class
-    i, j = scan.classes[(v, dim_v)]
+    i, j = scan.classes[v]
     result["checked_pairs"] = len(i)
     if not len(i):
         return result
-    rows, ab = _class_rows(scan, (v, dim_v))
+    rows, ab = _class_rows(scan, v)
     t = _sumset_sizes(rows, sum_shape(scan.dims)[0], vpts)
     slack = t * t - np.multiply(ab, v * v, dtype=np.int64)
     if slack.min() < 0:

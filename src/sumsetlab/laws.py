@@ -91,10 +91,10 @@ def _normalized_free(V: PointSet) -> tuple[Vec, ...]:
     return tuple([tuple([c - lo for c, lo in zip(p, lows)]) for p in pts])
 
 
-# bit scans by (dims, max_card, dim V), kept for the life of the process: a
-# suite or conjecture scan checks many V on one window, and each V would
-# otherwise pay the whole build.  Each window and V dimension holds at most
-# one scan; the stock suite and a log-span scan build one each.
+# bit scans by (dims, max_card), kept for the life of the process: a suite
+# or conjecture scan checks many V on one window, and each V would otherwise
+# pay the whole build.  Only a 2-D V of three or more points builds one; the
+# stock suite and a log-span scan build one each.
 _SCAN_CACHE: dict[tuple, bitscan.ExhaustiveBetaScan] = {}
 
 
@@ -114,10 +114,11 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     minimum in the box's frame, the same whichever scan decides, and must
     replay to the margin through groups.sumset (AssertionError otherwise).
 
-    The bit scan decides unrestricted pairs, with one scan per window and
-    dimension of V, and none for a V of at most two points, whose
-    certificate clears every pair; inputs it refuses and other variants go
-    to beta_estimate, read through search.require_complete.
+    The bit scan decides unrestricted pairs, with one scan per window for
+    the 2-D V, and none for a V of at most two points, whose certificate
+    clears every pair; inputs it refuses (a collinear V of three or more
+    points among them) and other variants go to beta_estimate, read through
+    search.require_complete.
     `threads` is kept for compatibility and has no effect: the scan is
     sequential."""
     if cfg.strategy != "exhaustive" or cfg.p != 2:
@@ -128,12 +129,11 @@ def check_quasicube_beta(V: PointSet, cfg: SearchConfig, threads: int = 1) -> Ve
     dims = tuple(hi - lo + 1 for lo, hi in cfg.box)
     v_free = _normalized_free(V)
     # beta_estimate decides what the bit scan cannot: torsion, other ranks,
-    # wide boxes or V's, and the isometric and isomeric variants
+    # wide boxes or V's, collinear V, and the isometric and isomeric variants
     if (cfg.variant == "unrestricted" and ctx.is_torsion_free and ctx.free_rank == len(dims)
             and bitscan.unsupported(dims, v_free) is None):
-        dim_v = bitscan.scan_dimension(v_free)
-        if dim_v is not None:
-            key = (dims, cfg.max_cardinality, dim_v)
+        if len(v_free) > 2:
+            key = (dims, cfg.max_cardinality)
             if key not in _SCAN_CACHE:
                 _SCAN_CACHE[key] = bitscan.build_scan(*key)
             res = bitscan.verify_subset_beta(_SCAN_CACHE[key], v_free)

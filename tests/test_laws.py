@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sumsetlab import bitscan, laws
 from sumsetlab.functional import WeightedFunction
-from sumsetlab.groups import GroupContext, PointSet
+from sumsetlab.groups import GroupContext, PointSet, dimension
 from sumsetlab.laws import (
     InstanceRejected,
     _normalized_free,
@@ -81,22 +81,27 @@ class TestQuasicubeBeta:
         assert v.counterexample == {"A": [[0, 0], [0, 1]], "B": [[0, 0], [0, 1]],
                                     "V": [[0, 0], [0, 1]]}
 
-    def test_both_paths_report_one_margin(self):
+    def test_both_paths_report_one_margin(self, monkeypatch):
         # V = {0,1,2} is no quasicube: A = B = {0..3} gives |A+B+V| = 9, so the
-        # margin is 81/16 - 9 = -63/16, on the bit scan in Z and generically
-        # for the same V embedded in Z^3
+        # margin is 81/16 - 9 = -63/16, in Z and for the same V embedded in
+        # Z^2, on a box the bit scan takes, and in Z^3.  A collinear V of three
+        # points reads beta_estimate on every box, so no scan is built
+        monkeypatch.setattr(laws, "_SCAN_CACHE", {})
         line = check_quasicube_beta(ps(Z1, [(0,), (1,), (2,)]),
                                     SearchConfig(box=((0, 3),), max_cardinality=4))
+        plane = check_quasicube_beta(ps(Z2, [(x, 0) for x in range(3)]),
+                                     SearchConfig(box=((0, 3), (0, 1)), max_cardinality=4))
         space = check_quasicube_beta(ps(GroupContext(3), [(x, 0, 0) for x in range(3)]),
                                      SearchConfig(box=((0, 3), (0, 0), (0, 0)), max_cardinality=4))
-        assert line.note.startswith("pairs=") and space.note == ""
-        for v in (line, space):
-            assert not v.holds and v.margin == F(-63, 16)
+        assert laws._SCAN_CACHE == {}
+        for v in (line, plane, space):
+            assert not v.holds and v.margin == F(-63, 16) and v.note == ""
             assert v.to_json_dict()["margin"] == "-63/16"
         pts = [[0], [1], [2], [3]]
         assert line.counterexample == {"A": pts, "B": pts, "V": pts[:3]}
-        first_axis = {k: [q[:1] for q in qs] for k, qs in space.counterexample.items()}
-        assert first_axis == line.counterexample
+        for v in (plane, space):
+            first_axis = {k: [q[:1] for q in qs] for k, qs in v.counterexample.items()}
+            assert first_axis == line.counterexample
 
     @pytest.mark.parametrize("ctx, pts, box, card, reason", [
         (Z1, [(0,), (1,)], ((0, 70),), 2, "box too large"),
@@ -148,15 +153,28 @@ class TestQuasicubeBeta:
         n = canonical_count(V.context, box, card)
         assert v.holds and v.margin == 0 and v.note == f"pairs={n * (n + 1) // 2} rechecked=0"
 
-    def test_scans_are_kept_per_dimension(self, monkeypatch):
-        # a 1-D and a 2-D V of three points on one window read two scans,
-        # each kept under its dimension
+    def test_one_scan_per_window(self, monkeypatch):
+        # the 2-D V of three or more points on one window read one scan, kept
+        # under the window; a collinear V reads beta_estimate and adds none
         monkeypatch.setattr(laws, "_SCAN_CACHE", {})
         cfg = SearchConfig(box=((0, 2), (0, 2)), max_cardinality=3)
-        for pts in ([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 1), (2, 2)], [(1, 0), (0, 1), (1, 1)]):
-            check_quasicube_beta(ps(Z2, pts), cfg)
-        assert sorted(laws._SCAN_CACHE) == [((3, 3), 3, 1), ((3, 3), 3, 2)]
-        assert [s.dim for _, s in sorted(laws._SCAN_CACHE.items())] == [1, 2]
+        notes = [check_quasicube_beta(ps(Z2, pts), cfg).note for pts in (
+            [(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 1), (2, 2)], [(1, 0), (0, 1), (1, 1), (2, 2)])]
+        assert list(laws._SCAN_CACHE) == [((3, 3), 3)]
+        pairs = f"pairs={laws._SCAN_CACHE[(3, 3), 3].pair_count}"
+        assert [n.split(" ")[0] for n in notes] == [pairs, "", pairs]
+
+    def test_collinear_v_reads_beta_estimate_under_the_ceiling(self, monkeypatch):
+        # a collinear V of three points on a 2-D box builds no scan: its
+        # verdict is a complete beta_estimate's, so past the node ceiling it
+        # is refused, where a 2-D V on the same window is decided by the scan
+        monkeypatch.setattr(laws, "_SCAN_CACHE", {})
+        cfg = SearchConfig(box=((0, 2), (0, 2)), max_cardinality=3, node_ceiling=10)
+        with pytest.raises(ValueError, match="node ceiling"):
+            check_quasicube_beta(ps(Z2, [(0, 0), (1, 1), (2, 2)]), cfg)
+        assert laws._SCAN_CACHE == {}
+        assert check_quasicube_beta(ps(Z2, [(0, 0), (1, 0), (0, 1)]), cfg).holds
+        assert list(laws._SCAN_CACHE) == [((3, 3), 3)]
 
     def test_requires_exact_config(self):
         with pytest.raises(ValueError):
@@ -168,9 +186,10 @@ class TestQuasicubeBeta:
 
 @st.composite
 def bit_scan_windows(draw):
-    """A box the bit scan takes, often with its low corner off the origin:
-    1-D up to 12 wide at cardinality <= 6, 2-D up to 4x3 at cardinality
-    <= 4; and a V of at most 4 points, not translated to the origin."""
+    """A box the bit scan takes for a V of at most two points, and in 2-D
+    for a 2-D V, often with its low corner off the origin: 1-D up to 12 wide
+    at cardinality <= 6, 2-D up to 4x3 at cardinality <= 4; and a V of at
+    most 4 points, not translated to the origin."""
     d = draw(st.sampled_from([1, 2]))
     dims = (draw(st.integers(1, 12)),) if d == 1 else (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
     card = draw(st.integers(1, 6 if d == 1 else 4))
@@ -184,13 +203,18 @@ def bit_scan_windows(draw):
 @example((((0, 11),), 6, ((0,), (4,), (8,))))  # the slack's minimum is not the ratio's
 @settings(max_examples=60, deadline=None)
 def test_bit_scan_verdict_is_beta_estimates(case):
-    # the bit scan's verdict names the margin and counterexample of a complete
-    # beta_estimate on the same window
+    # the verdict names the margin and counterexample of a complete
+    # beta_estimate on the same window.  A V of at most two points, or a 2-D
+    # V, is decided by the bit scan and noted with its pairs; a collinear V of
+    # three or more points (every one in Z) is beta_estimate's, with no note
     box, card, pts = case
     V = ps(GroupContext(len(box)), pts)
     cfg = SearchConfig(box=box, max_cardinality=card)
     v = check_quasicube_beta(V, cfg)
-    assert v.note.startswith("pairs=")
+    if len(V) <= 2 or dimension(V) == 2:
+        assert v.note.startswith("pairs=")
+    else:
+        assert v.note == ""
     report = beta_estimate(V, replace(cfg, node_ceiling=10**8))
     assert report.complete
     margin = report.value_exact - len(V) ** 2
